@@ -246,11 +246,11 @@ int main(int argc, char** argv) {
   }
 
   // --validate: check the fits' extrapolations against a measured large-p
-  // sweep (BENCH_scaling.json from bench/table11_scaling). Only star-fabric
-  // cells are comparable — the "_ft" cells run a different protocol stack
-  // (fat tree, tree barrier, hashed view homes) than the grid the models
-  // were fitted on — and only p beyond the training grid tests
-  // extrapolation rather than interpolation. The gate is on the median
+  // sweep (BENCH_scaling.json from bench/table11_scaling). Only cells whose
+  // impl has a paper-grid series are comparable (the "_tree"/"_butterfly"
+  // barrier columns have none, so the series lookup skips them), and only
+  // p beyond the training grid tests extrapolation rather than
+  // interpolation. The gate is on the median
   // relative error: congestion collapse is a regime change the power-law
   // form cannot follow (star LRC at 256p), so the collapse cell is shown
   // in the report without dragging the verdict.
@@ -275,8 +275,6 @@ int main(int argc, char** argv) {
         int procs = 0;
         if (!splitCellId(cell.at("id").asString(), app, impl, procs)) continue;
         if (impl == "seq") continue;
-        if (impl.size() > 3 && impl.compare(impl.size() - 3, 3, "_ft") == 0)
-          continue;
         auto ai = totals.find(app);
         if (ai == totals.end()) continue;
         auto ii = ai->second.find(impl);

@@ -28,7 +28,7 @@ struct BarrierRun {
 BarrierRun barrierRun(dsm::Protocol proto, dsm::BarrierAlg alg, int procs,
                       bool dirty_pages, int rounds = 20) {
   vopp::Cluster cluster(
-      {.nprocs = procs, .protocol = proto, .proto = {.barrier = alg}});
+      {.nprocs = procs, .protocol = proto, .barrier = alg});
   // One view/region per node so every node dirties private pages between
   // barriers (the consistency payload for LRC).
   std::vector<dsm::ViewId> views;

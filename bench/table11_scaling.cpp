@@ -1,11 +1,12 @@
 // Table 11: IS scaling sweep to 256 processors (nightly --big: 1024).
 //
 // Not a paper table: the paper's testbed stops at 32 processors. This sweep
-// compares the paper's protocol stack (star fabric, centralized barrier
-// manager, id-mod-p lock/view homes) against the scalable stack (fat-tree
-// fabric, radix-4 tree barrier, hashed view homes — the "_ft" cells) as the
-// processor count doubles past the testbed, and feeds the committed
-// BENCH_scaling.json baseline behind the scaling_regression_gate ctest.
+// compares the paper's centralized barrier manager against the radix-4
+// combining tree (the "_tree" cells) and, at 256 processors, the
+// dissemination barrier (the "_butterfly" cells), all on the paper's star
+// fabric, as the processor count doubles past the testbed. It feeds the
+// committed BENCH_scaling.json baseline behind the scaling_regression_gate
+// ctest.
 // fit_scaling --validate checks its star cells against crossover
 // extrapolations fitted from the <= 32p paper grid.
 #include "bench/tables.hpp"

@@ -69,13 +69,6 @@ struct Options {
   // injected faults).
   std::string screen;
   double screen_tol = 0.10;
-  // Cluster fabric / barrier algorithm / view-home sharding applied to every
-  // cell (parsed eagerly so a typo'd spec cannot silently measure the
-  // defaults). Empty strings keep the paper's star + centralized protocol,
-  // and the JSON stays byte-identical to a flag-free run.
-  std::string topology;
-  std::string barrier;
-  std::string view_homes;
   // table11_scaling only: extend the processor sweep past 256 to the
   // nightly 512/1024 points (hours of host time on one core; the nightly
   // workflow owns it).
@@ -126,37 +119,15 @@ inline Options parseArgs(int argc, char** argv) {
     else if (a.rfind("--screen=", 0) == 0) o.screen = a.substr(9);
     else if (a.rfind("--screen-tol=", 0) == 0)
       o.screen_tol = parseDoubleArg(a, 13);
-    else if (a.rfind("--topology=", 0) == 0) o.topology = a.substr(11);
-    else if (a.rfind("--barrier=", 0) == 0) o.barrier = a.substr(10);
-    else if (a.rfind("--view-homes=", 0) == 0) o.view_homes = a.substr(13);
     else {
       std::cerr << "usage: " << argv[0]
                 << " [--full] [--procs=N] [--jobs=N] [--json=PATH]"
                    " [--breakdown] [--critpath] [--pageheat]"
                    " [--metrics] [--diagnose] [--profiles=DIR]"
                    " [--compare=DIR] [--compare-serial] [--faults=SPEC]"
-                   " [--screen=MODEL.json] [--screen-tol=X]"
-                   " [--topology=SPEC] [--barrier=ALG] [--view-homes=POLICY]\n";
+                   " [--screen=MODEL.json] [--screen-tol=X]\n";
       std::exit(2);
     }
-  }
-  // Validate the topology/barrier/directory specs up front so every table
-  // binary rejects a typo with usage instead of measuring the defaults.
-  net::TopologyConfig topo_check;
-  if (!o.topology.empty() && !net::parseTopologySpec(o.topology, &topo_check)) {
-    std::cerr << "invalid --topology spec '" << o.topology << "'\n";
-    std::exit(2);
-  }
-  dsm::BarrierAlg barrier_check;
-  if (!o.barrier.empty() && !dsm::parseBarrierAlg(o.barrier, &barrier_check)) {
-    std::cerr << "invalid --barrier '" << o.barrier << "'\n";
-    std::exit(2);
-  }
-  dsm::ViewHomes homes_check;
-  if (!o.view_homes.empty() &&
-      !dsm::parseViewHomes(o.view_homes, &homes_check)) {
-    std::cerr << "invalid --view-homes '" << o.view_homes << "'\n";
-    std::exit(2);
   }
   if (!o.screen.empty() && !o.faults.empty()) {
     // The fitted models describe fault-free runs; screening a faulted
@@ -184,26 +155,6 @@ inline harness::RunConfig baseConfig(dsm::Protocol proto, int nprocs) {
   harness::RunConfig c;
   c.protocol = proto;
   c.nprocs = nprocs;
-  return c;
-}
-
-// Applies the sweep-wide fabric options (validated up front by parseArgs,
-// so the parses here cannot fail). Empty specs leave the defaults — star
-// fabric, centralized barrier, id-mod-p homes — untouched, keeping
-// flag-free sweeps byte-identical to pre-topology builds.
-inline void applyFabric(harness::RunConfig& c, const Options& o) {
-  if (!o.topology.empty())
-    VODSM_CHECK(net::parseTopologySpec(o.topology, &c.net.topology));
-  if (!o.barrier.empty())
-    VODSM_CHECK(dsm::parseBarrierAlg(o.barrier, &c.proto.barrier));
-  if (!o.view_homes.empty())
-    VODSM_CHECK(dsm::parseViewHomes(o.view_homes, &c.proto.view_homes));
-}
-
-inline harness::RunConfig baseConfig(dsm::Protocol proto, int nprocs,
-                                     const Options& o) {
-  harness::RunConfig c = baseConfig(proto, nprocs);
-  applyFabric(c, o);
   return c;
 }
 

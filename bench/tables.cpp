@@ -157,7 +157,7 @@ Cell isCell(const Options& o, const std::string& impl, Protocol proto,
   auto params = isParams(o.full);
   const CellFlags flags = flagsOf(o);
   return Cell{cellId("IS", impl, procs), [=] {
-                return runCell(flags, baseConfig(proto, procs, o),
+                return runCell(flags, baseConfig(proto, procs),
                                [&](const harness::RunConfig& cfg) {
                                  return apps::runIs(cfg, params, variant)
                                      .result;
@@ -183,7 +183,7 @@ Cell gaussCell(const Options& o, const std::string& impl, Protocol proto,
   auto params = gaussParams(o.full);
   const CellFlags flags = flagsOf(o);
   return Cell{cellId("Gauss", impl, procs), [=] {
-                return runCell(flags, baseConfig(proto, procs, o),
+                return runCell(flags, baseConfig(proto, procs),
                                [&](const harness::RunConfig& cfg) {
                                  return apps::runGauss(cfg, params, variant)
                                      .result;
@@ -211,7 +211,7 @@ Cell sorCell(const Options& o, const std::string& impl, Protocol proto,
   auto params = sorParams(o.full);
   const CellFlags flags = flagsOf(o);
   return Cell{cellId("SOR", impl, procs), [=] {
-                return runCell(flags, baseConfig(proto, procs, o),
+                return runCell(flags, baseConfig(proto, procs),
                                [&](const harness::RunConfig& cfg) {
                                  return apps::runSor(cfg, params, variant)
                                      .result;
@@ -237,7 +237,7 @@ Cell nnCell(const Options& o, const std::string& impl, Protocol proto,
   auto params = nnParams(o.full);
   const CellFlags flags = flagsOf(o);
   return Cell{cellId("NN", impl, procs), [=] {
-                return runCell(flags, baseConfig(proto, procs, o),
+                return runCell(flags, baseConfig(proto, procs),
                                [&](const harness::RunConfig& cfg) {
                                  return apps::runNn(cfg, params, variant)
                                      .result;
@@ -271,7 +271,7 @@ Cell isAxisCell(const Options& o, const std::string& impl, Protocol proto,
   const CellFlags flags = flagsOf(o);
   const model::AxisPoint axes = axisPoint(procs, v);
   Cell cell{cellId("IS", impl, procs) + "/" + v.suffix, [=] {
-              harness::RunConfig base = baseConfig(proto, procs, o);
+              harness::RunConfig base = baseConfig(proto, procs);
               applyAxes(base, axes);
               return runCell(flags, base,
                              [&](const harness::RunConfig& cfg) {
@@ -292,7 +292,7 @@ Cell sorAxisCell(const Options& o, const std::string& impl, Protocol proto,
   const CellFlags flags = flagsOf(o);
   const model::AxisPoint axes = axisPoint(procs, v);
   Cell cell{cellId("SOR", impl, procs) + "/" + v.suffix, [=] {
-              harness::RunConfig base = baseConfig(proto, procs, o);
+              harness::RunConfig base = baseConfig(proto, procs);
               applyAxes(base, axes);
               return runCell(flags, base,
                              [&](const harness::RunConfig& cfg) {
@@ -304,22 +304,15 @@ Cell sorAxisCell(const Options& o, const std::string& impl, Protocol proto,
   return cell;
 }
 
-// Scaling-sweep builder (table 11): an IS cell on either the paper's
-// reference fabric (star + centralized barrier + id-mod-p homes) or the
-// scalable stack (fat tree + tree barrier + hashed homes). The fabric is
-// pinned per cell — the sweep compares the two stacks side by side — so
-// this deliberately ignores any --topology/--barrier/--view-homes options.
+// Scaling-sweep builder (table 11): an IS cell on the paper's star fabric
+// with the given barrier algorithm.
 Cell scalingCell(const Options& o, const std::string& impl, Protocol proto,
-                 IsVariant variant, int procs, bool scalable) {
+                 IsVariant variant, int procs, dsm::BarrierAlg barrier) {
   auto params = isParams(o.full);
   const CellFlags flags = flagsOf(o);
   return Cell{cellId("IS", impl, procs), [=] {
                 harness::RunConfig base = baseConfig(proto, procs);
-                if (scalable) {
-                  base.net.topology.kind = net::TopologyKind::kFatTree;
-                  base.proto.barrier = dsm::BarrierAlg::kTree;
-                  base.proto.view_homes = dsm::ViewHomes::kHashed;
-                }
+                base.barrier = barrier;
                 return runCell(flags, base,
                                [&](const harness::RunConfig& cfg) {
                                  return apps::runIs(cfg, params, variant)
@@ -529,44 +522,57 @@ TableSpec table11Spec(const Options& o) {
     procs.push_back(512);
     procs.push_back(1024);
   }
+  using dsm::BarrierAlg;
   TableSpec spec;
   spec.name = "table11_scaling";
   for (int p : procs) {
     // Past 256 processors the star/centralized cells are deep in
     // retransmission collapse — simulated time and host memory both blow
     // up on work the 256p rows already demonstrate — so the big-p rows
-    // carry only the scalable stack.
+    // carry only the tree barrier. The butterfly gets one cell per
+    // protocol at 256p, where it beats the tree for LRC_d and loses for
+    // VC_sd.
     if (p <= 256) {
       spec.cells.push_back(scalingCell(o, "LRC_d", Protocol::kLrcDiff,
                                        IsVariant::kTraditional, p,
-                                       /*scalable=*/false));
+                                       BarrierAlg::kCentral));
     }
-    spec.cells.push_back(scalingCell(o, "LRC_d_ft", Protocol::kLrcDiff,
+    spec.cells.push_back(scalingCell(o, "LRC_d_tree", Protocol::kLrcDiff,
                                      IsVariant::kTraditional, p,
-                                     /*scalable=*/true));
+                                     BarrierAlg::kTree));
+    if (p == 256) {
+      spec.cells.push_back(scalingCell(o, "LRC_d_butterfly",
+                                       Protocol::kLrcDiff,
+                                       IsVariant::kTraditional, p,
+                                       BarrierAlg::kButterfly));
+    }
     if (p <= 256) {
       spec.cells.push_back(scalingCell(o, "VC_sd", Protocol::kVcSd,
                                        IsVariant::kVopp, p,
-                                       /*scalable=*/false));
+                                       BarrierAlg::kCentral));
     }
     // VOPP IS lays out p^2 contribution views, so each node's page table
     // is O(p^2) and the cluster's host footprint O(p^3): ~7.5 GB at 512
     // processors, past any CI runner at 1024. The traditional variant's
     // flat bucket array keeps the 1024p row affordable, and still
-    // exercises trunks, the tree barrier, and sharded homes at full
-    // scale.
+    // exercises the tree barrier at full scale.
     if (p <= 512) {
-      spec.cells.push_back(scalingCell(o, "VC_sd_ft", Protocol::kVcSd,
+      spec.cells.push_back(scalingCell(o, "VC_sd_tree", Protocol::kVcSd,
                                        IsVariant::kVopp, p,
-                                       /*scalable=*/true));
+                                       BarrierAlg::kTree));
+    }
+    if (p == 256) {
+      spec.cells.push_back(scalingCell(o, "VC_sd_butterfly", Protocol::kVcSd,
+                                       IsVariant::kVopp, p,
+                                       BarrierAlg::kButterfly));
     }
   }
   std::vector<std::string> ids;
   for (const Cell& c : spec.cells) ids.push_back(c.id);
   spec.print = [ids = std::move(ids)](
                    std::ostream& os, const std::vector<RunResult>& results) {
-    os << "\nTable 11: IS scaling — star/central vs fat tree with tree "
-          "barrier and hashed view homes (_ft)\n";
+    os << "\nTable 11: IS scaling on the star fabric — central vs tree "
+          "(_tree) and butterfly (_butterfly) barriers\n";
     TextTable t;
     t.header({"cell", "Time (Sec.)", "Num. Msg", "Barrier Time (usec.)",
               "Rexmit"});

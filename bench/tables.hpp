@@ -53,9 +53,10 @@ TableSpec table9Spec(const Options& o);
 // multi-axis fitter real training data on every model axis.
 TableSpec table10Spec(const Options& o);
 // Scaling sweep (not from the paper): IS on LRC_d and VC_sd at p in
-// {32, 64, 128, 256} (--big extends to 512 and 1024), both on the paper's
-// star fabric with the centralized barrier and on a fat tree with the tree
-// barrier and hashed view homes ("_ft" columns). Deliberately NOT part of
+// {32, 64, 128, 256} (--big extends to 512 and 1024) on the paper's star
+// fabric, with the centralized barrier and with the radix-4 tree barrier
+// ("_tree" columns), plus butterfly-barrier cells at 256p ("_butterfly").
+// Deliberately NOT part of
 // allTableSpecs: it feeds its own baseline (BENCH_scaling.json) and gate,
 // keeping BENCH_tables.json byte-identical.
 TableSpec table11Spec(const Options& o);

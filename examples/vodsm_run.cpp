@@ -41,14 +41,8 @@ namespace {
       "  --runtime=lrc_d|vc_d|vc_sd|mpi   (default vc_sd; mpi is NN-only)\n"
       "  --variant=vopp|traditional|vopp_lb (default vopp)\n"
       "  --procs=N       processors (default 16)\n"
-      "  --topology=SPEC cluster fabric: star (default), or\n"
-      "                  fattree|leafspine[:leaf=N,spines=N,trunk-gbps=G,\n"
-      "                  trunk-us=U] (multi-switch with contended trunks)\n"
       "  --barrier=central|tree|butterfly  barrier algorithm (default\n"
       "                  central, the paper's centralized manager)\n"
-      "  --view-homes=default|hashed|migrate  view/lock directory sharding\n"
-      "                  (default: id mod p; migrate moves VC view homes to\n"
-      "                  their dominant writer)\n"
       "  --seed=N        simulation seed (default 42)\n"
       "  --trace=FILE    write a Chrome/Perfetto trace of the run\n"
       "  --breakdown     print per-node simulated-time breakdown\n"
@@ -150,14 +144,13 @@ int main(int argc, char** argv) {
   // ignored and the run would report nothing unusual; now it is an error.
   static const std::set<std::string> kKnownFlags = {
       "app",          "runtime",   "variant",      "procs",
-      "topology",     "barrier",   "view-homes",   "seed",
-      "trace",        "breakdown", "netstats",     "critpath",
-      "pageheat",     "pageheat-csv",              "memstats",
-      "metrics-csv",  "metrics-interval",          "faults",
-      "diagnose",     "profile",   "compare",      "compare-json",
-      "keys",         "buckets",   "iters",        "n",
-      "rows",         "cols",      "samples",      "epochs",
-      "hidden"};
+      "barrier",      "seed",      "trace",        "breakdown",
+      "netstats",     "critpath",  "pageheat",     "pageheat-csv",
+      "memstats",     "metrics-csv",               "metrics-interval",
+      "faults",       "diagnose",  "profile",      "compare",
+      "compare-json", "keys",      "buckets",      "iters",
+      "n",            "rows",      "cols",         "samples",
+      "epochs",       "hidden"};
   Args args;
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
@@ -181,28 +174,13 @@ int main(int argc, char** argv) {
   harness::RunConfig cfg;
   cfg.nprocs = static_cast<int>(args.num("procs", 16));
   cfg.seed = args.num("seed", 42);
-  // Topology/barrier/directory specs are validated eagerly: a typo'd spec
-  // used to silently fall back to the default and quietly measure the wrong
-  // configuration.
-  const std::string topo_spec = args.get("topology", "");
-  if (!topo_spec.empty() &&
-      !net::parseTopologySpec(topo_spec, &cfg.net.topology)) {
-    std::fprintf(stderr, "error: invalid --topology spec '%s'\n",
-                 topo_spec.c_str());
-    usage(argv[0]);
-  }
+  // The barrier spec is validated eagerly: a typo'd spec used to silently
+  // fall back to the default and quietly measure the wrong configuration.
   const std::string barrier_spec = args.get("barrier", "");
   if (!barrier_spec.empty() &&
-      !dsm::parseBarrierAlg(barrier_spec, &cfg.proto.barrier)) {
+      !dsm::parseBarrierAlg(barrier_spec, &cfg.barrier)) {
     std::fprintf(stderr, "error: invalid --barrier '%s'\n",
                  barrier_spec.c_str());
-    usage(argv[0]);
-  }
-  const std::string homes_spec = args.get("view-homes", "");
-  if (!homes_spec.empty() &&
-      !dsm::parseViewHomes(homes_spec, &cfg.proto.view_homes)) {
-    std::fprintf(stderr, "error: invalid --view-homes '%s'\n",
-                 homes_spec.c_str());
     usage(argv[0]);
   }
   const std::string trace_path = args.get("trace", "");

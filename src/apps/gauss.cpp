@@ -225,7 +225,7 @@ GaussRun runGauss(const harness::RunConfig& config, const GaussParams& params,
                          .protocol = config.protocol,
                          .net = config.net,
                          .costs = config.costs,
-                         .proto = config.proto,
+                         .barrier = config.barrier,
                          .seed = config.seed,
                          .trace = config.trace,
                          .metrics = config.metrics,

@@ -297,7 +297,7 @@ IsRun runIs(const harness::RunConfig& config, const IsParams& params,
                          .protocol = config.protocol,
                          .net = config.net,
                          .costs = config.costs,
-                         .proto = config.proto,
+                         .barrier = config.barrier,
                          .seed = config.seed,
                          .trace = config.trace,
                          .metrics = config.metrics,

@@ -384,7 +384,7 @@ NnRun runNn(const harness::RunConfig& config, const NnParams& params,
                          .protocol = config.protocol,
                          .net = config.net,
                          .costs = config.costs,
-                         .proto = config.proto,
+                         .barrier = config.barrier,
                          .seed = config.seed,
                          .trace = config.trace,
                          .metrics = config.metrics,

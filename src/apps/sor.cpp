@@ -274,7 +274,7 @@ SorRun runSor(const harness::RunConfig& config, const SorParams& params,
                          .protocol = config.protocol,
                          .net = config.net,
                          .costs = config.costs,
-                         .proto = config.proto,
+                         .barrier = config.barrier,
                          .seed = config.seed,
                          .trace = config.trace,
                          .metrics = config.metrics,

@@ -47,7 +47,7 @@ void LrcRuntime::onMessage(net::Delivery&& d, const net::ReplyToken& token) {
       return;
     case kBarrRelease: {
       BarrReleaseMsg rel = BarrReleaseMsg::decode(d.payload);
-      if (ctx_.proto.barrier == BarrierAlg::kTree) {
+      if (ctx_.barrier == BarrierAlg::kTree) {
         // Fan the release down to our subtree before unblocking ourselves;
         // the payload is the complete global set, forwarded verbatim.
         const sim::Time when = d.arrive + ctx_.costs.handler_service;
@@ -354,7 +354,7 @@ void LrcRuntime::onDiffReq(const DiffReqMsg& m, const net::ReplyToken& token,
 // ---------- barriers ----------
 
 sim::Task<void> LrcRuntime::barrier(BarrierId b) {
-  if (ctx_.proto.barrier == BarrierAlg::kButterfly) {
+  if (ctx_.barrier == BarrierAlg::kButterfly) {
     co_await barrierButterfly(b);
     co_return;
   }
@@ -373,7 +373,7 @@ sim::Task<void> LrcRuntime::barrier(BarrierId b) {
   // Tree mode: arrivals combine bottom-up, so every node (leaves included)
   // first folds its own arrival locally; node 0's target is unchanged.
   const NodeId arrive_at =
-      ctx_.proto.barrier == BarrierAlg::kTree ? ctx_.id : barrierManager();
+      ctx_.barrier == BarrierAlg::kTree ? ctx_.id : barrierManager();
   ctx_.endpoint.post(arrive_at, kBarrArrive, arrive_msg.encode(),
                      ctx_.clock.now());
   BarrReleaseMsg rel = co_await *waiter_ptr;
@@ -403,7 +403,7 @@ void LrcRuntime::onBarrArrive(const BarrArriveMsg& m, sim::Time arrive) {
     t->instant(ctx_.id, obs::Cat::kBarrFold, st.busy_until, m.barrier,
                notice_count);
   st.arrived++;
-  if (ctx_.proto.barrier == BarrierAlg::kTree) {
+  if (ctx_.barrier == BarrierAlg::kTree) {
     treeBarrierStep(m.barrier, st);
     return;
   }
@@ -457,7 +457,8 @@ sim::Task<void> LrcRuntime::barrierButterfly(BarrierId b) {
   // receiver). Each round ships the whole accumulated set, doubling the
   // reach of every interval per round.
   std::vector<mem::Interval> acc = intervalsNotCoveredBy(last_barrier_vc_);
-  for (uint32_t step = 1, round = 0; step < p; step <<= 1, ++round) {
+  for (uint32_t step = 1; step < p; step <<= 1) {
+    const uint32_t round = next_round_++;
     BarrRoundMsg out;
     out.barrier = b;
     out.round = round;

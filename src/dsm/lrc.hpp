@@ -8,11 +8,11 @@
 // - Barriers are consistency points: every node ships its fresh intervals
 //   to the centralized barrier manager, which merges and rebroadcasts the
 //   global set. This is the centralized hot spot the paper measures.
-//   ProtoOptions can swap the centralized manager for a radix-k combining
-//   tree (arrivals merge level by level, the release fans back down) or a
-//   dissemination (butterfly) barrier (ceil(log2 p) peer-exchange rounds,
-//   each round carrying everything accumulated since barrier entry) — see
-//   DESIGN.md §3.12.
+//   NodeCtx::barrier can swap the centralized manager for a radix-4
+//   combining tree (arrivals merge level by level, the release fans back
+//   down) or a dissemination (butterfly) barrier (ceil(log2 p) peer-exchange
+//   rounds, each round carrying everything accumulated since barrier entry)
+//   — see DESIGN.md §3.12.
 #pragma once
 
 #include <deque>
@@ -124,6 +124,12 @@ class LrcRuntime : public Runtime {
       round_waiters_;
   std::map<std::pair<BarrierId, uint32_t>, std::pair<BarrRoundMsg, sim::Time>>
       round_early_;
+  // Rounds are numbered across barrier instances, not from zero in each:
+  // a peer that has left this barrier can send its next-instance round
+  // while its message for this one is still being retransmitted, and the
+  // transport does not preserve order, so per-instance numbers would let
+  // the newer message stand in for the lost one.
+  uint32_t next_round_ = 0;
 
   // Manager-side state (meaningful only for ids this node manages).
   std::unordered_map<LockId, LockMgrState> lock_mgr_;

@@ -37,9 +37,6 @@ enum MsgType : uint16_t {
   // Butterfly (dissemination) barrier round: peer -> peer
   // {barrier, round, node, intervals}.
   kBarrRound = 15,
-  // View home migration (ViewHomes::kMigrate): old home -> new home, the
-  // view's full manager state.
-  kViewMigrate = 16,
   // MPI-like point-to-point payloads (msg library).
   kMsgData = 64,
 };
@@ -368,103 +365,6 @@ struct ViewReleaseMsg {
     m.diffs.reserve(nd);
     for (uint32_t i = 0; i < nd; ++i)
       m.diffs.push_back(mem::Diff::deserialize(r));
-    return m;
-  }
-};
-
-// Full manager state of one view, shipped old home -> new home on a
-// ViewHomes::kMigrate handoff (only ever sent while the view is idle: no
-// writer, no readers, empty queue). Maps are flattened in ascending key
-// order so the encoded bytes — and hence the simulated wire cost — are
-// deterministic, as the committed results require.
-struct ViewMigrateMsg {
-  ViewId view = 0;
-  uint32_t cur_version = 0;
-  uint32_t gc_version = 0;
-  // history[v-1] = (writer, pages) of version v.
-  std::vector<std::pair<NodeId, std::vector<mem::PageId>>> history;
-  // VC_sd home storage, per page ascending: version-tail and GC base.
-  std::vector<std::pair<mem::PageId,
-                        std::vector<std::pair<uint32_t, mem::Diff>>>>
-      diff_log;
-  std::vector<std::pair<mem::PageId, mem::Diff>> base;
-  // Last granted version per node that ever acquired the view.
-  std::vector<std::pair<NodeId, uint32_t>> seen;
-
-  Bytes encode() const {
-    Writer w;
-    w.u32(view);
-    w.u32(cur_version);
-    w.u32(gc_version);
-    w.u32(static_cast<uint32_t>(history.size()));
-    for (const auto& [writer, pages] : history) {
-      w.u32(writer);
-      w.u32(static_cast<uint32_t>(pages.size()));
-      for (mem::PageId p : pages) w.u32(p);
-    }
-    w.u32(static_cast<uint32_t>(diff_log.size()));
-    for (const auto& [page, log] : diff_log) {
-      w.u32(page);
-      w.u32(static_cast<uint32_t>(log.size()));
-      for (const auto& [ver, d] : log) {
-        w.u32(ver);
-        d.serialize(w);
-      }
-    }
-    w.u32(static_cast<uint32_t>(base.size()));
-    for (const auto& [page, d] : base) {
-      w.u32(page);
-      d.serialize(w);
-    }
-    w.u32(static_cast<uint32_t>(seen.size()));
-    for (const auto& [node, ver] : seen) {
-      w.u32(node);
-      w.u32(ver);
-    }
-    return w.take();
-  }
-  static ViewMigrateMsg decode(ByteSpan b) {
-    Reader r(b);
-    ViewMigrateMsg m;
-    m.view = r.u32();
-    m.cur_version = r.u32();
-    m.gc_version = r.u32();
-    const uint32_t nh = r.u32();
-    m.history.reserve(nh);
-    for (uint32_t i = 0; i < nh; ++i) {
-      NodeId writer = r.u32();
-      const uint32_t np = r.u32();
-      std::vector<mem::PageId> pages;
-      pages.reserve(np);
-      for (uint32_t k = 0; k < np; ++k) pages.push_back(r.u32());
-      m.history.emplace_back(writer, std::move(pages));
-    }
-    const uint32_t nl = r.u32();
-    m.diff_log.reserve(nl);
-    for (uint32_t i = 0; i < nl; ++i) {
-      mem::PageId page = r.u32();
-      const uint32_t nd = r.u32();
-      std::vector<std::pair<uint32_t, mem::Diff>> log;
-      log.reserve(nd);
-      for (uint32_t k = 0; k < nd; ++k) {
-        uint32_t ver = r.u32();
-        log.emplace_back(ver, mem::Diff::deserialize(r));
-      }
-      m.diff_log.emplace_back(page, std::move(log));
-    }
-    const uint32_t nb = r.u32();
-    m.base.reserve(nb);
-    for (uint32_t i = 0; i < nb; ++i) {
-      mem::PageId page = r.u32();
-      m.base.emplace_back(page, mem::Diff::deserialize(r));
-    }
-    const uint32_t ns = r.u32();
-    m.seen.reserve(ns);
-    for (uint32_t i = 0; i < ns; ++i) {
-      NodeId node = r.u32();
-      uint32_t ver = r.u32();
-      m.seen.emplace_back(node, ver);
-    }
     return m;
   }
 };

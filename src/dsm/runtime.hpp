@@ -26,7 +26,8 @@ struct NodeCtx {
   NodeCtx(NodeId id_, int nprocs_, sim::Engine& engine_, net::Network& network,
           const ViewMap& views_, const DsmCosts& costs_,
           obs::TraceRecorder* trace_ = nullptr,
-          obs::MetricsRegistry* metrics_ = nullptr, ProtoOptions proto_ = {})
+          obs::MetricsRegistry* metrics_ = nullptr,
+          BarrierAlg barrier_ = BarrierAlg::kCentral)
       : id(id_),
         nprocs(nprocs_),
         engine(engine_),
@@ -34,7 +35,7 @@ struct NodeCtx {
         store(views_.heapBytes()),
         views(views_),
         costs(costs_),
-        proto(proto_),
+        barrier(barrier_),
         trace(trace_),
         metrics(metrics_) {
     endpoint.setClassifier(&classifyMsg);
@@ -49,7 +50,7 @@ struct NodeCtx {
   mem::PageStore store;
   const ViewMap& views;
   DsmCosts costs;
-  ProtoOptions proto;
+  BarrierAlg barrier;
   DsmStats stats;
   obs::TraceRecorder* trace;      // null when tracing is off
   obs::MetricsRegistry* metrics;  // null when metrics are off
@@ -135,35 +136,28 @@ class Runtime {
   virtual void checkReadAllowed(size_t, size_t) {}
   virtual void checkWriteAllowed(size_t, size_t) {}
 
-  // Lock managers follow the directory sharding policy: id mod p by
-  // default, a multiplicative hash under kHashed/kMigrate (locks never
-  // migrate; kMigrate only moves VC view homes).
+  // Lock managers are distributed round-robin (id mod p).
   NodeId managerOf(LockId l) const {
-    const auto p = static_cast<uint32_t>(ctx_.nprocs);
-    if (ctx_.proto.view_homes == ViewHomes::kDefault)
-      return static_cast<NodeId>(l % p);
-    return static_cast<NodeId>(homeHash(l) % p);
+    return static_cast<NodeId>(l % static_cast<uint32_t>(ctx_.nprocs));
   }
   // Root of the barrier structure: the centralized manager, and the root of
   // the combining tree (the butterfly has no distinguished node).
   NodeId barrierManager() const { return 0; }
 
   // Combining-tree shape (BarrierAlg::kTree): node i's parent is
-  // (i-1)/radix, its children radix*i+1 .. radix*i+radix, clamped to p.
+  // (i-1)/kTreeRadix, its children kTreeRadix*i+1 .. kTreeRadix*i+kTreeRadix,
+  // clamped to p.
+  static constexpr int kTreeRadix = 4;
   NodeId treeParent() const {
-    const int r = ctx_.proto.barrier_radix;
-    return static_cast<NodeId>((static_cast<int>(ctx_.id) - 1) / r);
+    return static_cast<NodeId>((static_cast<int>(ctx_.id) - 1) / kTreeRadix);
   }
   int treeChildCount() const {
-    const int r = ctx_.proto.barrier_radix;
-    const int first = r * static_cast<int>(ctx_.id) + 1;
+    const int first = kTreeRadix * static_cast<int>(ctx_.id) + 1;
     if (first >= ctx_.nprocs) return 0;
-    return std::min(r, ctx_.nprocs - first);
+    return std::min(kTreeRadix, ctx_.nprocs - first);
   }
   NodeId treeChild(int k) const {
-    return static_cast<NodeId>(ctx_.proto.barrier_radix *
-                                   static_cast<int>(ctx_.id) +
-                               1 + k);
+    return static_cast<NodeId>(kTreeRadix * static_cast<int>(ctx_.id) + 1 + k);
   }
 
   NodeCtx& ctx_;

@@ -30,20 +30,14 @@ inline std::string protocolName(Protocol p) {
   return "?";
 }
 
-// Scalable protocol structures (DESIGN.md §3.12). The defaults reproduce
-// the paper's centralized protocol byte-for-byte; the alternatives exist to
-// push the cluster past the paper's 32-node ceiling.
+// Barrier algorithm (DESIGN.md §3.12). The default reproduces the paper's
+// centralized barrier byte-for-byte; the alternatives exist to push the
+// cluster past the paper's 32-node ceiling. All three carry identical
+// protocol payloads, so app results and barrier counts never depend on it.
 enum class BarrierAlg : uint8_t {
   kCentral = 0,    // every node arrives at one manager (the paper's shape)
-  kTree = 1,       // radix-k combining tree rooted at node 0
+  kTree = 1,       // radix-4 combining tree rooted at node 0
   kButterfly = 2,  // dissemination barrier, ceil(log2 p) rounds
-};
-
-// View (and LRC lock) home placement policy.
-enum class ViewHomes : uint8_t {
-  kDefault = 0,  // id mod p (the pre-sharding placement)
-  kHashed = 1,   // multiplicative hash of the id, spreading hot ranges
-  kMigrate = 2,  // hashed, plus VC homes migrate toward the dominant writer
 };
 
 inline const char* barrierAlgName(BarrierAlg a) {
@@ -55,52 +49,12 @@ inline const char* barrierAlgName(BarrierAlg a) {
   return "?";
 }
 
-inline const char* viewHomesName(ViewHomes h) {
-  switch (h) {
-    case ViewHomes::kDefault: return "default";
-    case ViewHomes::kHashed: return "hashed";
-    case ViewHomes::kMigrate: return "migrate";
-  }
-  return "?";
-}
-
 inline bool parseBarrierAlg(const std::string& s, BarrierAlg* out) {
   if (s == "central") *out = BarrierAlg::kCentral;
   else if (s == "tree") *out = BarrierAlg::kTree;
   else if (s == "butterfly") *out = BarrierAlg::kButterfly;
   else return false;
   return true;
-}
-
-inline bool parseViewHomes(const std::string& s, ViewHomes* out) {
-  if (s == "default") *out = ViewHomes::kDefault;
-  else if (s == "hashed") *out = ViewHomes::kHashed;
-  else if (s == "migrate") *out = ViewHomes::kMigrate;
-  else return false;
-  return true;
-}
-
-// Protocol-structure selection, threaded from the CLI through
-// harness::RunConfig and vopp::ClusterOptions into every NodeCtx.
-struct ProtoOptions {
-  BarrierAlg barrier = BarrierAlg::kCentral;
-  ViewHomes view_homes = ViewHomes::kDefault;
-  // Fan-in of the combining-tree barrier.
-  int barrier_radix = 4;
-  // Consecutive same-writer view releases before a kMigrate home hands the
-  // view to that writer.
-  int migrate_threshold = 3;
-};
-
-// Stable hash for kHashed home placement (splitmix32 finalizer). Not the
-// identity, so consecutive ids spread across nodes instead of striping.
-inline uint32_t homeHash(uint32_t x) {
-  x ^= x >> 16;
-  x *= 0x7feb352dU;
-  x ^= x >> 15;
-  x *= 0x846ca68bU;
-  x ^= x >> 16;
-  return x;
 }
 
 // CPU costs of DSM-internal operations, calibrated for the paper's 350 MHz
@@ -149,7 +103,6 @@ struct DsmStats {
   uint64_t diffs_created = 0;
   uint64_t diffs_applied = 0;
   uint64_t notices_recorded = 0;
-  uint64_t view_migrations = 0;  // kMigrate home handoffs (VC runtimes)
 
   sim::Time barrier_wait_total = 0;  // sum over (node, barrier) of wait time
   uint64_t barrier_waits = 0;
@@ -177,7 +130,6 @@ struct DsmStats {
     diffs_created += o.diffs_created;
     diffs_applied += o.diffs_applied;
     notices_recorded += o.notices_recorded;
-    view_migrations += o.view_migrations;
     barrier_wait_total += o.barrier_wait_total;
     barrier_waits += o.barrier_waits;
     acquire_wait_total += o.acquire_wait_total;

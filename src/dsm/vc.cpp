@@ -9,15 +9,6 @@ namespace vodsm::dsm {
 
 VcRuntime::VcRuntime(NodeCtx& ctx, bool integrated)
     : Runtime(ctx), sd_(integrated), last_seen_(ctx.views.viewCount(), 0) {
-  if (ctx_.proto.view_homes == ViewHomes::kMigrate) {
-    const size_t nv = ctx_.views.viewCount();
-    home_cache_.resize(nv);
-    is_home_.resize(nv);
-    for (ViewId v = 0; v < nv; ++v) {
-      home_cache_[v] = viewManager(v);
-      is_home_[v] = home_cache_[v] == ctx_.id ? 1 : 0;
-    }
-  }
   ctx_.endpoint.setHandler(
       [this](net::Delivery&& d, const net::ReplyToken& token) {
         onMessage(std::move(d), token);
@@ -31,10 +22,6 @@ void VcRuntime::onMessage(net::Delivery&& d, const net::ReplyToken& token) {
       return;
     case kViewGrant: {
       ViewGrantMsg g = ViewGrantMsg::decode(d.payload);
-      // The sender is the view's current home; remember it so the release
-      // (and the next acquire) go straight there after a migration.
-      if (ctx_.proto.view_homes == ViewHomes::kMigrate)
-        home_cache_[g.view] = d.src;
       auto it = grant_waiters_.find(g.view);
       VODSM_CHECK_MSG(it != grant_waiters_.end(),
                       "unexpected view grant for view " << g.view);
@@ -48,9 +35,6 @@ void VcRuntime::onMessage(net::Delivery&& d, const net::ReplyToken& token) {
     case kViewReadRelease:
       onViewReadRelease(ViewReadReleaseMsg::decode(d.payload), d.arrive);
       return;
-    case kViewMigrate:
-      onViewMigrate(ViewMigrateMsg::decode(d.payload), d.arrive);
-      return;
     case kVcDiffReq:
       onVcDiffReq(DiffReqMsg::decode(d.payload), token, d.arrive);
       return;
@@ -59,7 +43,7 @@ void VcRuntime::onMessage(net::Delivery&& d, const net::ReplyToken& token) {
       return;
     case kBarrRelease: {
       BarrReleaseMsg rel = BarrReleaseMsg::decode(d.payload);
-      if (ctx_.proto.barrier == BarrierAlg::kTree) {
+      if (ctx_.barrier == BarrierAlg::kTree) {
         const sim::Time when = d.arrive + ctx_.costs.handler_service;
         for (int k = 0; k < treeChildCount(); ++k)
           ctx_.endpoint.post(treeChild(k), kBarrRelease, Bytes(d.payload),
@@ -116,7 +100,7 @@ sim::Task<void> VcRuntime::acquireView(ViewId v, bool readonly) {
   grant_waiters_[v] = std::move(waiter);
   ViewAcqMsg req{v, ctx_.id, static_cast<uint8_t>(readonly ? 0 : 1),
                  last_seen_[v]};
-  ctx_.endpoint.post(homeFor(v), kViewAcq, req.encode(), ctx_.clock.now());
+  ctx_.endpoint.post(viewManager(v), kViewAcq, req.encode(), ctx_.clock.now());
   ViewGrantMsg g = co_await *waiter_ptr;
   grant_waiters_.erase(v);
 
@@ -168,7 +152,7 @@ sim::Task<void> VcRuntime::releaseView(ViewId v, bool readonly) {
                     "release_Rview(" << v << ") not read-held");
     it->second--;
     ViewReadReleaseMsg rel{v, ctx_.id};
-    ctx_.endpoint.post(homeFor(v), kViewReadRelease, rel.encode(),
+    ctx_.endpoint.post(viewManager(v), kViewReadRelease, rel.encode(),
                        ctx_.clock.now());
     co_return;
   }
@@ -217,7 +201,8 @@ sim::Task<void> VcRuntime::releaseView(ViewId v, bool readonly) {
   dirty_.clear();
   last_seen_[v] = write_version_;
   write_held_.reset();
-  ctx_.endpoint.post(homeFor(v), kViewRelease, rel.encode(), ctx_.clock.now());
+  ctx_.endpoint.post(viewManager(v), kViewRelease, rel.encode(),
+                     ctx_.clock.now());
   co_return;
 }
 
@@ -235,21 +220,6 @@ sim::Task<void> VcRuntime::releaseLock(LockId) {
 // ---------- manager side ----------
 
 void VcRuntime::onViewAcq(const ViewAcqMsg& m, sim::Time arrive) {
-  if (ctx_.proto.view_homes == ViewHomes::kMigrate && !is_home_[m.view]) {
-    auto mit = migrate_.find(m.view);
-    if (mit != migrate_.end() && mit->second.moved_to) {
-      // We gave this view away; bounce the request to where it went. A
-      // chain of moves terminates at the current home (or loops briefly
-      // until an in-flight migration back to us lands and clears moved_to).
-      ctx_.endpoint.post(*mit->second.moved_to, kViewAcq, m.encode(),
-                         arrive + ctx_.costs.handler_service);
-    } else {
-      // We are the new home but the acquire overtook the migration state
-      // (retransmission reorders old-home traffic under loss); park it.
-      pending_home_[m.view].emplace_back(m, arrive);
-    }
-    return;
-  }
   ViewMgrState& st = mgr_[m.view];
   const sim::Time when = arrive + ctx_.costs.handler_service;
   const bool want_write = m.write != 0;
@@ -381,109 +351,6 @@ void VcRuntime::onViewRelease(const ViewReleaseMsg& m, sim::Time arrive) {
   }
   st.write_held = false;
   pumpQueue(m.view, st, when);
-  maybeMigrate(m.view, m.writer, when);
-}
-
-// Track consecutive same-writer releases; once the streak reaches the
-// threshold and the view is idle, ship the whole manager state to that
-// writer so its future acquisitions and releases stay node-local.
-void VcRuntime::maybeMigrate(ViewId view, NodeId writer, sim::Time when) {
-  if (ctx_.proto.view_homes != ViewHomes::kMigrate) return;
-  if (ctx_.views.view(view).home) return;  // pinned homes never move
-  MigrateInfo& mi = migrate_[view];
-  if (writer == mi.last_writer) {
-    mi.streak++;
-  } else {
-    mi.last_writer = writer;
-    mi.streak = 1;
-  }
-  if (writer == ctx_.id) return;  // already local to the dominant writer
-  if (mi.streak < ctx_.proto.migrate_threshold) return;
-  ViewMgrState& st = mgr_[view];
-  if (st.write_held || st.readers > 0 || !st.queue.empty()) return;
-
-  ViewMigrateMsg msg;
-  msg.view = view;
-  msg.cur_version = st.cur_version;
-  msg.gc_version = st.gc_version;
-  msg.history = st.history;
-  msg.diff_log.assign(st.diff_log.begin(), st.diff_log.end());
-  std::sort(msg.diff_log.begin(), msg.diff_log.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  msg.base.assign(st.base.begin(), st.base.end());
-  std::sort(msg.base.begin(), msg.base.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  msg.seen.assign(st.seen.begin(), st.seen.end());
-  std::sort(msg.seen.begin(), msg.seen.end());
-
-  // The home storage leaves with the state.
-  int64_t bytes = 0;
-  int64_t count = 0;
-  for (const auto& [page, log] : msg.diff_log) {
-    for (const auto& [ver, d] : log) {
-      bytes += static_cast<int64_t>(d.wireSize());
-      count++;
-    }
-  }
-  for (const auto& [page, d] : msg.base) {
-    bytes += static_cast<int64_t>(d.wireSize());
-    count++;
-  }
-  if (auto* mr = ctx_.metrics; mr && count > 0) {
-    mr->add(ctx_.id, obs::Metric::kDiffStoreBytes, -bytes, when);
-    mr->add(ctx_.id, obs::Metric::kDiffStoreCount, -count, when);
-  }
-
-  ctx_.stats.view_migrations++;
-  ctx_.endpoint.post(writer, kViewMigrate, msg.encode(), when);
-  mi.moved_to = writer;
-  mi.streak = 0;
-  is_home_[view] = 0;
-  mgr_.erase(view);
-}
-
-void VcRuntime::onViewMigrate(const ViewMigrateMsg& m, sim::Time arrive) {
-  VODSM_CHECK(ctx_.proto.view_homes == ViewHomes::kMigrate);
-  VODSM_CHECK_MSG(!mgr_.count(m.view),
-                  "view " << m.view << " migrated into live manager state");
-  ViewMgrState st;
-  st.cur_version = m.cur_version;
-  st.gc_version = m.gc_version;
-  st.history = m.history;
-  int64_t bytes = 0;
-  int64_t count = 0;
-  for (const auto& [page, log] : m.diff_log) {
-    for (const auto& [ver, d] : log) {
-      bytes += static_cast<int64_t>(d.wireSize());
-      count++;
-    }
-    st.diff_log[page] = log;
-  }
-  for (const auto& [page, d] : m.base) {
-    bytes += static_cast<int64_t>(d.wireSize());
-    count++;
-    st.base[page] = d;
-  }
-  for (const auto& [node, ver] : m.seen) st.seen[node] = ver;
-  // Installing the shipped diff store is real work on the new home.
-  const sim::Time when = arrive + ctx_.costs.handler_service +
-                         ctx_.costs.diffApply(static_cast<size_t>(bytes));
-  if (auto* mr = ctx_.metrics; mr && count > 0) {
-    mr->add(ctx_.id, obs::Metric::kDiffStoreBytes, bytes, arrive);
-    mr->add(ctx_.id, obs::Metric::kDiffStoreCount, count, arrive);
-  }
-  mgr_.emplace(m.view, std::move(st));
-  is_home_[m.view] = 1;
-  home_cache_[m.view] = ctx_.id;
-  if (auto mit = migrate_.find(m.view); mit != migrate_.end())
-    mit->second.moved_to.reset();
-  // Serve acquires that overtook the migration.
-  auto pit = pending_home_.find(m.view);
-  if (pit != pending_home_.end()) {
-    auto parked = std::move(pit->second);
-    pending_home_.erase(pit);
-    for (auto& [req, at] : parked) onViewAcq(req, std::max(at, when));
-  }
 }
 
 void VcRuntime::onViewReadRelease(const ViewReadReleaseMsg& m,
@@ -619,7 +486,7 @@ void VcRuntime::checkWriteAllowed(size_t offset, size_t len) {
 sim::Task<void> VcRuntime::barrier(BarrierId b) {
   VODSM_CHECK_MSG(!write_held_.has_value(),
                   "barrier while holding view " << *write_held_);
-  if (ctx_.proto.barrier == BarrierAlg::kButterfly) {
+  if (ctx_.barrier == BarrierAlg::kButterfly) {
     co_await barrierButterfly(b);
     co_return;
   }
@@ -634,7 +501,7 @@ sim::Task<void> VcRuntime::barrier(BarrierId b) {
                   "barrier " << b << " re-entered concurrently");
   barrier_waiters_[b] = std::move(waiter);
   const NodeId arrive_at =
-      ctx_.proto.barrier == BarrierAlg::kTree ? ctx_.id : barrierManager();
+      ctx_.barrier == BarrierAlg::kTree ? ctx_.id : barrierManager();
   ctx_.endpoint.post(arrive_at, kBarrArrive, arrive_msg.encode(),
                      ctx_.clock.now());
   BarrReleaseMsg rel = co_await *waiter_ptr;
@@ -651,7 +518,7 @@ void VcRuntime::onBarrArrive(const BarrArriveMsg& m, sim::Time arrive) {
   if (auto* t = ctx_.trace)
     t->instant(ctx_.id, obs::Cat::kBarrFold, st.busy_until, m.barrier, 0);
   st.arrived++;
-  if (ctx_.proto.barrier == BarrierAlg::kTree) {
+  if (ctx_.barrier == BarrierAlg::kTree) {
     treeBarrierStep(m.barrier, st);
     return;
   }
@@ -686,7 +553,8 @@ sim::Task<void> VcRuntime::barrierButterfly(BarrierId b) {
   const sim::Time t0 = ctx_.clock.now();
   if (auto* t = ctx_.trace) t->begin(ctx_.id, obs::Cat::kBarrierWait, t0, b);
   const auto p = static_cast<uint32_t>(ctx_.nprocs);
-  for (uint32_t step = 1, round = 0; step < p; step <<= 1, ++round) {
+  for (uint32_t step = 1; step < p; step <<= 1) {
+    const uint32_t round = next_round_++;
     BarrRoundMsg out;
     out.barrier = b;
     out.round = round;

@@ -23,13 +23,9 @@
 // Barriers are pure synchronization in both: no consistency payload, no
 // invalidation — the paper's key structural difference from LRC.
 //
-// ProtoOptions scale both structures past the paper's 32 nodes: the barrier
-// can run as a radix-k combining tree or a dissemination (butterfly)
-// barrier, and view homes can be hash-sharded (ViewHomes::kHashed) or
-// additionally migrate to a view's dominant writer (ViewHomes::kMigrate) —
-// the full manager state ships old home -> new home while the view is idle,
-// and requesters learn the new home from the next grant's sender. See
-// DESIGN.md §3.12.
+// Past the paper's 32 nodes the barrier can run as a radix-4 combining tree
+// or a dissemination (butterfly) barrier (NodeCtx::barrier, DESIGN.md
+// §3.12).
 #pragma once
 
 #include <deque>
@@ -91,31 +87,14 @@ class VcRuntime : public Runtime {
     int arrived = 0;
     sim::Time busy_until = 0;
   };
-  // Home-side migration tracking (ViewHomes::kMigrate).
-  struct MigrateInfo {
-    NodeId last_writer = static_cast<NodeId>(-1);
-    int streak = 0;  // consecutive releases by last_writer
-    // Set while the view lives elsewhere: acquires that still reach us
-    // bounce there.
-    std::optional<NodeId> moved_to;
-  };
-
-  // The policy home (does not follow migrations).
   NodeId viewManager(ViewId v) const {
-    return ctx_.views.managerOf(v, ctx_.nprocs, ctx_.proto.view_homes);
-  }
-  // Where this node sends view traffic: the last home it learned from a
-  // grant under kMigrate, the policy home otherwise.
-  NodeId homeFor(ViewId v) const {
-    return ctx_.proto.view_homes == ViewHomes::kMigrate ? home_cache_[v]
-                                                        : viewManager(v);
+    return ctx_.views.managerOf(v, ctx_.nprocs);
   }
 
   void onMessage(net::Delivery&& d, const net::ReplyToken& token);
   void onViewAcq(const ViewAcqMsg& m, sim::Time arrive);
   void onViewRelease(const ViewReleaseMsg& m, sim::Time arrive);
   void onViewReadRelease(const ViewReadReleaseMsg& m, sim::Time arrive);
-  void onViewMigrate(const ViewMigrateMsg& m, sim::Time arrive);
   void onVcDiffReq(const DiffReqMsg& m, const net::ReplyToken& token,
                    sim::Time arrive);
   void onBarrArrive(const BarrArriveMsg& m, sim::Time arrive);
@@ -125,7 +104,6 @@ class VcRuntime : public Runtime {
   void grantNow(const ViewAcqMsg& m, ViewMgrState& st, sim::Time when);
   void sdGc(ViewMgrState& st, sim::Time when);
   void pumpQueue(ViewId view, ViewMgrState& st, sim::Time when);
-  void maybeMigrate(ViewId view, NodeId writer, sim::Time when);
 
   bool holdsForRead(ViewId v) const {
     auto it = read_depth_.find(v);
@@ -157,15 +135,7 @@ class VcRuntime : public Runtime {
       round_waiters_;
   std::map<std::pair<BarrierId, uint32_t>, std::pair<BarrRoundMsg, sim::Time>>
       round_early_;
-
-  // kMigrate state (sized/filled only under that policy).
-  std::vector<NodeId> home_cache_;  // per view: last known home
-  std::vector<uint8_t> is_home_;    // per view: this node currently hosts it
-  std::unordered_map<ViewId, MigrateInfo> migrate_;
-  // Acquires that reached a new home before its migration state did
-  // (reliable-transport retransmission can reorder old-home traffic).
-  std::unordered_map<ViewId, std::vector<std::pair<ViewAcqMsg, sim::Time>>>
-      pending_home_;
+  uint32_t next_round_ = 0;  // numbered across instances (see lrc.hpp)
 
   // Manager-side state.
   std::unordered_map<ViewId, ViewMgrState> mgr_;

@@ -53,21 +53,13 @@ class ViewMap {
     return id;
   }
 
-  // The manager (home) node of view `v` on an `nprocs`-node cluster.
+  // The manager (home) node of view `v` on an `nprocs`-node cluster: the
+  // pinned home if any, id mod p otherwise.
   NodeId managerOf(ViewId v, int nprocs) const {
-    return managerOf(v, nprocs, ViewHomes::kDefault);
-  }
-
-  // Policy-aware placement: pinned homes are always honored; unpinned views
-  // go id mod p by default, or through homeHash under kHashed/kMigrate so
-  // dense id ranges (hot app structures) spread instead of striping.
-  NodeId managerOf(ViewId v, int nprocs, ViewHomes policy) const {
     const ViewDef& d = view(v);
     if (d.home)
       return *d.home % static_cast<uint32_t>(nprocs);
-    if (policy == ViewHomes::kDefault)
-      return v % static_cast<uint32_t>(nprocs);
-    return homeHash(v) % static_cast<uint32_t>(nprocs);
+    return v % static_cast<uint32_t>(nprocs);
   }
 
   // Raw shared allocation for traditional (non-VOPP) programs. Natural

@@ -23,9 +23,9 @@ struct RunConfig {
   int nprocs = 16;
   net::NetConfig net;
   dsm::DsmCosts costs;
-  // Barrier algorithm / view-home sharding (defaults reproduce the paper's
-  // centralized protocol byte-for-byte); the topology rides in `net`.
-  dsm::ProtoOptions proto;
+  // Barrier algorithm (the default reproduces the paper's centralized
+  // protocol byte-for-byte).
+  dsm::BarrierAlg barrier = dsm::BarrierAlg::kCentral;
   uint64_t seed = 42;
   // Caller-owned recorder; null disables tracing (see vopp::ClusterOptions).
   obs::TraceRecorder* trace = nullptr;

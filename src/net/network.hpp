@@ -1,23 +1,9 @@
-// Switched-Ethernet model with a pluggable topology (NetConfig::topology).
-//
-// Star (default): one switch, one full-duplex link per node. A frame's
-// journey: sender software overhead -> uplink serialization (FIFO per
-// sender) -> switch latency -> downlink serialization (FIFO per receiver)
-// -> NIC receive queue (tail drop when full) -> receive software overhead
-// -> delivery callback. Random loss is applied at the switch.
-//
-// Multi-switch fabrics (fat tree / leaf-spine) group nodes onto leaf
-// switches of `leaf_size` nodes. Frames that stay within a leaf take
-// exactly the star path above, so star runs and intra-leaf traffic are
-// byte-identical to the pre-topology model. Frames that cross leaves
-// traverse two trunk hops — leaf(src) -> spine -> leaf(dst), the spine
-// picked by a deterministic hash of (src, dst) — each with its own FIFO
-// serialization at trunk bandwidth plus the trunk latency, before rejoining
-// the star path at the destination leaf's downlink. Trunk hops execute in
-// the leaf's representative engine lane (its first node): up-trunks in the
-// source leaf's rep, down-trunks in the destination leaf's rep. The lane
-// sets each hop's event stamp and so its tie order, which the committed
-// multi-switch results encode.
+// Switched-Ethernet model of the paper's testbed: one switch, one
+// full-duplex link per node. A frame's journey: sender software overhead ->
+// uplink serialization (FIFO per sender) -> switch latency -> downlink
+// serialization (FIFO per receiver) -> NIC receive queue (tail drop when
+// full) -> receive software overhead -> delivery callback. Random loss is
+// applied at the switch.
 //
 // All bookkeeping happens inside engine events so concurrent senders are
 // ordered by global simulated time.
@@ -86,20 +72,6 @@ class Network {
     sim::Rng root(seed);
     rngs_.reserve(static_cast<size_t>(n_nodes));
     for (int i = 0; i < n_nodes; ++i) rngs_.push_back(root.fork());
-    if (config_.multiSwitch()) {
-      VODSM_CHECK(config_.topology.leaf_size > 0);
-      const int leaf = config_.topology.leaf_size;
-      nleaves_ = (n_nodes + leaf - 1) / leaf;
-      nspines_ = config_.topology.spines > 0 ? config_.topology.spines
-                 : config_.topology.kind == TopologyKind::kFatTree
-                     ? nleaves_
-                     : std::max(1, (nleaves_ + 1) / 2);
-      trunks_.assign(static_cast<size_t>(nleaves_),
-                     TrunkShard{std::vector<Trunk>(static_cast<size_t>(
-                                    nspines_)),
-                                std::vector<Trunk>(
-                                    static_cast<size_t>(nspines_))});
-    }
   }
 
   int nodeCount() const { return static_cast<int>(ports_.size()); }
@@ -116,34 +88,6 @@ class Network {
     for (const NetStats& s : shards_) total_.add(s);
     return total_;
   }
-
-  // One utilization row per trunk link direction; empty on star fabrics.
-  // Ordered (leaf, spine, up-before-down) so reports are deterministic.
-  struct TrunkUse {
-    int leaf = 0;   // edge switch the trunk attaches to
-    int spine = 0;  // spine switch at the other end
-    bool up = false;  // leaf -> spine (true) or spine -> leaf
-    uint64_t frames = 0;
-    uint64_t wire_bytes = 0;
-    sim::Time busy_ns = 0;  // total serialization time on the trunk
-  };
-  std::vector<TrunkUse> trunkStats() const {
-    std::vector<TrunkUse> out;
-    for (int l = 0; l < nleaves_; ++l) {
-      for (int s = 0; s < nspines_; ++s) {
-        const Trunk& up = trunks_[static_cast<size_t>(l)]
-                              .up[static_cast<size_t>(s)];
-        const Trunk& down = trunks_[static_cast<size_t>(l)]
-                                .down[static_cast<size_t>(s)];
-        out.push_back({l, s, true, up.frames, up.wire_bytes, up.busy_ns});
-        out.push_back(
-            {l, s, false, down.frames, down.wire_bytes, down.busy_ns});
-      }
-    }
-    return out;
-  }
-  int leafCount() const { return nleaves_; }
-  int spineCount() const { return nspines_; }
 
   void setDeliver(NodeId node, DeliverFn fn) {
     port(node).deliver = std::move(fn);
@@ -192,37 +136,7 @@ class Network {
     DeliverFn deliver;
   };
 
-  // One trunk link direction's FIFO state and counters. Up-trunks of leaf L
-  // are claimed by events in lane rep(L) (the leaf's first node), down-trunks
-  // of leaf L likewise.
-  struct Trunk {
-    sim::Time busy_until = 0;
-    uint64_t frames = 0;
-    uint64_t wire_bytes = 0;
-    sim::Time busy_ns = 0;
-  };
-  struct TrunkShard {
-    std::vector<Trunk> up;    // indexed by spine: this leaf -> spine
-    std::vector<Trunk> down;  // indexed by spine: spine -> this leaf
-  };
-
   Port& port(NodeId id) { return ports_[id]; }
-
-  int leafOf(NodeId n) const {
-    return static_cast<int>(n) / config_.topology.leaf_size;
-  }
-  NodeId repOf(int leaf) const {
-    return static_cast<NodeId>(leaf * config_.topology.leaf_size);
-  }
-  // Deterministic spine pick: a fixed multiplicative hash of the (src, dst)
-  // pair, so a flow always takes the same path (no adaptive routing).
-  int spineFor(NodeId src, NodeId dst) const {
-    const uint32_t h = src * 2654435761u ^ dst * 40503u;
-    return static_cast<int>(h % static_cast<uint32_t>(nspines_));
-  }
-  bool crossLeaf(NodeId src, NodeId dst) const {
-    return nleaves_ > 1 && leafOf(src) != leafOf(dst);
-  }
 
   void startUplink(NodeId src, NodeId dst, Bytes frame) {
     const sim::Time now = engine_.now();
@@ -239,53 +153,8 @@ class Network {
       m->add(src, obs::Metric::kUplinkBusyNs, tx, now);
     }
     // Cross-lane hop: everything from the switch on happens in the
-    // receiver's lane (or, for cross-leaf frames, in the trunk-owning rep
-    // lanes first).
-    const sim::Time at_switch = depart + tx + config_.wire_latency;
-    if (crossLeaf(src, dst)) {
-      engine_.atLane(repOf(leafOf(src)), at_switch,
-                     [this, src, dst, f = std::move(frame)]() mutable {
-                       trunkUp(src, dst, std::move(f));
-                     });
-    } else {
-      engine_.atLane(dst, at_switch,
-                     [this, src, dst, f = std::move(frame)]() mutable {
-                       arriveSwitch(src, dst, std::move(f));
-                     });
-    }
-  }
-
-  // Claims the next slot on a trunk link's FIFO and returns the time the
-  // frame clears its serialization.
-  sim::Time trunkHop(Trunk& t, size_t payload) {
-    const sim::Time tx = config_.trunkTxTime(payload);
-    const sim::Time start = std::max(engine_.now(), t.busy_until);
-    t.busy_until = start + tx;
-    t.frames++;
-    t.wire_bytes += config_.wireBytes(payload);
-    t.busy_ns += tx;
-    return start + tx;
-  }
-
-  // Runs in rep(leaf(src))'s lane: serialize onto the chosen up-trunk, then
-  // hop to the destination leaf's rep lane.
-  void trunkUp(NodeId src, NodeId dst, Bytes frame) {
-    Trunk& t = trunks_[static_cast<size_t>(leafOf(src))]
-                   .up[static_cast<size_t>(spineFor(src, dst))];
-    const sim::Time clear = trunkHop(t, frame.size());
-    engine_.atLane(repOf(leafOf(dst)), clear + config_.topology.trunk_latency,
-                   [this, src, dst, f = std::move(frame)]() mutable {
-                     trunkDown(src, dst, std::move(f));
-                   });
-  }
-
-  // Runs in rep(leaf(dst))'s lane: serialize onto the spine's down-trunk,
-  // then rejoin the star path at the destination's switch port.
-  void trunkDown(NodeId src, NodeId dst, Bytes frame) {
-    Trunk& t = trunks_[static_cast<size_t>(leafOf(dst))]
-                   .down[static_cast<size_t>(spineFor(src, dst))];
-    const sim::Time clear = trunkHop(t, frame.size());
-    engine_.atLane(dst, clear + config_.topology.trunk_latency,
+    // receiver's lane.
+    engine_.atLane(dst, depart + tx + config_.wire_latency,
                    [this, src, dst, f = std::move(frame)]() mutable {
                      arriveSwitch(src, dst, std::move(f));
                    });
@@ -428,9 +297,6 @@ class Network {
   std::vector<Port> ports_;
   std::vector<NetStats> shards_;  // per-node counters (see statsFor)
   mutable NetStats total_;        // stats() fold cache
-  int nleaves_ = 0;               // 0 on star fabrics
-  int nspines_ = 0;
-  std::vector<TrunkShard> trunks_;  // indexed by leaf; see Trunk
 };
 
 }  // namespace vodsm::net

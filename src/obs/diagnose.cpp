@@ -17,7 +17,6 @@ Diagnoser::Diagnoser(bool with_default_catalog) {
   passes_.push_back(passes::makeStragglerPass());
   passes_.push_back(passes::makeDegradedLinkPass());
   passes_.push_back(passes::makeRetransmitStormPass());
-  passes_.push_back(passes::makeTrunkSaturationPass());
   passes_.push_back(passes::makeGrantStormPass());
   passes_.push_back(passes::makeAllToAllDiffPass());
   passes_.push_back(passes::makeImbalancePass());
@@ -55,8 +54,7 @@ Diagnosis Diagnoser::run(const DiagnosisInput& in) const {
 Diagnosis diagnose(const TraceRecorder& trace, int nprocs, sim::Time finish,
                    const MetricsSummary* metrics,
                    std::function<WireClass(uint64_t)> classify,
-                   std::function<sim::Time(uint64_t)> tx_time,
-                   std::vector<TrunkUtilization> trunks) {
+                   std::function<sim::Time(uint64_t)> tx_time) {
   const EventGraph graph = buildEventGraph(trace, nprocs);
   const CriticalPath cp = computeCriticalPath(graph, finish);
   const Breakdown bd = foldBreakdown(trace, nprocs, finish);
@@ -73,7 +71,6 @@ Diagnosis diagnose(const TraceRecorder& trace, int nprocs, sim::Time finish,
   in.finish = finish;
   in.classify = std::move(classify);
   in.tx_time = std::move(tx_time);
-  in.trunks = std::move(trunks);
   return Diagnoser().run(in);
 }
 

@@ -52,9 +52,6 @@ enum class FindingCat : uint8_t {
   kStraggler,
   kDegradedLink,
   kRetransmitStorm,
-  // A multi-switch trunk link whose serialization kept it busy for a large
-  // fraction of the run (passes/trunk.cpp; star topologies have no trunks).
-  kTrunkSaturation,
   kGrantStorm,
   kAllToAllDiff,
   kLoadImbalance,
@@ -83,10 +80,9 @@ inline constexpr int kFindingCatCount =
 inline constexpr const char* kFindingCatName[kFindingCatCount] = {
     "partition",       "straggler",
     "degraded_link",   "retransmission_storm",
-    "trunk_saturation", "grant_storm",
-    "all_to_all_diff", "load_imbalance",
-    "diff_store_growth", "critical_path_hotspot",
-    "page_imbalance",
+    "grant_storm",     "all_to_all_diff",
+    "load_imbalance",  "diff_store_growth",
+    "critical_path_hotspot", "page_imbalance",
     "transfer_shift",  "critical_path_delta",
     "episode_delta",   "page_heat_delta",
     "net_delta",       "metric_delta",
@@ -137,18 +133,6 @@ enum class WireClass : uint8_t {
   kOther,
 };
 
-// One inter-switch trunk's utilization, mirrored from
-// net::Network::TrunkUse by the vopp layer (obs sits below net, so this is
-// a plain copy, not a dependency). Empty on single-switch topologies.
-struct TrunkUtilization {
-  int leaf = 0;
-  int spine = 0;
-  bool up = false;  // leaf -> spine direction (false: spine -> leaf)
-  uint64_t frames = 0;
-  uint64_t wire_bytes = 0;
-  sim::Time busy = 0;  // total serialization time on the trunk
-};
-
 // Everything a pass may consume. `trace` and `graph` are required; the
 // analysis folds are optional (null disables the passes that need them).
 struct DiagnosisInput {
@@ -165,8 +149,6 @@ struct DiagnosisInput {
   // Undegraded serialization time of a frame of `bytes` total bytes
   // (net::NetConfig::txTime on the run's config).
   std::function<sim::Time(uint64_t)> tx_time;
-  // Multi-switch trunk utilization (empty on the star).
-  std::vector<TrunkUtilization> trunks;
 };
 
 // One analysis pass: reads the input, appends zero or more findings.
@@ -200,8 +182,7 @@ class Diagnoser {
 Diagnosis diagnose(const TraceRecorder& trace, int nprocs, sim::Time finish,
                    const MetricsSummary* metrics = nullptr,
                    std::function<WireClass(uint64_t)> classify = {},
-                   std::function<sim::Time(uint64_t)> tx_time = {},
-                   std::vector<TrunkUtilization> trunks = {});
+                   std::function<sim::Time(uint64_t)> tx_time = {});
 
 // Renders the ranked findings as a fixed-width report with evidence and
 // remediation lines. Deterministic: fixed precision, no host state.

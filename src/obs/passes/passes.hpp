@@ -16,7 +16,6 @@ std::unique_ptr<Pass> makeDegradedLinkPass();   // skew.cpp
 std::unique_ptr<Pass> makeRetransmitStormPass();  // anomalies.cpp
 
 // Communication-pattern detectors.
-std::unique_ptr<Pass> makeTrunkSaturationPass();  // trunk.cpp
 std::unique_ptr<Pass> makeGrantStormPass();    // comm_patterns.cpp
 std::unique_ptr<Pass> makeAllToAllDiffPass();  // comm_patterns.cpp
 

@@ -43,7 +43,7 @@ void Cluster::run(const Program& program) {
   for (int i = 0; i < opts_.nprocs; ++i) {
     ctxs_.push_back(std::make_unique<dsm::NodeCtx>(
         static_cast<dsm::NodeId>(i), opts_.nprocs, engine_, *network_, views_,
-        opts_.costs, opts_.trace, opts_.metrics, opts_.proto));
+        opts_.costs, opts_.trace, opts_.metrics, opts_.barrier));
     if (faults_)
       ctxs_.back()->clock.setScaler(
           faults_->chargeScalerFor(static_cast<net::NodeId>(i)));
@@ -116,12 +116,6 @@ obs::Diagnosis Cluster::diagnosis() const {
                 "WireClass must mirror net::MsgClass");
   const obs::MetricsSummary metrics = metricsSummary();
   const net::NetConfig cfg = opts_.net;
-  // Trunk utilization crosses the net -> obs boundary as a plain copy so
-  // the trunk-saturation pass needs no net dependency.
-  std::vector<obs::TrunkUtilization> trunks;
-  for (const net::Network::TrunkUse& t : trunkStats())
-    trunks.push_back(obs::TrunkUtilization{t.leaf, t.spine, t.up, t.frames,
-                                           t.wire_bytes, t.busy_ns});
   return obs::diagnose(
       *opts_.trace, opts_.nprocs, finish_time_,
       metrics.enabled() ? &metrics : nullptr,
@@ -131,8 +125,7 @@ obs::Diagnosis Cluster::diagnosis() const {
       },
       [cfg](uint64_t bytes) {
         return cfg.txTime(static_cast<size_t>(bytes));
-      },
-      std::move(trunks));
+      });
 }
 
 obs::RunProfile Cluster::runProfile() const {

@@ -42,9 +42,9 @@ struct ClusterOptions {
   dsm::Protocol protocol = dsm::Protocol::kVcSd;
   net::NetConfig net;
   dsm::DsmCosts costs;
-  // Barrier algorithm / view-home sharding selection; the defaults keep
-  // every run byte-identical to the pre-scaling (centralized) protocol.
-  dsm::ProtoOptions proto;
+  // Barrier algorithm; the default keeps every run byte-identical to the
+  // paper's centralized protocol.
+  dsm::BarrierAlg barrier = dsm::BarrierAlg::kCentral;
   uint64_t seed = 42;
   // Caller-owned event recorder, threaded through every layer of the run
   // (programs, protocol engines, transport, network). Null disables tracing;
@@ -290,11 +290,6 @@ class Cluster {
   const net::NetStats& netStatsFor(int node) const {
     VODSM_CHECK(network_ != nullptr);
     return network_->statsFor(static_cast<net::NodeId>(node));
-  }
-  // Per-trunk utilization of a multi-switch fabric (empty on the star).
-  std::vector<net::Network::TrunkUse> trunkStats() const {
-    VODSM_CHECK(network_ != nullptr);
-    return network_->trunkStats();
   }
   // Aggregated counter/gauge view of the run. Empty (enabled() == false)
   // when the run was not metered.

@@ -1,8 +1,8 @@
 // Chaos suite: every app under every protocol must survive injected
 // network and node faults with its results intact and its books balanced.
 //
-// Each cell runs one small app instance (4 processors) under one chaos
-// profile and one seed, traced and metered, and asserts:
+// Each cell runs one small app instance (4 processors, centralized barrier)
+// under one chaos profile and one seed, traced and metered, and asserts:
 //
 //  * the run terminates and its result matches the serial reference
 //    bit for bit (faults may change timing, never answers);
@@ -15,7 +15,10 @@
 // The PR gate sweeps 3 profiles x 3 seeds; the nightly chaos workflow
 // extends the sweep via VODSM_CHAOS_PROFILES=all / VODSM_CHAOS_SEEDS=N and
 // collects failing-run traces, diagnosis JSONs, and repro lines under
-// VODSM_CHAOS_ARTIFACTS (see .github/workflows/chaos.yml).
+// VODSM_CHAOS_ARTIFACTS (see .github/workflows/chaos.yml). A fixed set of
+// 8-processor cells runs the same assertions under the scalable barriers
+// (tree: two levels; butterfly: three rounds, with early-round parking),
+// so their fan-in/fan-out paths also see retransmissions and partitions.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -41,11 +44,15 @@ namespace {
 using harness::RunConfig;
 using harness::RunResult;
 
+constexpr int kChaosProcs = 4;
+
 struct ChaosParam {
   std::string app;      // is | gauss | sor | nn
   dsm::Protocol proto;  // kLrcDiff runs the traditional variant
   std::string profile;  // chaos profile name (net::chaosProfileSpec)
   uint64_t seed;
+  dsm::BarrierAlg barrier = dsm::BarrierAlg::kCentral;
+  int nprocs = kChaosProcs;
 };
 
 std::string protoName(dsm::Protocol p) {
@@ -58,8 +65,13 @@ std::string protoName(dsm::Protocol p) {
 }
 
 std::string paramName(const testing::TestParamInfo<ChaosParam>& info) {
-  return info.param.app + "_" + protoName(info.param.proto) + "_" +
-         info.param.profile + "_s" + std::to_string(info.param.seed);
+  const ChaosParam& p = info.param;
+  std::string name = p.app + "_" + protoName(p.proto) + "_" + p.profile +
+                     "_s" + std::to_string(p.seed);
+  if (p.barrier != dsm::BarrierAlg::kCentral)
+    name += std::string("_") + dsm::barrierAlgName(p.barrier) + "_" +
+            std::to_string(p.nprocs) + "p";
+  return name;
 }
 
 // Problem sizes chosen so one cell simulates in well under a second of
@@ -93,8 +105,6 @@ apps::NnParams chaosNn() {
   p.hidden = 8;
   return p;
 }
-
-constexpr int kChaosProcs = 4;
 
 // The sweep axes, extendable for the nightly run without recompiling.
 std::vector<std::string> sweepProfiles() {
@@ -131,6 +141,12 @@ std::vector<ChaosParam> sweep() {
       for (const std::string& profile : sweepProfiles())
         for (int s = 0; s < sweepSeeds(); ++s)
           out.push_back({app, proto, profile, static_cast<uint64_t>(s + 1)});
+  for (dsm::BarrierAlg barrier :
+       {dsm::BarrierAlg::kTree, dsm::BarrierAlg::kButterfly})
+    for (dsm::Protocol proto : {dsm::Protocol::kLrcDiff, dsm::Protocol::kVcSd})
+      for (const char* app : {"is", "sor"})
+        for (const char* profile : {"lossy", "partition"})
+          out.push_back({app, proto, profile, 1, barrier, 8});
   return out;
 }
 
@@ -160,7 +176,8 @@ class ChaosSweep : public testing::TestWithParam<ChaosParam> {
     repro << "tests/test_chaos --gtest_filter=" << info->test_suite_name()
           << "." << info->name() << "\n"
           << "faults spec: " << spec_ << " (seed " << GetParam().seed
-          << ", " << kChaosProcs << " procs)\n";
+          << ", " << GetParam().nprocs << " procs, "
+          << dsm::barrierAlgName(GetParam().barrier) << " barrier)\n";
   }
 
   obs::TraceRecorder trace_;
@@ -176,7 +193,8 @@ TEST_P(ChaosSweep, SurvivesWithBooksBalanced) {
   obs::MetricsRegistry reg;  // aggregates only; no sampler
   RunConfig c;
   c.protocol = param.proto;
-  c.nprocs = kChaosProcs;
+  c.nprocs = param.nprocs;
+  c.barrier = param.barrier;
   c.seed = param.seed;
   c.faults = &plan;
   c.trace = &trace_;
@@ -216,7 +234,7 @@ TEST_P(ChaosSweep, SurvivesWithBooksBalanced) {
     apps::NnRun run = apps::runNn(
         c, p,
         traditional ? apps::NnVariant::kTraditional : apps::NnVariant::kVopp);
-    EXPECT_EQ(run.checksum, apps::nnSerialChecksum(p, kChaosProcs));
+    EXPECT_EQ(run.checksum, apps::nnSerialChecksum(p, c.nprocs));
     r = run.result;
   }
   diagnosis_ = r.diagnosis;
@@ -227,7 +245,7 @@ TEST_P(ChaosSweep, SurvivesWithBooksBalanced) {
   // The diagnoser ran over the faulted trace and produced a well-formed
   // report (its findings are the failure bundle's first lead).
   ASSERT_TRUE(r.diagnosis.enabled());
-  EXPECT_EQ(r.diagnosis.nprocs, kChaosProcs);
+  EXPECT_EQ(r.diagnosis.nprocs, c.nprocs);
 
   // Frame conservation: everything sent was delivered or accounted to
   // exactly one drop counter; switch-made duplicates enter the books too.

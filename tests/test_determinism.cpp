@@ -124,29 +124,16 @@ std::vector<std::pair<std::string, std::function<RunResult()>>> makeCells() {
     });
   }
 
-  // Multi-switch fabrics with the scalable protocol stack: trunk FIFOs,
-  // tree/butterfly barrier traffic, and hashed/migrating view homes all
-  // add event paths that must stay deterministic too.
-  {
+  // The scalable barriers: tree fan-in/fan-out and butterfly rounds (with
+  // early-round parking) add event paths that must stay deterministic too.
+  for (auto [name, alg] :
+       {std::pair{"tree", dsm::BarrierAlg::kTree},
+        std::pair{"butterfly", dsm::BarrierAlg::kButterfly}}) {
     RunConfig c;
     c.protocol = dsm::Protocol::kVcSd;
     c.nprocs = 8;
-    VODSM_CHECK(net::parseTopologySpec("fattree:leaf=4", &c.net.topology));
-    c.proto.barrier = dsm::BarrierAlg::kTree;
-    c.proto.view_homes = dsm::ViewHomes::kHashed;
-    cells.emplace_back("IS/VC_sd/fattree-tree", [=] {
-      return apps::runIs(c, is, apps::IsVariant::kVopp).result;
-    });
-  }
-  {
-    RunConfig c;
-    c.protocol = dsm::Protocol::kVcSd;
-    c.nprocs = 8;
-    VODSM_CHECK(net::parseTopologySpec("leafspine:leaf=4,spines=2",
-                                       &c.net.topology));
-    c.proto.barrier = dsm::BarrierAlg::kButterfly;
-    c.proto.view_homes = dsm::ViewHomes::kMigrate;
-    cells.emplace_back("IS/VC_sd/leafspine-butterfly", [=] {
+    c.barrier = alg;
+    cells.emplace_back(std::string("IS/VC_sd/") + name, [=] {
       return apps::runIs(c, is, apps::IsVariant::kVopp).result;
     });
   }

@@ -56,7 +56,7 @@ std::string render(const obs::Diagnosis& d) {
 
 TEST(Diagnoser, DefaultCatalogIsLoaded) {
   obs::Diagnoser with_catalog;
-  EXPECT_EQ(with_catalog.passCount(), 11u);
+  EXPECT_EQ(with_catalog.passCount(), 10u);
   obs::Diagnoser empty(/*with_default_catalog=*/false);
   EXPECT_EQ(empty.passCount(), 0u);
 }

@@ -1,13 +1,6 @@
-// Topology layer and scalable-protocol regression tests.
-//
-// Three guarantees from the scaling work:
-//  * the star fabric stays the default and is byte-identical whether it is
-//    implied, named, or spelled out — the paper tables depend on it;
-//  * tree and butterfly barriers (and the sharded/migrating view
-//    directory) change timing, never results: every app's checksum still
-//    matches its serial reference, and the protocol does the same number
-//    of barriers;
-//  * cross-leaf frames really take the trunks of a multi-switch fabric.
+// Scalable-barrier regression tests: tree and butterfly barriers change
+// timing, never results. Every app's checksum still matches its serial
+// reference, and the protocol does the same number of barriers.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -22,22 +15,6 @@ namespace vodsm {
 namespace {
 
 using harness::RunConfig;
-using harness::RunResult;
-
-void expectResultEq(const RunResult& a, const RunResult& b,
-                    const std::string& what) {
-  EXPECT_EQ(a.seconds, b.seconds) << what;  // doubles: bit-identical or bust
-  EXPECT_EQ(a.dsm.barriers, b.dsm.barriers) << what;
-  EXPECT_EQ(a.dsm.acquires, b.dsm.acquires) << what;
-  EXPECT_EQ(a.dsm.page_faults, b.dsm.page_faults) << what;
-  EXPECT_EQ(a.dsm.diffs_created, b.dsm.diffs_created) << what;
-  EXPECT_EQ(a.dsm.barrier_wait_total, b.dsm.barrier_wait_total) << what;
-  EXPECT_EQ(a.net.frames_sent, b.net.frames_sent) << what;
-  EXPECT_EQ(a.net.frames_delivered, b.net.frames_delivered) << what;
-  EXPECT_EQ(a.net.wire_bytes, b.net.wire_bytes) << what;
-  EXPECT_EQ(a.net.messages, b.net.messages) << what;
-  EXPECT_EQ(a.net.retransmissions, b.net.retransmissions) << what;
-}
 
 apps::IsParams smallIs() {
   apps::IsParams is;
@@ -45,51 +22,6 @@ apps::IsParams smallIs() {
   is.max_key = (1 << 8) - 1;
   is.iterations = 3;
   return is;
-}
-
-// --- topology spec grammar ----------------------------------------------
-
-TEST(TopologySpec, ParsesKindsAndParameters) {
-  net::TopologyConfig t;
-  EXPECT_TRUE(net::parseTopologySpec("star", &t));
-  EXPECT_EQ(t.kind, net::TopologyKind::kStar);
-
-  EXPECT_TRUE(net::parseTopologySpec("fattree", &t));
-  EXPECT_EQ(t.kind, net::TopologyKind::kFatTree);
-  EXPECT_EQ(t.leaf_size, 16);
-
-  EXPECT_TRUE(net::parseTopologySpec(
-      "leafspine:leaf=8,spines=3,trunk-gbps=2.5,trunk-us=7", &t));
-  EXPECT_EQ(t.kind, net::TopologyKind::kLeafSpine);
-  EXPECT_EQ(t.leaf_size, 8);
-  EXPECT_EQ(t.spines, 3);
-  EXPECT_DOUBLE_EQ(t.trunk_bandwidth_bps, 2.5e9);
-  EXPECT_EQ(t.trunk_latency, sim::usec(7));
-}
-
-TEST(TopologySpec, RejectsMalformedSpecs) {
-  net::TopologyConfig t;
-  for (const char* bad :
-       {"", "ring", "fattree:leaf=0", "fattree:leaf=-4", "fattree:leaf=",
-        "leafspine:spines=x", "fattree:trunk-gbps=0", "fattree:unknown=1"}) {
-    EXPECT_FALSE(net::parseTopologySpec(bad, &t)) << "spec '" << bad << "'";
-  }
-}
-
-// --- star byte-identity --------------------------------------------------
-
-TEST(Topology, DefaultAndExplicitStarAreByteIdentical) {
-  const apps::IsParams is = smallIs();
-  RunConfig implied;
-  implied.protocol = dsm::Protocol::kVcSd;
-  implied.nprocs = 8;
-
-  RunConfig spelled = implied;
-  ASSERT_TRUE(net::parseTopologySpec("star", &spelled.net.topology));
-
-  expectResultEq(apps::runIs(implied, is, apps::IsVariant::kVopp).result,
-                 apps::runIs(spelled, is, apps::IsVariant::kVopp).result,
-                 "star implied vs spelled");
 }
 
 // --- barrier algorithm result-equivalence --------------------------------
@@ -108,7 +40,7 @@ TEST(BarrierAlg, IsChecksumsMatchSerialUnderEveryAlgorithm) {
       RunConfig c;
       c.protocol = proto;
       c.nprocs = 8;
-      c.proto.barrier = alg;
+      c.barrier = alg;
       const auto run = apps::runIs(c, is, variant);
       EXPECT_EQ(run.rank_sums, ref)
           << "alg=" << static_cast<int>(alg)
@@ -136,7 +68,7 @@ TEST(BarrierAlg, GaussSorNnChecksumsMatchSerialUnderEveryAlgorithm) {
                    dsm::BarrierAlg::kButterfly}) {
     RunConfig c;
     c.nprocs = 8;
-    c.proto.barrier = alg;
+    c.barrier = alg;
 
     c.protocol = dsm::Protocol::kVcSd;
     EXPECT_EQ(apps::runGauss(c, gauss, apps::GaussVariant::kVopp).checksum,
@@ -160,58 +92,11 @@ TEST(BarrierAlg, BarrierCountIsAlgorithmIndependent) {
   c.nprocs = 8;
   const auto central = apps::runIs(c, is, apps::IsVariant::kVopp).result;
   for (auto alg : {dsm::BarrierAlg::kTree, dsm::BarrierAlg::kButterfly}) {
-    c.proto.barrier = alg;
+    c.barrier = alg;
     const auto r = apps::runIs(c, is, apps::IsVariant::kVopp).result;
     EXPECT_EQ(r.dsm.barriers, central.dsm.barriers)
         << "alg=" << static_cast<int>(alg);
   }
-}
-
-// --- sharded / migrating view directory ----------------------------------
-
-TEST(ViewHomes, IsChecksumsMatchSerialUnderEveryPolicy) {
-  const apps::IsParams is = smallIs();
-  const auto ref = apps::isSerialRankSums(is, 8);
-  for (auto homes : {dsm::ViewHomes::kDefault, dsm::ViewHomes::kHashed,
-                     dsm::ViewHomes::kMigrate}) {
-    RunConfig c;
-    c.protocol = dsm::Protocol::kVcSd;
-    c.nprocs = 8;
-    c.proto.view_homes = homes;
-    EXPECT_EQ(apps::runIs(c, is, apps::IsVariant::kVopp).rank_sums, ref)
-        << "homes=" << static_cast<int>(homes);
-  }
-}
-
-// --- multi-switch fabrics ------------------------------------------------
-
-// Cross-leaf traffic really takes the trunks: a fat tree with every node on
-// one leaf is wire-identical to the star, and splitting nodes across leaves
-// must route frames over trunk links (visible in the trunk counters).
-TEST(Topology, CrossLeafTrafficUsesTrunks) {
-  const apps::IsParams is = smallIs();
-  RunConfig one_leaf;
-  one_leaf.protocol = dsm::Protocol::kVcSd;
-  one_leaf.nprocs = 8;
-  ASSERT_TRUE(net::parseTopologySpec("fattree:leaf=8",
-                                     &one_leaf.net.topology));
-
-  RunConfig star;
-  star.protocol = dsm::Protocol::kVcSd;
-  star.nprocs = 8;
-
-  expectResultEq(apps::runIs(star, is, apps::IsVariant::kVopp).result,
-                 apps::runIs(one_leaf, is, apps::IsVariant::kVopp).result,
-                 "single-leaf fat tree vs star");
-
-  RunConfig split = star;
-  ASSERT_TRUE(net::parseTopologySpec("fattree:leaf=4", &split.net.topology));
-  const auto split_run = apps::runIs(split, is, apps::IsVariant::kVopp);
-  EXPECT_EQ(split_run.rank_sums, apps::isSerialRankSums(is, 8));
-  // Cross-leaf serialization slows the run relative to the one-big-switch
-  // star; equality would mean the trunks were bypassed.
-  EXPECT_GT(split_run.result.seconds,
-            apps::runIs(star, is, apps::IsVariant::kVopp).result.seconds);
 }
 
 }  // namespace
