@@ -61,7 +61,7 @@ Json loadFile(const std::string& name) {
 
 [[noreturn]] void usage() {
   std::cerr << "usage: bench_diff [--host-tolerance=X]"
-               " [--host-floor-seconds=S] [--allow-screened]"
+               " [--host-floor-seconds=S]"
                " [--explain=PROFILES_A,PROFILES_B] [--explain-out=DIR]"
                " BASELINE.json CURRENT.json\n";
   std::exit(2);
@@ -135,8 +135,6 @@ int main(int argc, char** argv) {
       cfg.host_tolerance = parseNum("--host-tolerance", a.substr(17));
     else if (a.rfind("--host-floor-seconds=", 0) == 0)
       cfg.host_floor_seconds = parseNum("--host-floor-seconds", a.substr(21));
-    else if (a == "--allow-screened")
-      cfg.allow_screened = true;
     else if (a.rfind("--explain=", 0) == 0) {
       const std::string dirs = a.substr(10);
       const size_t comma = dirs.find(',');
@@ -180,10 +178,7 @@ int main(int argc, char** argv) {
     }
     std::cout << "bench_diff: OK — simulated fields identical ("
               << rep.host_checked << " host-timing fields within "
-              << cfg.host_tolerance << "x";
-    if (rep.screened_skipped > 0)
-      std::cout << ", " << rep.screened_skipped << " screened cells skipped";
-    std::cout << ")\n";
+              << cfg.host_tolerance << "x)\n";
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "bench_diff: " << e.what() << "\n";

@@ -39,17 +39,11 @@ struct Config {
   // the gate is for simulated drift, not for benchmarking the host.
   double host_tolerance = 25.0;
   double host_floor_seconds = 5.0;
-  // Accept cells one side skipped via the analytic screen ("screened":
-  // true): such a cell carries a model prediction instead of simulated
-  // fields, so nothing in it compares. Off by default — the regression
-  // gate must never run against a screened artifact by accident.
-  bool allow_screened = false;
 };
 
 struct Report {
   int mismatches = 0;
   int host_checked = 0;
-  int screened_skipped = 0;
   static constexpr int kMaxPrinted = 50;
   std::ostream* out = &std::cout;
   // Ids of the cells ("$.tables[].cells[]" objects, recognized by their
@@ -84,20 +78,6 @@ inline bool isHostTimingKey(const std::string& key) {
 // exactly on every field it does have.
 inline bool isIgnoredKey(const std::string& key) {
   return key == "jobs" || key == "host" || key == "axes";
-}
-
-// Screen-provenance keys, ignored only under Config::allow_screened.
-inline bool isScreenKey(const std::string& key) {
-  return key == "screen" || key == "screened_cells";
-}
-
-// Under allow_screened, an object marked "screened": true on either side
-// is a model prediction, not a measurement — nothing in it compares.
-inline bool isScreenedCell(const support::Json& v) {
-  if (!v.isObject()) return false;
-  const support::Json* s = v.find("screened");
-  return s != nullptr && s->type() == support::Json::Type::kBool &&
-         s->asBool();
 }
 
 inline std::string describe(const support::Json& v) {
@@ -181,11 +161,6 @@ inline void compare(const support::Json& base, const support::Json& cur,
       return;
     }
     case Json::Type::kObject: {
-      if (cfg.allow_screened &&
-          (isScreenedCell(base) || isScreenedCell(cur))) {
-        ++rep.screened_skipped;
-        return;
-      }
       // Cell objects carry a string "id"; remember it while comparing the
       // subtree so fail() can attribute drift to the cell.
       const Json* id = base.find("id");
@@ -195,7 +170,6 @@ inline void compare(const support::Json& base, const support::Json& cur,
       if (is_cell) rep.current_cell = id->asString();
       for (const auto& [key, bval] : base.members()) {
         if (isIgnoredKey(key)) continue;
-        if (cfg.allow_screened && isScreenKey(key)) continue;
         const std::string sub = path + "." + key;
         const Json* cval = cur.find(key);
         if (!cval) {
@@ -212,7 +186,6 @@ inline void compare(const support::Json& base, const support::Json& cur,
       for (const auto& [key, cval] : cur.members()) {
         (void)cval;
         if (isIgnoredKey(key) || isHostTimingKey(key)) continue;
-        if (cfg.allow_screened && isScreenKey(key)) continue;
         if (!base.find(key)) rep.fail(path + "." + key, "key appeared");
       }
       rep.current_cell = saved_cell;

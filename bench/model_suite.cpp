@@ -10,11 +10,18 @@
 //
 //   model_suite                          # fit + per-series report
 //   model_suite --model=model.json       # write the fitted-model JSON
-//                                        # (consumed by table_suite --screen)
 //   model_suite --extrap=models.txt      # Extra-P text export
 //   model_suite --crossval=3 --tol=0.15  # hold out every 3rd cell, FAIL
 //                                        # (exit 1) when the median
 //                                        # held-out rel. error exceeds tol
+//   model_suite --validate=BENCH_scaling.json --max-err=0.25
+//                                        # refit each series' top octave
+//                                        # on p alone and predict the
+//                                        # measured cells beyond the grid;
+//                                        # FAIL when the median rel. error
+//                                        # exceeds max-err (default 0.25)
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
@@ -35,7 +42,8 @@ using namespace vodsm::model;
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--json=PATH] [--model=OUT.json] [--extrap=OUT.txt]"
-               " [--crossval=K] [--tol=X]\n";
+               " [--crossval=K] [--tol=X]"
+               " [--validate=SCALING.json [--max-err=F]]\n";
   return 2;
 }
 
@@ -57,26 +65,43 @@ int main(int argc, char** argv) {
   std::string json_path = "BENCH_tables.json";
   std::string model_path;
   std::string extrap_path;
+  std::string validate_path;
   int crossval = 0;
   double tol = 0.15;
+  double max_err = 0.25;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    const auto num = [&](size_t prefix, double lo) {
+    const auto bad = [&] {
+      std::cerr << a << ": invalid value\n";
+      std::exit(usage(argv[0]));
+    };
+    // The whole token must parse, and to a number > 0 (NaN is rejected).
+    const auto positive = [&](size_t prefix) {
       const std::string v = a.substr(prefix);
       char* end = nullptr;
       const double d = std::strtod(v.c_str(), &end);
-      if (v.empty() || end != v.c_str() + v.size() || d < lo) {
-        std::cerr << a << ": invalid value\n";
-        std::exit(usage(argv[0]));
-      }
+      if (v.empty() || end != v.c_str() + v.size() || !(d > 0)) bad();
       return d;
+    };
+    // An integer k >= 2: a fraction or a value past INT_MAX would silently
+    // hold out some other number of cells, or none.
+    const auto holdout = [&](size_t prefix) {
+      const std::string v = a.substr(prefix);
+      char* end = nullptr;
+      errno = 0;
+      const long k = std::strtol(v.c_str(), &end, 10);
+      if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE ||
+          k < 2 || k > INT_MAX)
+        bad();
+      return static_cast<int>(k);
     };
     if (a.rfind("--json=", 0) == 0) json_path = a.substr(7);
     else if (a.rfind("--model=", 0) == 0) model_path = a.substr(8);
     else if (a.rfind("--extrap=", 0) == 0) extrap_path = a.substr(9);
-    else if (a.rfind("--crossval=", 0) == 0)
-      crossval = static_cast<int>(num(11, 2));
-    else if (a.rfind("--tol=", 0) == 0) tol = num(6, 1e-9);
+    else if (a.rfind("--validate=", 0) == 0) validate_path = a.substr(11);
+    else if (a.rfind("--crossval=", 0) == 0) crossval = holdout(11);
+    else if (a.rfind("--tol=", 0) == 0) tol = positive(6);
+    else if (a.rfind("--max-err=", 0) == 0) max_err = positive(10);
     else return usage(argv[0]);
   }
 
@@ -148,6 +173,37 @@ int main(int argc, char** argv) {
       if (med > tol) {
         std::cerr << "model_suite: FAIL — models no longer predict held-out "
                      "cells within tolerance\n";
+        return 1;
+      }
+    }
+
+    // Congestion collapse is a regime change no power law follows (star
+    // LRC_d at 256p), so the gate is on the median: the collapse cells stay
+    // in the report without deciding the verdict.
+    if (!validate_path.empty()) {
+      const ExtrapolationCheck check =
+          checkExtrapolation(cells, loadTableCellsFile(validate_path));
+      if (check.cells.empty()) {
+        std::cerr << "model_suite: " << validate_path
+                  << " has no cells beyond a fitted series' grid\n";
+        return 1;
+      }
+      std::cout << "\nExtrapolation check against " << validate_path
+                << ":\n";
+      TextTable vt;
+      vt.header({"cell", "measured (s)", "predicted (s)", "rel err"});
+      for (const CellEval& e : check.cells)
+        vt.row({e.id, fmt(e.measured, 4), fmt(e.predicted, 4),
+                fmt(e.rel_err * 100, 1) + "%"});
+      vt.print(std::cout);
+      std::cout << "median relative error "
+                << fmt(check.median_rel_err * 100, 1) << "% over "
+                << check.cells.size() << " cells (gate: "
+                << fmt(max_err * 100, 1) << "%)\n";
+      if (check.median_rel_err > max_err) {
+        std::cerr << "model_suite: FAIL — extrapolation median error "
+                  << fmt(check.median_rel_err * 100, 1) << "% > "
+                  << fmt(max_err * 100, 1) << "%\n";
         return 1;
       }
     }

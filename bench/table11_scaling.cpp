@@ -6,9 +6,8 @@
 // dissemination barrier (the "_butterfly" cells), all on the paper's star
 // fabric, as the processor count doubles past the testbed. It feeds the
 // committed BENCH_scaling.json baseline behind the scaling_regression_gate
-// ctest.
-// fit_scaling --validate checks its star cells against crossover
-// extrapolations fitted from the <= 32p paper grid.
+// ctest. model_suite --validate checks its centralized-barrier cells
+// against extrapolations fitted from the <= 32p paper grid.
 #include "bench/tables.hpp"
 
 int main(int argc, char** argv) {

@@ -62,13 +62,6 @@ struct Options {
   // build, and the JSON gains no fault fields (bench_regression_gate
   // compares exactly).
   std::string faults;
-  // table_suite only: analytic screen. Path to a model_suite JSON; cells
-  // whose recorded in-sample prediction error is within screen_tol are NOT
-  // simulated — their JSON row carries the model's prediction, marked
-  // "screened". Incompatible with --faults (the model knows nothing about
-  // injected faults).
-  std::string screen;
-  double screen_tol = 0.10;
   // table11_scaling only: extend the processor sweep past 256 to the
   // nightly 512/1024 points (hours of host time on one core; the nightly
   // workflow owns it).
@@ -79,17 +72,6 @@ inline int parseIntArg(const std::string& a, size_t prefix_len) {
   try {
     size_t used = 0;
     int v = std::stoi(a.substr(prefix_len), &used);
-    if (used == a.size() - prefix_len) return v;
-  } catch (...) {
-  }
-  std::cerr << "not a number: '" << a << "'\n";
-  std::exit(2);
-}
-
-inline double parseDoubleArg(const std::string& a, size_t prefix_len) {
-  try {
-    size_t used = 0;
-    double v = std::stod(a.substr(prefix_len), &used);
     if (used == a.size() - prefix_len) return v;
   } catch (...) {
   }
@@ -116,37 +98,14 @@ inline Options parseArgs(int argc, char** argv) {
     else if (a.rfind("--profiles=", 0) == 0) o.profile_dir = a.substr(11);
     else if (a.rfind("--compare=", 0) == 0) o.compare_dir = a.substr(10);
     else if (a.rfind("--faults=", 0) == 0) o.faults = a.substr(9);
-    else if (a.rfind("--screen=", 0) == 0) o.screen = a.substr(9);
-    else if (a.rfind("--screen-tol=", 0) == 0)
-      o.screen_tol = parseDoubleArg(a, 13);
     else {
       std::cerr << "usage: " << argv[0]
                 << " [--full] [--procs=N] [--jobs=N] [--json=PATH]"
                    " [--breakdown] [--critpath] [--pageheat]"
                    " [--metrics] [--diagnose] [--profiles=DIR]"
-                   " [--compare=DIR] [--compare-serial] [--faults=SPEC]"
-                   " [--screen=MODEL.json] [--screen-tol=X]\n";
+                   " [--compare=DIR] [--compare-serial] [--faults=SPEC]\n";
       std::exit(2);
     }
-  }
-  if (!o.screen.empty() && !o.faults.empty()) {
-    // The fitted models describe fault-free runs; screening a faulted
-    // sweep would silently substitute fault-free predictions.
-    std::cerr << "--screen and --faults are mutually exclusive\n";
-    std::exit(2);
-  }
-  if (!o.screen.empty() &&
-      (o.diagnose || !o.profile_dir.empty() || !o.compare_dir.empty())) {
-    // Screened cells are predicted, not simulated: there is no trace to
-    // diagnose or profile, so these combinations would silently produce
-    // empty analyses for the screened subset.
-    std::cerr << "--screen cannot be combined with --diagnose, --profiles"
-                 " or --compare\n";
-    std::exit(2);
-  }
-  if (o.screen_tol <= 0) {
-    std::cerr << "--screen-tol must be positive\n";
-    std::exit(2);
   }
   return o;
 }

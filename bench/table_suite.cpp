@@ -1,21 +1,20 @@
-// Whole-suite driver: every cell of the paper's nine evaluation tables
-// (Tables 1-9) executed through the parallel experiment runner, then
-// printed in table order and recorded to BENCH_tables.json.
+// Whole-suite driver: every cell of the ten evaluation tables (the
+// paper's Tables 1-9 plus the Table 10 axis sweep) executed through the
+// parallel experiment runner, then printed in table order and recorded to
+// BENCH_tables.json.
 //
-// All ~120 cells across all tables are flattened into one work list and
+// All 102 cells across all tables are flattened into one work list and
 // sharded over host threads, so the tail cells of one table overlap the
 // next table's — the sweep's wall-clock is bounded by total work / cores,
 // not by the slowest table. Results are collected in submission order, so
-// stdout is byte-identical to running the nine binaries serially.
+// stdout is byte-identical at any --jobs and, for Tables 1-9, to running
+// their nine binaries serially.
 //
 //   table_suite                      # all tables, all cores
 //   table_suite --jobs=1             # serial fallback
 //   table_suite --compare-serial     # also measure the serial sweep and
 //                                    # record speedup in the JSON
 //   table_suite --json=out.json      # default: BENCH_tables.json
-//   table_suite --screen=model.json  # analytic screen: skip cells the
-//                                    # fitted model predicts within
-//                                    # --screen-tol (default 10%)
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -37,24 +36,7 @@ int main(int argc, char** argv) {
   opts.metrics = true;
   const int jobs = harness::resolveJobs(opts.jobs);
 
-  auto specs = bench::allTableSpecs(opts);
-
-  if (!opts.screen.empty()) {
-    // Replace model-predicted cells' runs with their predictions before
-    // flattening; every skip is logged with the predicted value and the
-    // model term it came from. Non-screened cells are untouched, so their
-    // simulated fields stay byte-identical to a screen-free sweep.
-    try {
-      const int skipped =
-          bench::applyScreen(specs, opts.screen, opts.screen_tol, std::cerr);
-      std::cerr << "table_suite: screen " << opts.screen << " skipped "
-                << skipped << " cells (tol "
-                << static_cast<int>(opts.screen_tol * 100) << "%)\n";
-    } catch (const std::exception& e) {
-      std::cerr << "table_suite: " << e.what() << "\n";
-      return 2;
-    }
-  }
+  const auto specs = bench::allTableSpecs(opts);
 
   // Flatten every table's cells into one global sweep.
   struct Slot {

@@ -6,15 +6,11 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <map>
-#include <sstream>
 #include <thread>
 
 #include "bench/diff_compare.hpp"
 #include "bench/paper_params.hpp"
 #include "harness/parallel_runner.hpp"
-#include "model/model_set.hpp"
-#include "support/json.hpp"
 #include "obs/breakdown.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/diagnose.hpp"
@@ -601,45 +597,6 @@ std::vector<TableSpec> allTableSpecs(const Options& o) {
   return specs;
 }
 
-int applyScreen(std::vector<TableSpec>& specs, const std::string& model_path,
-                double tol, std::ostream& log) {
-  std::ifstream f(model_path, std::ios::binary);
-  VODSM_CHECK_MSG(f.good(), "cannot read screen model " + model_path);
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  const std::vector<model::CellEval> evals =
-      model::loadModelEvals(support::Json::parse(buf.str()));
-  std::map<std::string, const model::CellEval*> by_id;
-  for (const model::CellEval& e : evals) by_id[e.id] = &e;
-
-  int screened = 0;
-  for (TableSpec& spec : specs) {
-    for (Cell& cell : spec.cells) {
-      const auto it = by_id.find(cell.id);
-      // Only skip a cell the model has demonstrably hit: its recorded
-      // prediction error (from the model's own fit run) must be within
-      // tolerance. Unknown cells always simulate.
-      if (it == by_id.end() || it->second->rel_err > tol) continue;
-      const double predicted = it->second->predicted;
-      const std::string note = it->second->note;
-      cell.run = [predicted, note] {
-        RunResult r;
-        r.seconds = predicted;
-        r.screened = true;
-        r.screen_note = note;
-        return r;
-      };
-      char line[64];
-      std::snprintf(line, sizeof(line), "%.6f s (fit err %.1f%%", predicted,
-                    it->second->rel_err * 100.0);
-      log << "screen: skip " << cell.id << " — predicted " << line
-          << ", model " << note << ")\n";
-      ++screened;
-    }
-  }
-  return screened;
-}
-
 SpecRun runSpec(const TableSpec& spec, int jobs) {
   using Clock = std::chrono::steady_clock;
   SpecRun out;
@@ -668,7 +625,7 @@ int writeCellProfiles(const std::string& dir,
   for (size_t s = 0; s < specs.size(); ++s) {
     for (size_t i = 0; i < specs[s].cells.size(); ++i) {
       const RunResult& r = runs[s].results[i];
-      if (!r.profile.enabled()) continue;  // screened / MPI reference cells
+      if (!r.profile.enabled()) continue;  // MPI reference cells
       obs::RunProfile p = r.profile;
       p.label = specs[s].cells[i].id;
       const std::filesystem::path path =
@@ -732,10 +689,6 @@ void writeTablesJson(std::ostream& os, const std::vector<TableSpec>& specs,
                      double serial_wall_seconds) {
   size_t n_cells = 0;
   for (const auto& s : specs) n_cells += s.cells.size();
-  size_t n_screened = 0;
-  for (const auto& run : runs)
-    for (const auto& r : run.results)
-      if (r.screened) ++n_screened;
   os << std::setprecision(6) << std::fixed;
   os << "{\n";
   os << "  \"suite\": \"paper_tables\",\n";
@@ -754,14 +707,6 @@ void writeTablesJson(std::ostream& os, const std::vector<TableSpec>& specs,
     // no fault keys at all, keeping the baseline byte-identical.
     os << "  \"faults\": \"" << jsonEsc(o.faults) << "\",\n";
   }
-  if (!o.screen.empty()) {
-    // Screen provenance, written only on screened sweeps (like "faults"):
-    // a screened artifact names its model and how many cells it skipped,
-    // so it can never be mistaken for a fully simulated baseline.
-    // bench_diff only tolerates these keys under --allow-screened.
-    os << "  \"screen\": \"" << jsonEsc(o.screen) << "\",\n";
-    os << "  \"screened_cells\": " << n_screened << ",\n";
-  }
   os << "  \"jobs\": " << jobs << ",\n";
   os << "  \"cells\": " << n_cells << ",\n";
   os << "  \"wall_seconds\": " << wall_seconds << ",\n";
@@ -778,17 +723,6 @@ void writeTablesJson(std::ostream& os, const std::vector<TableSpec>& specs,
     for (size_t i = 0; i < specs[s].cells.size(); ++i) {
       const auto& r = runs[s].results[i];
       const model::AxisPoint& ax = specs[s].cells[i].axes;
-      if (r.screened) {
-        // A screened cell was never simulated: it records the model's
-        // prediction and NO simulated fields, so it cannot contaminate a
-        // baseline comparison (bench_diff skips it under --allow-screened
-        // and fails loudly otherwise).
-        os << "      {\"id\": \"" << specs[s].cells[i].id
-           << "\", \"screened\": true, \"predicted_seconds\": " << r.seconds
-           << ", \"screen_note\": \"" << jsonEsc(r.screen_note) << "\"}"
-           << (i + 1 < specs[s].cells.size() ? "," : "") << "\n";
-        continue;
-      }
       os << "      {\"id\": \"" << specs[s].cells[i].id
          << "\", \"sim_seconds\": " << r.seconds;
       if (ax.explicit_axes) {

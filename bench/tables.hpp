@@ -62,14 +62,6 @@ TableSpec table10Spec(const Options& o);
 TableSpec table11Spec(const Options& o);
 std::vector<TableSpec> allTableSpecs(const Options& o);
 
-// Analytic screen: for every cell whose id appears in `model_path`'s eval
-// list with recorded prediction error <= tol, replaces the cell's run with
-// the model's prediction (RunResult::screened) and logs the skip to `log`
-// with the predicted value and the dominant model term. Returns the number
-// of cells screened. Throws vodsm::Error on an unreadable model file.
-int applyScreen(std::vector<TableSpec>& specs, const std::string& model_path,
-                double tol, std::ostream& log);
-
 // Results of executing one spec's cells.
 struct SpecRun {
   std::vector<harness::RunResult> results;   // cells in submission order
@@ -86,8 +78,8 @@ std::string profileFileName(const std::string& cell_id);
 
 // Writes each profiled cell's persisted run profile (obs::RunProfile JSON,
 // labelled with the cell id) into `dir`, creating it if needed. Cells
-// without a profile — screened cells and the unmetered MPI reference runs —
-// are skipped. Logs a summary line to `log`; returns the number written.
+// without a profile — the unmetered MPI reference runs — are skipped.
+// Logs a summary line to `log`; returns the number written.
 int writeCellProfiles(const std::string& dir,
                       const std::vector<TableSpec>& specs,
                       const std::vector<SpecRun>& runs, std::ostream& log);

@@ -1,6 +1,6 @@
 // Protocol face-off: run the paper's four applications on all three DSM
 // runtimes (plus MPI for NN) at a chosen processor count and print a
-// side-by-side comparison — a one-screen summary of the paper's evaluation.
+// side-by-side comparison — a one-page summary of the paper's evaluation.
 //
 //   $ ./protocol_faceoff [nprocs]
 #include <cstdio>

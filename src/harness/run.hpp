@@ -2,8 +2,6 @@
 // application runners, the test suite, and the table benchmarks.
 #pragma once
 
-#include <string>
-
 #include "dsm/types.hpp"
 #include "net/faults.hpp"
 #include "net/stats.hpp"
@@ -72,12 +70,6 @@ struct RunResult {
   // was metered via RunConfig::metrics. The MPI reference runner does not
   // meter, so its results leave this empty.
   obs::MetricsSummary metrics;
-  // Analytic screen (bench --screen=model.json): this result was NOT
-  // simulated — `seconds` is the fitted model's prediction and every other
-  // field is empty. The bench JSON marks such cells "screened" and omits
-  // all simulated fields so they can never contaminate a baseline.
-  bool screened = false;
-  std::string screen_note;  // dominant model term behind the prediction
 
   double dataMBytes() const {
     return static_cast<double>(net.payload_bytes) / 1e6;

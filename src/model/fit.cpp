@@ -3,12 +3,35 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-
-#include "model/linear.hpp"
+#include <utility>
 
 namespace vodsm::model {
 
 namespace {
+
+// Dense Gaussian elimination with partial pivoting over the n x n system
+// encoded as n rows of n + 1 (last column is the right-hand side). Returns
+// false when a pivot falls below 1e-12 — the system is singular (collinear
+// regressors or too few points) and the caller must drop a term instead of
+// inventing coefficients.
+bool solveNormal(std::vector<std::vector<double>> m, std::vector<double>& x) {
+  const size_t n = m.size();
+  for (size_t col = 0; col < n; ++col) {
+    size_t piv = col;
+    for (size_t r = col + 1; r < n; ++r)
+      if (std::fabs(m[r][col]) > std::fabs(m[piv][col])) piv = r;
+    if (std::fabs(m[piv][col]) < 1e-12) return false;
+    std::swap(m[col], m[piv]);
+    for (size_t r = 0; r < n; ++r) {
+      if (r == col) continue;
+      const double f = m[r][col] / m[col][col];
+      for (size_t k = col; k <= n; ++k) m[r][k] -= f * m[col][k];
+    }
+  }
+  x.resize(n);
+  for (size_t i = 0; i < n; ++i) x[i] = m[i][n] / m[i][i];
+  return true;
+}
 
 // Regressor indices selected by `mask`, in fixed order.
 std::vector<int> maskTerms(uint32_t mask) {

@@ -1,8 +1,9 @@
 // Multi-axis least-squares fitter with cross-validated model selection.
 //
-// Extends the single-axis T(p) = c * p^a * log2(p)^b fit of
-// bench/fit_model.hpp to the full multiplicative normal form over the axes
-// the benchmark suite sweeps (see model/axes.hpp). A candidate model is a
+// Fits the multiplicative normal form over the axes the benchmark suite
+// sweeps (see model/axes.hpp); the single-axis T(p) = c * p^a * log2(p)^b
+// is the candidate {p, log2(p)}, which the extrapolation check
+// (model/model_set.hpp) fits with fitMask(). A candidate model is a
 // subset of the five regressors; fitMulti() enumerates every subset whose
 // regressors actually vary in the data (32 candidates at most), fits each
 // by least squares in log space, and selects by LEAVE-ONE-OUT relative

@@ -1,7 +1,10 @@
 #include "model/model_set.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <map>
 #include <ostream>
+#include <utility>
 
 #include "support/check.hpp"
 #include "support/json_writer.hpp"
@@ -145,6 +148,58 @@ ModelSet buildModelSet(const std::vector<CellSample>& cells,
   return set;
 }
 
+ExtrapolationCheck checkExtrapolation(const std::vector<CellSample>& train,
+                                      const std::vector<CellSample>& probes) {
+  std::vector<CellSample> reference;
+  for (const CellSample& c : train)
+    if (!c.axes.explicit_axes) reference.push_back(c);
+
+  struct TailFit {
+    int max_p = 0;
+    MultiFit fit;
+  };
+  std::map<std::pair<std::string, std::string>, TailFit> fits;
+  for (const Series& g : groupSeries(reference)) {
+    TailFit& t = fits[{g.app, g.impl}];
+    for (const CellSample* c : g.cells)
+      t.max_p = std::max(t.max_p, c->axes.procs);
+    // The full-grid fit is dominated by small p, where compute still
+    // shrinks ~1/p; extrapolation has to follow the top octave instead.
+    std::vector<FitSample> tail;
+    for (const CellSample* c : g.cells)
+      if (2 * c->axes.procs >= t.max_p)
+        tail.push_back({c->axes, c->sim_seconds});
+    // log2(p) is dropped when it cannot be identified: always with two
+    // points (not left to the solver's pivot threshold), and when the
+    // system is singular, e.g. a duplicated p.
+    if (tail.size() < 3 ||
+        !fitMask(tail, (1u << kLnP) | (1u << kLnLog2P), t.fit))
+      fitMask(tail, 1u << kLnP, t.fit);
+  }
+
+  ExtrapolationCheck out;
+  std::vector<double> errs;
+  for (const CellSample& c : probes) {
+    const auto it = fits.find({c.app, c.impl});
+    if (it == fits.end() || !it->second.fit.ok || c.axes.explicit_axes ||
+        c.axes.procs <= it->second.max_p || c.sim_seconds <= 0)
+      continue;
+    CellEval e;
+    e.id = c.id;
+    e.measured = c.sim_seconds;
+    e.predicted = it->second.fit.eval(c.axes);
+    e.rel_err = std::fabs(e.predicted / e.measured - 1.0);
+    errs.push_back(e.rel_err);
+    out.cells.push_back(std::move(e));
+  }
+  if (!errs.empty()) {
+    std::sort(errs.begin(), errs.end());
+    const size_t n = errs.size();
+    out.median_rel_err = 0.5 * (errs[(n - 1) / 2] + errs[n / 2]);
+  }
+  return out;
+}
+
 namespace {
 
 void writeFit(support::JsonWriter& w, const MultiFit& f) {
@@ -213,24 +268,6 @@ void writeModelJson(std::ostream& os, const ModelSet& set) {
   if (med >= 0) w.key("median_held_out_rel_err").value(med, "%.6f");
   w.endObject();
   os << '\n';
-}
-
-std::vector<CellEval> loadModelEvals(const support::Json& root) {
-  const support::Json* kind = root.find("kind");
-  VODSM_CHECK_MSG(kind != nullptr && kind->asString() == "vodsm_model_set",
-                  "not a vodsm_model_set document");
-  std::vector<CellEval> out;
-  for (const support::Json& je : root.at("evals").items()) {
-    CellEval e;
-    e.id = je.at("id").asString();
-    e.measured = je.at("measured").asNumber();
-    e.predicted = je.at("predicted").asNumber();
-    e.rel_err = je.at("rel_err").asNumber();
-    e.held_out = je.at("held_out").asBool();
-    e.note = je.at("note").asString();
-    out.push_back(std::move(e));
-  }
-  return out;
 }
 
 }  // namespace vodsm::model

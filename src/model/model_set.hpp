@@ -11,8 +11,10 @@
 // buildModelSet() optionally holds out every k-th cell of each series
 // (deterministic by id order) and evaluates predictions on the held-out
 // cells — the cross-validation gate. With no holdout it fits on everything
-// and records in-sample errors, which is what the analytic screen consumes
-// (a cell is only skipped when the model has demonstrated it can hit it).
+// and records in-sample errors.
+//
+// checkExtrapolation() is the other gate: a p-only refit of each series'
+// top octave, scored on measured cells beyond the training grid.
 #pragma once
 
 #include <iosfwd>
@@ -44,7 +46,7 @@ struct SeriesModel {
   // Composed prediction when buckets exist (sum / p), direct fit otherwise.
   double predictTotal(const AxisPoint& x) const;
   // The dominant model term at `x` — e.g. "fault_diff: 0.137 * p^0.998" —
-  // for screen-skip logs and eval notes.
+  // for eval notes.
   std::string dominantTerm(const AxisPoint& x) const;
 };
 
@@ -79,8 +81,23 @@ ModelSet buildModelSet(const std::vector<CellSample>& cells,
 // round-trip; seconds/errors as %.6f). Byte-stable for a given ModelSet.
 void writeModelJson(std::ostream& os, const ModelSet& set);
 
-// The per-cell evals of a model JSON document — all the screen needs.
-// Throws vodsm::Error on a document that is not a vodsm_model_set.
-std::vector<CellEval> loadModelEvals(const support::Json& root);
+// Extrapolation of the p-only family beyond the training grid.
+struct ExtrapolationCheck {
+  std::vector<CellEval> cells;  // compared probe cells, in probe order
+  // Median of the cells' rel_err, the mean of the two middle values for an
+  // even count; -1 when no cell was comparable.
+  double median_rel_err = -1;
+};
+
+// Fits T(p) = c * p^a * log2(p)^b to each (app, impl) series of `train`'s
+// reference-configuration cells (no explicit axes, impl != "seq", p >= 2)
+// over the series' top octave — the p with 2p >= its max p, where the
+// communication terms show their exponent — dropping log2(p) when fewer
+// than three tail points or a collinear system cannot identify it. Each
+// reference `probes` cell of a fitted series with p beyond that max p is
+// predicted; probes of other series (e.g. "_tree" impls) and in-grid
+// probes are skipped, as is a series whose tail has one distinct p.
+ExtrapolationCheck checkExtrapolation(const std::vector<CellSample>& train,
+                                      const std::vector<CellSample>& probes);
 
 }  // namespace vodsm::model

@@ -54,10 +54,6 @@ std::vector<CellSample> loadTableCells(const support::Json& root) {
       if (!seen.insert(s.id).second) continue;
       VODSM_CHECK_MSG(parseCellId(s.id, s.app, s.impl, s.axes.procs),
                       "unparseable cell id: " + s.id);
-      // Screened cells carry a prediction, not a measurement; they are not
-      // training data.
-      const support::Json* screened = cell.find("screened");
-      if (screened != nullptr && screened->asBool()) continue;
       s.sim_seconds = cell.at("sim_seconds").asNumber();
       loadAxes(cell, s);
       if (const support::Json* bd = cell.find("breakdown_seconds")) {

@@ -1,38 +1,32 @@
 // Unit tests for the bench-layer analysis tools:
 //
-//  * bench/fit_model.hpp — the least-squares fitter behind fit_scaling must
-//    recover a known T(p) = c * p^a * log2(p)^b exactly from synthetic
-//    samples, fall back to b = 0 with two points or a singular system, and
-//    report failure (ok = false) when even the fallback is singular.
 //  * src/model — the multi-axis fitter must recover a generating model's
 //    exact regressor subset from noise-free data, its leave-one-out score
 //    must match hand-computed folds, the composed per-bucket models must
 //    sum to the total model at EVERY axis point (including on a real traced
 //    run, whose buckets provably partition p * T), and the model JSON /
-//    Extra-P exports must be byte-deterministic and round-trip.
-//  * bench/tables.hpp applyScreen — the analytic screen must skip exactly
-//    the cells the model has demonstrably hit, and log each skip.
+//    Extra-P exports must be byte-deterministic.
+//  * model::checkExtrapolation (model_suite --validate) — the top-octave
+//    refit must recover a known T(p) = c * p^a * log2(p)^b exactly, fall
+//    back to b = 0 with two tail points or a duplicated p, skip rather than
+//    invent a prediction when the tail has one distinct p, skip probes it
+//    has no series for or that sit inside the grid, and take the mean of
+//    the middle two errors as an even count's median.
 //  * bench/diff_compare.hpp — the bench_diff regression gate must compare
 //    simulated fields exactly while stripping the host-shape keys ("jobs",
 //    the "host" metadata object, and the "axes" coordinate record), so a
 //    baseline written before those records existed still gates a current
-//    file that has them; screened cells compare only under the explicit
-//    --allow-screened opt-in.
+//    file that has them.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "apps/is.hpp"
 #include "bench/diff_compare.hpp"
-#include "bench/fit_model.hpp"
-#include "bench/tables.hpp"
 #include "harness/run.hpp"
 #include "model/extrap.hpp"
 #include "model/fit.hpp"
@@ -46,83 +40,6 @@ namespace vodsm {
 namespace {
 
 using support::Json;
-
-// --- fit_model ----------------------------------------------------------
-
-std::vector<std::pair<int, double>> sampleModel(double c, double a, double b,
-                                                const std::vector<int>& ps) {
-  std::vector<std::pair<int, double>> pts;
-  for (int p : ps)
-    pts.emplace_back(p, c * std::pow(p, a) * std::pow(std::log2(p), b));
-  return pts;
-}
-
-TEST(FitModel, RecoversSyntheticModelExactly) {
-  // The paper-table sweep's processor counts; the model is noise-free, so
-  // the normal equations must reproduce it to numerical precision.
-  const double c = 0.5, a = -0.8, b = 1.2;
-  bench::fit::Fit fit =
-      bench::fit::fitSeries(sampleModel(c, a, b, {2, 4, 8, 16, 32}));
-  ASSERT_TRUE(fit.ok);
-  EXPECT_EQ(fit.points, 5);
-  EXPECT_NEAR(fit.c, c, 1e-9);
-  EXPECT_NEAR(fit.a, a, 1e-9);
-  EXPECT_NEAR(fit.b, b, 1e-9);
-  EXPECT_NEAR(fit.r2, 1.0, 1e-12);
-  EXPECT_NEAR(fit.eval(64), c * std::pow(64, a) * std::pow(6.0, b), 1e-9);
-}
-
-TEST(FitModel, RecoversPurePowerLaw) {
-  bench::fit::Fit fit =
-      bench::fit::fitSeries(sampleModel(2.0, -1.0, 0.0, {2, 4, 8, 16}));
-  ASSERT_TRUE(fit.ok);
-  EXPECT_NEAR(fit.c, 2.0, 1e-9);
-  EXPECT_NEAR(fit.a, -1.0, 1e-9);
-  EXPECT_NEAR(fit.b, 0.0, 1e-9);
-}
-
-TEST(FitModel, TwoPointsFallBackToPowerLaw) {
-  // Two samples cannot identify the log2 exponent: expect b = 0 and the
-  // power law through both points, here T(p) = 1 * p^-1.
-  bench::fit::Fit fit = bench::fit::fitSeries({{2, 0.5}, {4, 0.25}});
-  ASSERT_TRUE(fit.ok);
-  EXPECT_EQ(fit.points, 2);
-  EXPECT_EQ(fit.b, 0.0);
-  EXPECT_NEAR(fit.c, 1.0, 1e-9);
-  EXPECT_NEAR(fit.a, -1.0, 1e-9);
-}
-
-TEST(FitModel, DuplicateProcsMakeTheLogTermSingular) {
-  // Three samples but only two distinct p: the 3x3 system is singular
-  // (the log-log column is an affine image of the ln p column), so the fit
-  // must drop b and still solve the power law.
-  bench::fit::Fit fit =
-      bench::fit::fitSeries({{2, 1.0}, {4, 0.5}, {4, 0.5}});
-  ASSERT_TRUE(fit.ok);
-  EXPECT_EQ(fit.points, 3);
-  EXPECT_EQ(fit.b, 0.0);
-  EXPECT_NEAR(fit.a, -1.0, 1e-9);
-}
-
-TEST(FitModel, SingleDistinctProcIsUnfittable) {
-  // One distinct p cannot pin an exponent at all: even the 2x2 fallback is
-  // singular and the fit reports failure instead of inventing numbers.
-  bench::fit::Fit fit =
-      bench::fit::fitSeries({{4, 1.0}, {4, 2.0}, {4, 3.0}});
-  EXPECT_FALSE(fit.ok);
-  bench::fit::Fit too_few = bench::fit::fitSeries({{8, 1.0}});
-  EXPECT_FALSE(too_few.ok);
-  EXPECT_EQ(too_few.points, 1);
-}
-
-TEST(FitModel, SolveNormalRejectsSingularSystems) {
-  std::vector<double> x;
-  EXPECT_TRUE(bench::fit::solveNormal({{2, 0, 2}, {0, 4, 8}}, x));
-  ASSERT_EQ(x.size(), 2u);
-  EXPECT_NEAR(x[0], 1.0, 1e-12);
-  EXPECT_NEAR(x[1], 2.0, 1e-12);
-  EXPECT_FALSE(bench::fit::solveNormal({{1, 2, 3}, {2, 4, 6}}, x));
-}
 
 // --- model/fit: the multi-axis fitter -----------------------------------
 
@@ -338,29 +255,129 @@ TEST(ModelSet, RealTracedBreakdownPartitionsAndComposes) {
   EXPECT_FALSE(m.dominantTerm(probe).empty());
 }
 
-// --- model exports: byte determinism and round-trip ---------------------
+// --- model/model_set: the extrapolation check (model_suite --validate) ---
 
-TEST(ModelJson, ByteDeterministicAndEvalsRoundTrip) {
+// A reference-configuration cell "APP/<impl>/<p>p<suffix>".
+model::CellSample refCell(const std::string& impl, int p, double seconds,
+                          const std::string& suffix = "") {
+  model::CellSample c;
+  c.id = "APP/" + impl + "/" + std::to_string(p) + "p" + suffix;
+  c.app = "APP";
+  c.impl = impl;
+  c.axes = axisAt(p);
+  c.sim_seconds = seconds;
+  return c;
+}
+
+double costModel(double c, double a, double b, int p) {
+  return c * std::pow(p, a) * std::pow(std::log2(p), b);
+}
+
+TEST(Extrapolation, NoiseFreeSeriesPredictsBeyondTheGrid) {
+  // The paper's speedup grid; its top octave {16, 24, 32} has three points,
+  // so the refit recovers c, a and b and extrapolates two octaves exactly.
+  const double c = 0.5, a = -0.8, b = 1.2;
+  std::vector<model::CellSample> train, probes;
+  for (int p : {2, 4, 8, 16, 24, 32})
+    train.push_back(refCell("X", p, costModel(c, a, b, p)));
+  for (int p : {64, 128}) probes.push_back(refCell("X", p, 1.0));
+  const model::ExtrapolationCheck check =
+      model::checkExtrapolation(train, probes);
+  ASSERT_EQ(check.cells.size(), 2u);
+  EXPECT_EQ(check.cells[0].id, "APP/X/64p");
+  EXPECT_NEAR(check.cells[0].predicted, costModel(c, a, b, 64), 1e-9);
+  EXPECT_EQ(check.cells[1].id, "APP/X/128p");
+  EXPECT_NEAR(check.cells[1].predicted, costModel(c, a, b, 128), 1e-9);
+}
+
+TEST(Extrapolation, FallsBackToThePowerLawWhenLog2PIsUnidentifiable) {
+  // Only the tail counts: 8p is off the power law through (16, 1) and
+  // (32, 0.5), which is T = 16 / p and predicts 0.25 at 64p.
+  const std::vector<model::CellSample> probe = {refCell("X", 64, 1.0)};
+  // Two tail points, {16, 32}: b cannot be identified.
+  const std::vector<model::CellSample> two = {
+      refCell("X", 8, 5.0), refCell("X", 16, 1.0), refCell("X", 32, 0.5)};
+  model::ExtrapolationCheck check = model::checkExtrapolation(two, probe);
+  ASSERT_EQ(check.cells.size(), 1u);
+  EXPECT_NEAR(check.cells[0].predicted, 0.25, 1e-12);
+  // Three tail points but two distinct p: the 3x3 system is singular (the
+  // log2 column is an affine image of the ln p column), so b is dropped.
+  const std::vector<model::CellSample> dup = {
+      refCell("X", 16, 1.0), refCell("X", 32, 0.5),
+      refCell("X", 32, 0.5, "/dup")};
+  check = model::checkExtrapolation(dup, probe);
+  ASSERT_EQ(check.cells.size(), 1u);
+  EXPECT_NEAR(check.cells[0].predicted, 0.25, 1e-12);
+}
+
+TEST(Extrapolation, OneDistinctPSkipsTheCell) {
+  // One distinct p pins no exponent: even the c * p^a fallback is singular,
+  // so the probes go unpredicted instead of getting invented numbers.
+  const std::vector<model::CellSample> train = {
+      refCell("X", 4, 1.0), refCell("X", 4, 2.0, "/a"),
+      refCell("X", 4, 3.0, "/b"), refCell("Y", 8, 1.0)};
+  const model::ExtrapolationCheck check = model::checkExtrapolation(
+      train, {refCell("X", 64, 1.0), refCell("Y", 64, 1.0)});
+  EXPECT_TRUE(check.cells.empty());
+  EXPECT_EQ(check.median_rel_err, -1.0);
+}
+
+TEST(Extrapolation, SkipsProbesWithoutASeriesAndInsideTheGrid) {
+  std::vector<model::CellSample> train;
+  for (int p : {8, 16, 32}) train.push_back(refCell("X", p, 16.0 / p));
+  // An axis-sweep cell is not on the p-only grid: it must not extend it.
+  model::CellSample swept = refCell("X", 64, 9.0, "/bw50");
+  swept.axes.bw_mbps = 50;
+  swept.axes.explicit_axes = true;
+  train.push_back(swept);
+  const model::ExtrapolationCheck check = model::checkExtrapolation(
+      train, {refCell("X_tree", 64, 1.0), refCell("X", 32, 0.5),
+              refCell("X", 16, 1.0), refCell("X", 64, 0.2)});
+  ASSERT_EQ(check.cells.size(), 1u);
+  EXPECT_EQ(check.cells[0].id, "APP/X/64p");
+  EXPECT_NEAR(check.cells[0].measured, 0.2, 1e-12);
+  EXPECT_NEAR(check.cells[0].predicted, 0.25, 1e-12);
+  EXPECT_NEAR(check.cells[0].rel_err, 0.25, 1e-12);
+  EXPECT_NEAR(check.median_rel_err, 0.25, 1e-12);
+}
+
+TEST(Extrapolation, EvenCountMedianIsTheMeanOfTheMiddleTwo) {
+  // T = 16 / p; each probe's measurement is set so |pred/meas - 1| = e.
+  const std::vector<model::CellSample> train = {refCell("X", 16, 1.0),
+                                                refCell("X", 32, 0.5)};
+  std::vector<model::CellSample> probes;
+  int p = 64;
+  for (double e : {0.8, 0.1, 0.4, 0.2}) {
+    probes.push_back(refCell("X", p, 16.0 / p / (1 + e)));
+    p *= 2;
+  }
+  const model::ExtrapolationCheck check =
+      model::checkExtrapolation(train, probes);
+  ASSERT_EQ(check.cells.size(), 4u);
+  EXPECT_NEAR(check.cells[0].rel_err, 0.8, 1e-9);
+  // (0.2 + 0.4) / 2, not the lower median 0.2.
+  EXPECT_NEAR(check.median_rel_err, 0.3, 1e-9);
+}
+
+TEST(Extrapolation, ReportsZeroComparableCells) {
+  const std::vector<model::CellSample> train = {refCell("X", 16, 1.0),
+                                                refCell("X", 32, 0.5)};
+  // An in-grid probe and a probe of a series with no training cells.
+  const model::ExtrapolationCheck check = model::checkExtrapolation(
+      train, {refCell("X", 32, 0.5), refCell("Y", 64, 1.0)});
+  EXPECT_TRUE(check.cells.empty());
+  EXPECT_EQ(check.median_rel_err, -1.0);
+  EXPECT_TRUE(model::checkExtrapolation(train, {}).cells.empty());
+}
+
+// --- model exports: byte determinism -----------------------------------
+
+TEST(ModelJson, IsByteDeterministic) {
   const model::ModelSet set = model::buildModelSet(syntheticSeries(), 3);
   std::ostringstream a, b;
   model::writeModelJson(a, set);
   model::writeModelJson(b, set);
   EXPECT_EQ(a.str(), b.str());
-
-  const std::vector<model::CellEval> evals =
-      model::loadModelEvals(Json::parse(a.str()));
-  ASSERT_EQ(evals.size(), set.evals.size());
-  for (size_t i = 0; i < evals.size(); ++i) {
-    EXPECT_EQ(evals[i].id, set.evals[i].id);
-    EXPECT_EQ(evals[i].held_out, set.evals[i].held_out);
-    EXPECT_EQ(evals[i].note, set.evals[i].note);
-    // Written as %.6f: round-trips to within the printed precision.
-    EXPECT_NEAR(evals[i].measured, set.evals[i].measured, 1e-6);
-    EXPECT_NEAR(evals[i].predicted, set.evals[i].predicted, 1e-6);
-    EXPECT_NEAR(evals[i].rel_err, set.evals[i].rel_err, 1e-6);
-  }
-  // Anything that is not a model document is rejected, not misread.
-  EXPECT_ANY_THROW(model::loadModelEvals(Json::parse(R"({"kind": "x"})")));
 }
 
 TEST(Extrap, ExportIsByteDeterministic) {
@@ -387,64 +404,6 @@ TEST(TableData, ParsesCellIdsWithAndWithoutVariationSuffix) {
   EXPECT_EQ(procs, 2);
   EXPECT_FALSE(model::parseCellId("not-a-cell-id", app, impl, procs));
   EXPECT_FALSE(model::parseCellId("IS/LRC_d/xp", app, impl, procs));
-}
-
-// --- bench/tables: the analytic screen ----------------------------------
-
-TEST(ApplyScreen, SkipsOnlyDemonstratedCellsAndLogsThem) {
-  // A model document with one cell inside tolerance (5%) and one outside
-  // (50%); the spec also has a cell the model has never seen.
-  model::ModelSet set;
-  model::CellEval good;
-  good.id = "IS/LRC_d/4p";
-  good.measured = 1.0;
-  good.predicted = 0.95;
-  good.rel_err = 0.05;
-  good.note = "compute: 0.95";
-  model::CellEval bad;
-  bad.id = "IS/LRC_d/8p";
-  bad.measured = 1.0;
-  bad.predicted = 1.5;
-  bad.rel_err = 0.5;
-  bad.note = "compute: 1.5";
-  set.evals = {good, bad};
-  const std::string path = ::testing::TempDir() + "vodsm_screen_model.json";
-  {
-    std::ofstream f(path, std::ios::binary);
-    model::writeModelJson(f, set);
-  }
-
-  int simulated = 0;
-  const auto real_run = [&simulated] {
-    ++simulated;
-    harness::RunResult r;
-    r.seconds = 1.0;
-    return r;
-  };
-  std::vector<bench::TableSpec> specs(1);
-  specs[0].name = "t";
-  specs[0].cells.emplace_back("IS/LRC_d/4p", real_run);
-  specs[0].cells.emplace_back("IS/LRC_d/8p", real_run);
-  specs[0].cells.emplace_back("IS/LRC_d/16p", real_run);
-
-  std::ostringstream log;
-  EXPECT_EQ(bench::applyScreen(specs, path, 0.10, log), 1);
-  const harness::RunResult skipped = specs[0].cells[0].run();
-  EXPECT_TRUE(skipped.screened);
-  EXPECT_DOUBLE_EQ(skipped.seconds, 0.95);
-  EXPECT_EQ(skipped.screen_note, "compute: 0.95");
-  // The skip is logged with the predicted value and the model term.
-  EXPECT_NE(log.str().find("screen: skip IS/LRC_d/4p"), std::string::npos);
-  EXPECT_NE(log.str().find("0.950000 s"), std::string::npos);
-  EXPECT_NE(log.str().find("compute: 0.95"), std::string::npos);
-  // Out-of-tolerance and unknown cells still simulate.
-  EXPECT_FALSE(specs[0].cells[1].run().screened);
-  EXPECT_FALSE(specs[0].cells[2].run().screened);
-  EXPECT_EQ(simulated, 2);
-
-  EXPECT_ANY_THROW(
-      bench::applyScreen(specs, path + ".does-not-exist", 0.10, log));
-  std::remove(path.c_str());
 }
 
 // --- diff_compare -------------------------------------------------------
@@ -535,46 +494,6 @@ TEST(DiffCompare, AxesCoordinateRecordsNeverCompare) {
           "axes": {"procs": 16, "n_scale": 1, "bw_mbps": 50, "loss_pct": 0}})";
   EXPECT_EQ(mismatches(base, cur), 0);
   EXPECT_EQ(mismatches(cur, base), 0);
-}
-
-TEST(DiffCompare, ScreenedCellsAreDriftWithoutTheOptIn) {
-  // A screened artifact must never slip through the default regression
-  // gate: the screened cell carries none of the simulated fields, which
-  // reads as drift unless --allow-screened was passed explicitly.
-  const std::string base = R"({"cells": [{"id": "a", "sim_seconds": 1.5}]})";
-  const std::string cur =
-      R"({"cells": [{"id": "a", "screened": true,
-                     "predicted_seconds": 1.4, "screen_note": "m"}],
-          "screen": "model.json", "screened_cells": 1})";
-  EXPECT_GT(mismatches(base, cur), 0);
-}
-
-TEST(DiffCompare, AllowScreenedSkipsPredictedCellsOnEitherSide) {
-  bench::diff::Config cfg;
-  cfg.allow_screened = true;
-  const std::string measured =
-      R"({"cells": [{"id": "a", "sim_seconds": 1.5},
-                    {"id": "b", "sim_seconds": 2.5}]})";
-  const std::string screened =
-      R"({"cells": [{"id": "a", "screened": true,
-                     "predicted_seconds": 1.4, "screen_note": "m"},
-                    {"id": "b", "sim_seconds": 2.5}],
-          "screen": "model.json", "screened_cells": 1})";
-  bench::diff::Report rep = runCompare(measured, screened, cfg);
-  EXPECT_EQ(rep.mismatches, 0);
-  EXPECT_EQ(rep.screened_skipped, 1);
-  // Symmetric: a screened BASELINE against a fresh measurement.
-  rep = runCompare(screened, measured, cfg);
-  EXPECT_EQ(rep.mismatches, 0);
-  EXPECT_EQ(rep.screened_skipped, 1);
-  // The opt-in only excuses screened cells — real drift in a cell that WAS
-  // simulated still fails.
-  const std::string drifted =
-      R"({"cells": [{"id": "a", "screened": true,
-                     "predicted_seconds": 1.4, "screen_note": "m"},
-                    {"id": "b", "sim_seconds": 9.9}],
-          "screen": "model.json", "screened_cells": 1})";
-  EXPECT_EQ(runCompare(measured, drifted, cfg).mismatches, 1);
 }
 
 }  // namespace

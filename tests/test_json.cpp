@@ -1,4 +1,5 @@
-// support/json.hpp: the minimal DOM parser behind bench/fit_scaling.
+// support/json.hpp: the minimal DOM parser behind bench_diff, the
+// BENCH_tables.json loader of src/model and the run-profile loader.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -29,7 +30,7 @@ TEST(Json, ParsesStringEscapes) {
 }
 
 TEST(Json, ParsesNestedStructure) {
-  // The shape fit_scaling actually reads: tables -> cells -> numbers.
+  // The shape the model loader actually reads: tables -> cells -> numbers.
   Json doc = Json::parse(R"({
     "suite": "paper_tables",
     "tables": [
