@@ -80,6 +80,14 @@ inline int parseIntArg(const std::string& a, size_t prefix_len) {
 }
 
 inline Options parseArgs(int argc, char** argv) {
+  auto usage = [&] {
+    std::cerr << "usage: " << argv[0]
+              << " [--full] [--procs=N] [--jobs=N] [--json=PATH]"
+                 " [--breakdown] [--critpath] [--pageheat]"
+                 " [--metrics] [--diagnose] [--profiles=DIR]"
+                 " [--compare=DIR] [--compare-serial] [--faults=SPEC]\n";
+    std::exit(2);
+  };
   Options o;
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
@@ -98,14 +106,11 @@ inline Options parseArgs(int argc, char** argv) {
     else if (a.rfind("--profiles=", 0) == 0) o.profile_dir = a.substr(11);
     else if (a.rfind("--compare=", 0) == 0) o.compare_dir = a.substr(10);
     else if (a.rfind("--faults=", 0) == 0) o.faults = a.substr(9);
-    else {
-      std::cerr << "usage: " << argv[0]
-                << " [--full] [--procs=N] [--jobs=N] [--json=PATH]"
-                   " [--breakdown] [--critpath] [--pageheat]"
-                   " [--metrics] [--diagnose] [--profiles=DIR]"
-                   " [--compare=DIR] [--compare-serial] [--faults=SPEC]\n";
-      std::exit(2);
-    }
+    else usage();
+  }
+  if (o.procs < 1) {
+    std::cerr << "error: --procs must be at least 1\n";
+    usage();
   }
   return o;
 }

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <tuple>
 
 #include "bench/tables.hpp"
 #include "harness/parallel_runner.hpp"
@@ -70,12 +71,18 @@ int main(int argc, char** argv) {
 
   std::cerr << "table_suite: " << slots.size() << " cells across "
             << specs.size() << " tables, jobs=" << jobs << "\n";
-  auto [runs, wall] = sweep(jobs);
-
+  std::vector<bench::SpecRun> runs;
+  double wall = 0;
   double serial_wall = 0;
-  if (opts.compare_serial && jobs > 1) {
-    std::cerr << "table_suite: re-running serially for comparison...\n";
-    serial_wall = sweep(1).second;
+  try {
+    std::tie(runs, wall) = sweep(jobs);
+    if (opts.compare_serial && jobs > 1) {
+      std::cerr << "table_suite: re-running serially for comparison...\n";
+      serial_wall = sweep(1).second;
+    }
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
   }
 
   for (size_t s = 0; s < specs.size(); ++s)

@@ -784,7 +784,13 @@ void writeTablesJson(std::ostream& os, const std::vector<TableSpec>& specs,
 }
 
 int tableMain(const TableSpec& spec, const Options& o) {
-  SpecRun run = runSpec(spec, o.jobs);
+  SpecRun run;
+  try {
+    run = runSpec(spec, o.jobs);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
   spec.print(std::cout, run.results);
   if (o.breakdown) {
     for (size_t i = 0; i < spec.cells.size(); ++i)

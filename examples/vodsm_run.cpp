@@ -10,9 +10,12 @@
 //
 // Every run is checked against the serial reference; the tool exits
 // non-zero on mismatch.
+#include <charconv>
+#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -77,14 +80,32 @@ namespace {
 }
 
 struct Args {
+  const char* argv0;
   std::map<std::string, std::string> kv;
   std::string get(const std::string& key, const std::string& dflt) const {
     auto it = kv.find(key);
     return it == kv.end() ? dflt : it->second;
   }
-  uint64_t num(const std::string& key, uint64_t dflt) const {
+  // The whole value as an unsigned decimal in [lo, hi]. Anything else — a
+  // sign, a suffix, an exponent, a value past the field — is a usage error
+  // rather than a silently truncated or wrapped number.
+  uint64_t num(const std::string& key, uint64_t dflt, uint64_t lo = 0,
+               uint64_t hi = UINT64_MAX) const {
     auto it = kv.find(key);
-    return it == kv.end() ? dflt : std::stoull(it->second);
+    if (it == kv.end()) return dflt;
+    const std::string& s = it->second;
+    uint64_t v = 0;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (ec != std::errc() || end != s.data() + s.size() || v < lo || v > hi) {
+      std::fprintf(stderr, "error: invalid --%s '%s'\n", key.c_str(),
+                   s.c_str());
+      usage(argv0);
+    }
+    return v;
+  }
+  int count(const std::string& key, int dflt, int lo = 0) const {
+    return static_cast<int>(num(key, static_cast<uint64_t>(dflt),
+                                static_cast<uint64_t>(lo), INT_MAX));
   }
 };
 
@@ -151,7 +172,7 @@ int main(int argc, char** argv) {
       "compare-json", "keys",      "buckets",      "iters",
       "n",            "rows",      "cols",         "samples",
       "epochs",       "hidden"};
-  Args args;
+  Args args{argv[0], {}};
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     if (a.rfind("--", 0) != 0) usage(argv[0]);
@@ -172,7 +193,7 @@ int main(int argc, char** argv) {
   const std::string variant = args.get("variant", "vopp");
 
   harness::RunConfig cfg;
-  cfg.nprocs = static_cast<int>(args.num("procs", 16));
+  cfg.nprocs = args.count("procs", 16, /*lo=*/1);
   cfg.seed = args.num("seed", 42);
   // The barrier spec is validated eagerly: a typo'd spec used to silently
   // fall back to the default and quietly measure the wrong configuration.
@@ -220,7 +241,9 @@ int main(int argc, char** argv) {
   // Metrics piggyback on any trace export (counter tracks) and are also
   // available standalone via --memstats / --metrics-csv.
   obs::MetricsRegistry registry{
-      sim::usec(static_cast<int64_t>(args.num("metrics-interval", 1000)))};
+      sim::usec(static_cast<int64_t>(args.num(
+          "metrics-interval", 1000, 0,
+          std::numeric_limits<sim::Time>::max() / sim::kMicrosecond)))};
   if (want_memstats || !metrics_csv.empty() || !trace_path.empty() ||
       want_diagnose || want_profile)
     cfg.metrics = &registry;
@@ -255,8 +278,9 @@ int main(int argc, char** argv) {
     if (app == "is") {
       apps::IsParams p;
       p.n_keys = args.num("keys", 1u << 20);
-      p.max_key = static_cast<uint32_t>(args.num("buckets", 1u << 13) - 1);
-      p.iterations = static_cast<int>(args.num("iters", 10));
+      p.max_key = static_cast<uint32_t>(
+          args.num("buckets", 1u << 13, 1, uint64_t{UINT32_MAX} + 1) - 1);
+      p.iterations = args.count("iters", 10);
       auto v = variant == "traditional" ? apps::IsVariant::kTraditional
                : variant == "vopp_lb"   ? apps::IsVariant::kVoppFewerBarriers
                                         : apps::IsVariant::kVopp;
@@ -275,7 +299,7 @@ int main(int argc, char** argv) {
       apps::SorParams p;
       p.rows = args.num("rows", 512);
       p.cols = args.num("cols", 512);
-      p.iterations = static_cast<int>(args.num("iters", 20));
+      p.iterations = args.count("iters", 20);
       auto v = variant == "traditional" ? apps::SorVariant::kTraditional
                                         : apps::SorVariant::kVopp;
       auto run = apps::runSor(cfg, p, v);
@@ -284,8 +308,8 @@ int main(int argc, char** argv) {
     } else if (app == "nn") {
       apps::NnParams p;
       p.samples = args.num("samples", 512);
-      p.epochs = static_cast<int>(args.num("epochs", 30));
-      p.hidden = static_cast<int>(args.num("hidden", 40));
+      p.epochs = args.count("epochs", 30);
+      p.hidden = args.count("hidden", 40);
       auto v = runtime == "mpi"          ? apps::NnVariant::kMpi
                : variant == "traditional" ? apps::NnVariant::kTraditional
                                           : apps::NnVariant::kVopp;

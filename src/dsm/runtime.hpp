@@ -1,22 +1,49 @@
 // Per-node DSM runtime: the interface the VOPP layer and applications call,
-// plus the shared page-fault skeleton. Concrete protocols (LRC_d, VC_d,
-// VC_sd) subclass this and implement the synchronization operations and the
-// fault handlers.
+// plus the protocol-independent skeleton every protocol shares — the page
+// fault path, the homeless diff fetch, and the barrier engine. Concrete
+// protocols (LrcRuntime for LRC_d, VcRuntime for VC_d and VC_sd) implement
+// the synchronization operations and make their consistency decisions
+// through five hooks: barrierEnter, absorbInterval, barrierExit, applyRank
+// and onMessage.
+//
+// Barriers. The paper's structural contrast lives in one hook: the payload
+// barrierEnter returns. Under LRC_d a barrier is a consistency point — every
+// node ships its fresh intervals (write notices), the barrier merges them
+// and every node absorbs the global set on release. Under VC a barrier is
+// pure synchronization, so the payload is empty. The centralized manager
+// (the paper's shape, and its hot spot at scale) can be swapped through
+// NodeCtx::barrier for a radix-4 combining tree (arrivals merge level by
+// level, the release fans back down) or a dissemination (butterfly)
+// barrier (ceil(log2 p) peer-exchange rounds, each carrying everything
+// accumulated since barrier entry) — see DESIGN.md §3.12.
+//
+// Diff fetch. LRC_d and VC_d keep their diffs at the writer. A fault on a
+// page with pending write notices sends one request per writer, all in
+// flight at once (TreadMarks style), and applies the replies in the order
+// applyRank gives. The two protocols use distinct wire types, which the
+// constructor takes.
 #pragma once
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <memory>
+#include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "dsm/msgs.hpp"
 #include "dsm/types.hpp"
 #include "dsm/view_map.hpp"
 #include "mem/page_store.hpp"
+#include "mem/write_notice.hpp"
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/clock.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
+#include "sim/waiter.hpp"
 
 namespace vodsm::dsm {
 
@@ -58,12 +85,8 @@ struct NodeCtx {
 
 class Runtime {
  public:
-  explicit Runtime(NodeCtx& ctx) : ctx_(ctx) {
-    // All nodes start with identical zeroed pages mapped read-only, the
-    // canonical initial DSM state.
-    for (mem::PageId p = 0; p < ctx_.store.pageCount(); ++p)
-      ctx_.store.setAccess(p, mem::Access::kRead);
-  }
+  // `diff_req` / `diff_resp` are the protocol's diff-fetch wire types.
+  Runtime(NodeCtx& ctx, uint16_t diff_req, uint16_t diff_resp);
   virtual ~Runtime() = default;
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
@@ -75,7 +98,7 @@ class Runtime {
   virtual sim::Task<void> releaseView(ViewId v, bool readonly) = 0;
   virtual sim::Task<void> acquireLock(LockId l) = 0;
   virtual sim::Task<void> releaseLock(LockId l) = 0;
-  virtual sim::Task<void> barrier(BarrierId b) = 0;
+  sim::Task<void> barrier(BarrierId b);
 
   // --- memory access declaration (app side; may block on faults) ---
   // Validate the byte range for reading; triggers simulated read faults.
@@ -119,18 +142,41 @@ class Runtime {
                  static_cast<int64_t>(mem::kPageSize), ctx_.clock.now());
       }
       ctx_.store.setAccess(p, mem::Access::kWrite);
-      onPageDirtied(p);
+      dirty_.insert(p);
       if (auto* t = ctx_.trace)
         t->end(ctx_.id, obs::Cat::kFault, ctx_.clock.now(), p);
     }
   }
 
  protected:
-  // Bring one invalid page up to date (protocol-specific).
-  virtual sim::Task<void> readFault(mem::PageId p) = 0;
-  // Record that `p` is being written under the current synchronization
-  // scope (protocol-specific bookkeeping).
-  virtual void onPageDirtied(mem::PageId p) = 0;
+  // --- protocol hooks ---
+  // Barrier entry, before the algorithm starts: close local state and
+  // return the intervals this node ships (empty for pure synchronization).
+  virtual std::vector<mem::Interval> barrierEnter() = 0;
+  // Record an interval learned at a barrier; true if it was new here.
+  virtual bool absorbInterval(const mem::Interval&) { return false; }
+  // Barrier exit, after every received interval has been absorbed.
+  virtual void barrierExit() {}
+  // Apply-order key of `writer`'s diff `index`: the fault applies fetched
+  // diffs in (applyRank, writer, index) order.
+  virtual uint64_t applyRank(NodeId writer, uint32_t index) const = 0;
+  // Every message that is not a barrier message or a diff request.
+  virtual void onMessage(net::Delivery&& d) = 0;
+
+  // --- shared diff path ---
+  // Note that `writer`'s diff `index` of page `p` is pending; invalidates p.
+  void recordNotice(mem::PageId p, NodeId writer, uint32_t index);
+  // Patch page `p` with a fetched or granted diff.
+  void applyDiff(mem::PageId p, const mem::Diff& d);
+  // Diff every dirty page against its twin, drop the twins, downgrade the
+  // pages to read-only and hand each non-empty diff to `keep`, inside the
+  // loop at that page's clock time; clears the dirty set.
+  void diffDirtyPages(
+      const std::function<void(mem::PageId, mem::Diff&&)>& keep);
+  // Log an own diff for serving later fetches, keyed by interval index
+  // (LRC_d) or view version (VC_d).
+  void logDiff(mem::PageId p, uint32_t index, mem::Diff&& d);
+
   // VOPP-model access checking (VC protocols enforce view coverage; LRC
   // allows everything).
   virtual void checkReadAllowed(size_t, size_t) {}
@@ -140,6 +186,10 @@ class Runtime {
   NodeId managerOf(LockId l) const {
     return static_cast<NodeId>(l % static_cast<uint32_t>(ctx_.nprocs));
   }
+
+  NodeCtx& ctx_;
+
+ private:
   // Root of the barrier structure: the centralized manager, and the root of
   // the combining tree (the butterfly has no distinguished node).
   NodeId barrierManager() const { return 0; }
@@ -160,7 +210,53 @@ class Runtime {
     return static_cast<NodeId>(kTreeRadix * static_cast<int>(ctx_.id) + 1 + k);
   }
 
-  NodeCtx& ctx_;
+  struct BarrierMgrState {
+    int arrived = 0;
+    sim::Time busy_until = 0;
+    std::map<std::pair<uint32_t, uint32_t>, mem::Interval> merged;
+  };
+
+  void dispatch(net::Delivery&& d, const net::ReplyToken& token);
+  sim::Task<void> readFault(mem::PageId p);
+  void serveDiffs(const DiffReqMsg& m, const net::ReplyToken& token,
+                  sim::Time arrive);
+  void onBarrArrive(const BarrArriveMsg& m, sim::Time arrive);
+  // Tree mode: forward the merged subtree arrival up (or, at the root,
+  // start the release fan-down) once this node and all its children are in.
+  void treeBarrierStep(BarrierId b, BarrierMgrState& st);
+  // Butterfly mode: the whole barrier is peer-exchange rounds.
+  sim::Task<void> barrierButterfly(BarrierId b, std::vector<mem::Interval> acc);
+  sim::Task<BarrRoundMsg> awaitRound(BarrierId b, uint32_t round);
+
+  const uint16_t diff_req_;
+  const uint16_t diff_resp_;
+  std::set<mem::PageId> dirty_;
+  // page -> pending write notices (diffs not yet fetched); VC_d stores the
+  // view version in interval_index.
+  std::unordered_map<mem::PageId, std::vector<mem::WriteNotice>> pending_;
+  // own diffs: page -> (interval index or version, diff), ascending
+  std::unordered_map<mem::PageId,
+                     std::vector<std::pair<uint32_t, mem::Diff>>>
+      diff_log_;
+
+  std::unordered_map<BarrierId, std::unique_ptr<sim::Waiter<BarrReleaseMsg>>>
+      barrier_waiters_;
+  // Butterfly rounds: exactly one peer sends per (barrier, round), but its
+  // message can overtake this node's progress — park early arrivals with
+  // their arrival time.
+  std::map<std::pair<BarrierId, uint32_t>,
+           std::unique_ptr<sim::Waiter<BarrRoundMsg>>>
+      round_waiters_;
+  std::map<std::pair<BarrierId, uint32_t>, std::pair<BarrRoundMsg, sim::Time>>
+      round_early_;
+  // Rounds are numbered across barrier instances, not from zero in each:
+  // a peer that has left this barrier can send its next-instance round
+  // while its message for this one is still being retransmitted, and the
+  // transport does not preserve order, so per-instance numbers would let
+  // the newer message stand in for the lost one.
+  uint32_t next_round_ = 0;
+  // Manager-side state (meaningful only for barriers this node combines).
+  std::unordered_map<BarrierId, BarrierMgrState> barrier_mgr_;
 };
 
 }  // namespace vodsm::dsm

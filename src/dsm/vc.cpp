@@ -1,21 +1,16 @@
 #include "dsm/vc.hpp"
 
 #include <algorithm>
-#include <map>
-
-#include "net/parallel.hpp"
+#include <set>
 
 namespace vodsm::dsm {
 
 VcRuntime::VcRuntime(NodeCtx& ctx, bool integrated)
-    : Runtime(ctx), sd_(integrated), last_seen_(ctx.views.viewCount(), 0) {
-  ctx_.endpoint.setHandler(
-      [this](net::Delivery&& d, const net::ReplyToken& token) {
-        onMessage(std::move(d), token);
-      });
-}
+    : Runtime(ctx, kVcDiffReq, kVcDiffResp),
+      sd_(integrated),
+      last_seen_(ctx.views.viewCount(), 0) {}
 
-void VcRuntime::onMessage(net::Delivery&& d, const net::ReplyToken& token) {
+void VcRuntime::onMessage(net::Delivery&& d) {
   switch (d.type) {
     case kViewAcq:
       onViewAcq(ViewAcqMsg::decode(d.payload), d.arrive);
@@ -35,42 +30,6 @@ void VcRuntime::onMessage(net::Delivery&& d, const net::ReplyToken& token) {
     case kViewReadRelease:
       onViewReadRelease(ViewReadReleaseMsg::decode(d.payload), d.arrive);
       return;
-    case kVcDiffReq:
-      onVcDiffReq(DiffReqMsg::decode(d.payload), token, d.arrive);
-      return;
-    case kBarrArrive:
-      onBarrArrive(BarrArriveMsg::decode(d.payload), d.arrive);
-      return;
-    case kBarrRelease: {
-      BarrReleaseMsg rel = BarrReleaseMsg::decode(d.payload);
-      if (ctx_.barrier == BarrierAlg::kTree) {
-        const sim::Time when = d.arrive + ctx_.costs.handler_service;
-        for (int k = 0; k < treeChildCount(); ++k)
-          ctx_.endpoint.post(treeChild(k), kBarrRelease, Bytes(d.payload),
-                             when);
-      }
-      auto it = barrier_waiters_.find(rel.barrier);
-      VODSM_CHECK_MSG(it != barrier_waiters_.end(),
-                      "unexpected barrier release " << rel.barrier);
-      ctx_.clock.atLeast(d.arrive);
-      it->second->fulfill(std::move(rel));
-      return;
-    }
-    case kBarrRound: {
-      BarrRoundMsg rm = BarrRoundMsg::decode(d.payload);
-      const auto key = std::make_pair(rm.barrier, rm.round);
-      auto it = round_waiters_.find(key);
-      if (it != round_waiters_.end()) {
-        ctx_.clock.atLeast(d.arrive);
-        it->second->fulfill(std::move(rm));
-      } else {
-        const bool parked =
-            round_early_.emplace(key, std::make_pair(std::move(rm), d.arrive))
-                .second;
-        VODSM_CHECK_MSG(parked, "duplicate early barrier round message");
-      }
-      return;
-    }
     default:
       VODSM_CHECK_MSG(false, "VC: unknown message type " << d.type);
   }
@@ -109,28 +68,12 @@ sim::Task<void> VcRuntime::acquireView(ViewId v, bool readonly) {
     // pages are fully valid afterwards (no remote faults ever).
     for (const mem::Diff& d : g.diffs) {
       VODSM_DCHECK(!ctx_.store.hasTwin(d.page()));
-      d.apply(ctx_.store.page(d.page()));
-      ctx_.clock.charge(ctx_.costs.diffApply(d.wireSize()));
-      ctx_.stats.diffs_applied++;
+      applyDiff(d.page(), d);
       ctx_.store.setAccess(d.page(), mem::Access::kRead);
-      if (auto* t = ctx_.trace)
-        t->instant(ctx_.id, obs::Cat::kDiffApply, ctx_.clock.now(), d.page(),
-                   d.wireSize());
-      if (auto* m = ctx_.metrics)
-        m->add(ctx_.id, obs::Metric::kDiffsApplied, 1, ctx_.clock.now());
     }
   } else {
-    for (const VcNotice& n : g.notices) {
-      ctx_.stats.notices_recorded++;
-      ctx_.clock.charge(ctx_.costs.apply_notice);
-      if (auto* t = ctx_.trace)
-        t->instant(ctx_.id, obs::Cat::kNotice, ctx_.clock.now(), n.page,
-                   n.writer);
-      if (auto* m = ctx_.metrics)
-        m->add(ctx_.id, obs::Metric::kPendingNotices, 1, ctx_.clock.now());
-      pending_[n.page].push_back(n);
-      ctx_.store.setAccess(n.page, mem::Access::kNone);
-    }
+    for (const VcNotice& n : g.notices)
+      recordNotice(n.page, n.writer, n.version);
   }
   last_seen_[v] = g.cur_version;
   if (readonly) {
@@ -161,44 +104,18 @@ sim::Task<void> VcRuntime::releaseView(ViewId v, bool readonly) {
   rel.view = v;
   rel.writer = ctx_.id;
   rel.version = write_version_;
-  if (auto* t = ctx_.trace; t && !dirty_.empty())
-    t->begin(ctx_.id, obs::Cat::kDiffCreate, ctx_.clock.now());
-  uint64_t diff_bytes = 0;
-  const size_t dirty_pages = dirty_.size();
-  for (mem::PageId p : dirty_) {
-    mem::Diff d = ctx_.store.diffAgainstTwin(p);
-    ctx_.clock.charge(ctx_.costs.diffCreate(d.wireSize()));
-    diff_bytes += d.wireSize();
-    ctx_.store.dropTwin(p);
-    if (auto* m = ctx_.metrics) {
-      m->add(ctx_.id, obs::Metric::kTwinBytes,
-             -static_cast<int64_t>(mem::kPageSize), ctx_.clock.now());
-      m->add(ctx_.id, obs::Metric::kTwinReclaimBytes,
-             static_cast<int64_t>(mem::kPageSize), ctx_.clock.now());
-    }
-    ctx_.store.setAccess(p, mem::Access::kRead);
-    if (d.empty()) continue;
-    ctx_.stats.diffs_created++;
-    if (auto* m = ctx_.metrics)
-      m->add(ctx_.id, obs::Metric::kDiffsCreated, 1, ctx_.clock.now());
+  // A write-held view's dirty pages are all kWrite here, so the shared
+  // downgrade leaves every one of them read-only.
+  diffDirtyPages([&](mem::PageId p, mem::Diff&& d) {
     rel.pages.push_back(p);
     if (sd_) {
       // The single diff leaves this node with the release message; its home
       // storage is accounted on the manager in onViewRelease.
       rel.diffs.push_back(std::move(d));
     } else {
-      if (auto* m = ctx_.metrics) {
-        m->add(ctx_.id, obs::Metric::kDiffStoreBytes,
-               static_cast<int64_t>(d.wireSize()), ctx_.clock.now());
-        m->add(ctx_.id, obs::Metric::kDiffStoreCount, 1, ctx_.clock.now());
-      }
-      diff_log_[p].emplace_back(write_version_, std::move(d));
+      logDiff(p, write_version_, std::move(d));
     }
-  }
-  if (auto* t = ctx_.trace; t && dirty_pages > 0)
-    t->end(ctx_.id, obs::Cat::kDiffCreate, ctx_.clock.now(), dirty_pages,
-           diff_bytes);
-  dirty_.clear();
+  });
   last_seen_[v] = write_version_;
   write_held_.reset();
   ctx_.endpoint.post(viewManager(v), kViewRelease, rel.encode(),
@@ -379,81 +296,11 @@ void VcRuntime::pumpQueue(ViewId view, ViewMgrState& st, sim::Time when) {
   }
 }
 
-// ---------- faults / diff serving (VC_d only paths) ----------
+// ---------- faults, VOPP access checks, barriers ----------
 
-sim::Task<void> VcRuntime::readFault(mem::PageId p) {
-  auto it = pending_.find(p);
-  if (it == pending_.end() || it->second.empty()) {
-    ctx_.store.setAccess(p, ctx_.store.hasTwin(p) ? mem::Access::kWrite
-                                                  : mem::Access::kRead);
-    co_return;
-  }
+uint64_t VcRuntime::applyRank(NodeId, uint32_t version) const {
   VODSM_CHECK_MSG(!sd_, "VC_sd pages are updated at acquire; no remote fault");
-  std::map<NodeId, std::vector<uint32_t>> by_writer;
-  for (const VcNotice& n : it->second) by_writer[n.writer].push_back(n.version);
-
-  // One request per writer, all in flight at once (TreadMarks style).
-  std::vector<net::RpcCall> calls;
-  for (auto& [writer, versions] : by_writer) {
-    std::sort(versions.begin(), versions.end());
-    ctx_.stats.diff_requests++;
-    calls.push_back(
-        net::RpcCall{writer, kVcDiffReq, DiffReqMsg{p, versions}.encode()});
-  }
-  std::vector<net::RpcResult> responses =
-      co_await net::requestAll(ctx_.endpoint, std::move(calls),
-                               ctx_.clock.now());
-  std::vector<std::pair<uint32_t, mem::Diff>> collected;
-  for (const net::RpcResult& resp : responses) {
-    ctx_.clock.atLeast(resp.arrive);
-    VODSM_CHECK(resp.type == kVcDiffResp);
-    DiffRespMsg dr = DiffRespMsg::decode(resp.payload);
-    for (auto& kv : dr.diffs) collected.push_back(std::move(kv));
-  }
-  std::sort(collected.begin(), collected.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [ver, d] : collected) {
-    d.apply(ctx_.store.page(p));
-    ctx_.clock.charge(ctx_.costs.diffApply(d.wireSize()));
-    ctx_.stats.diffs_applied++;
-    if (auto* t = ctx_.trace)
-      t->instant(ctx_.id, obs::Cat::kDiffApply, ctx_.clock.now(), p,
-                 d.wireSize());
-    if (auto* m = ctx_.metrics)
-      m->add(ctx_.id, obs::Metric::kDiffsApplied, 1, ctx_.clock.now());
-  }
-  if (auto* m = ctx_.metrics)
-    m->add(ctx_.id, obs::Metric::kPendingNotices,
-           -static_cast<int64_t>(it->second.size()), ctx_.clock.now());
-  pending_.erase(p);
-  ctx_.store.setAccess(p, ctx_.store.hasTwin(p) ? mem::Access::kWrite
-                                                : mem::Access::kRead);
-}
-
-void VcRuntime::onVcDiffReq(const DiffReqMsg& m, const net::ReplyToken& token,
-                            sim::Time arrive) {
-  auto it = diff_log_.find(m.page);
-  VODSM_CHECK_MSG(it != diff_log_.end(),
-                  "VC diff request for page " << m.page << " with no diffs");
-  DiffRespMsg resp;
-  for (uint32_t want : m.interval_indices) {
-    auto dit = std::lower_bound(
-        it->second.begin(), it->second.end(), want,
-        [](const auto& e, uint32_t v) { return e.first < v; });
-    VODSM_CHECK_MSG(dit != it->second.end() && dit->first == want,
-                    "missing VC diff for page " << m.page << " version "
-                                                << want);
-    resp.diffs.emplace_back(want, dit->second);
-  }
-  ctx_.endpoint.reply(token, kVcDiffResp, resp.encode(),
-                      arrive + ctx_.costs.handler_service);
-}
-
-// ---------- dirty tracking & VOPP access checks ----------
-
-void VcRuntime::onPageDirtied(mem::PageId p) {
-  VODSM_DCHECK(write_held_.has_value());
-  dirty_.insert(p);
+  return version;  // view versions are totally ordered
 }
 
 void VcRuntime::checkReadAllowed(size_t offset, size_t len) {
@@ -481,112 +328,10 @@ void VcRuntime::checkWriteAllowed(size_t offset, size_t len) {
                                          << " without write-acquiring it");
 }
 
-// ---------- barriers (pure synchronization) ----------
-
-sim::Task<void> VcRuntime::barrier(BarrierId b) {
+std::vector<mem::Interval> VcRuntime::barrierEnter() {
   VODSM_CHECK_MSG(!write_held_.has_value(),
                   "barrier while holding view " << *write_held_);
-  if (ctx_.barrier == BarrierAlg::kButterfly) {
-    co_await barrierButterfly(b);
-    co_return;
-  }
-  BarrArriveMsg arrive_msg;
-  arrive_msg.barrier = b;
-  arrive_msg.node = ctx_.id;
-  const sim::Time t0 = ctx_.clock.now();
-  if (auto* t = ctx_.trace) t->begin(ctx_.id, obs::Cat::kBarrierWait, t0, b);
-  auto waiter = std::make_unique<sim::Waiter<BarrReleaseMsg>>();
-  auto* waiter_ptr = waiter.get();
-  VODSM_CHECK_MSG(!barrier_waiters_.count(b),
-                  "barrier " << b << " re-entered concurrently");
-  barrier_waiters_[b] = std::move(waiter);
-  const NodeId arrive_at =
-      ctx_.barrier == BarrierAlg::kTree ? ctx_.id : barrierManager();
-  ctx_.endpoint.post(arrive_at, kBarrArrive, arrive_msg.encode(),
-                     ctx_.clock.now());
-  BarrReleaseMsg rel = co_await *waiter_ptr;
-  barrier_waiters_.erase(b);
-  if (auto* t = ctx_.trace)
-    t->end(ctx_.id, obs::Cat::kBarrierWait, ctx_.clock.now(), b);
-  ctx_.stats.barrier_wait_total += ctx_.clock.now() - t0;
-  ctx_.stats.barrier_waits++;
-}
-
-void VcRuntime::onBarrArrive(const BarrArriveMsg& m, sim::Time arrive) {
-  BarrierMgrState& st = barrier_mgr_[m.barrier];
-  st.busy_until = std::max(st.busy_until, arrive) + ctx_.costs.barrier_fold;
-  if (auto* t = ctx_.trace)
-    t->instant(ctx_.id, obs::Cat::kBarrFold, st.busy_until, m.barrier, 0);
-  st.arrived++;
-  if (ctx_.barrier == BarrierAlg::kTree) {
-    treeBarrierStep(m.barrier, st);
-    return;
-  }
-  if (st.arrived < ctx_.nprocs) return;
-  ctx_.stats.barriers++;
-  BarrReleaseMsg rel;
-  rel.barrier = m.barrier;
-  Bytes encoded = rel.encode();
-  for (NodeId n = 0; n < static_cast<NodeId>(ctx_.nprocs); ++n)
-    ctx_.endpoint.post(n, kBarrRelease, Bytes(encoded), st.busy_until);
-  barrier_mgr_.erase(m.barrier);
-}
-
-void VcRuntime::treeBarrierStep(BarrierId b, BarrierMgrState& st) {
-  if (st.arrived < 1 + treeChildCount()) return;
-  if (ctx_.id == barrierManager()) {
-    ctx_.stats.barriers++;
-    BarrReleaseMsg rel;
-    rel.barrier = b;
-    // Self-post: the release fans down the tree from the root.
-    ctx_.endpoint.post(ctx_.id, kBarrRelease, rel.encode(), st.busy_until);
-  } else {
-    BarrArriveMsg up;
-    up.barrier = b;
-    up.node = ctx_.id;
-    ctx_.endpoint.post(treeParent(), kBarrArrive, up.encode(), st.busy_until);
-  }
-  barrier_mgr_.erase(b);
-}
-
-sim::Task<void> VcRuntime::barrierButterfly(BarrierId b) {
-  const sim::Time t0 = ctx_.clock.now();
-  if (auto* t = ctx_.trace) t->begin(ctx_.id, obs::Cat::kBarrierWait, t0, b);
-  const auto p = static_cast<uint32_t>(ctx_.nprocs);
-  for (uint32_t step = 1; step < p; step <<= 1) {
-    const uint32_t round = next_round_++;
-    BarrRoundMsg out;
-    out.barrier = b;
-    out.round = round;
-    out.node = ctx_.id;
-    ctx_.endpoint.post((ctx_.id + step) % p, kBarrRound, out.encode(),
-                       ctx_.clock.now());
-    co_await awaitRound(b, round);
-    ctx_.clock.charge(ctx_.costs.barrier_fold);
-  }
-  // One logical barrier per instance in the aggregate count.
-  if (ctx_.id == 0) ctx_.stats.barriers++;
-  if (auto* t = ctx_.trace)
-    t->end(ctx_.id, obs::Cat::kBarrierWait, ctx_.clock.now(), b);
-  ctx_.stats.barrier_wait_total += ctx_.clock.now() - t0;
-  ctx_.stats.barrier_waits++;
-}
-
-sim::Task<BarrRoundMsg> VcRuntime::awaitRound(BarrierId b, uint32_t round) {
-  const auto key = std::make_pair(b, round);
-  auto eit = round_early_.find(key);
-  if (eit != round_early_.end()) {
-    BarrRoundMsg m = std::move(eit->second.first);
-    ctx_.clock.atLeast(eit->second.second);
-    round_early_.erase(eit);
-    co_return m;
-  }
-  auto waiter = std::make_unique<sim::Waiter<BarrRoundMsg>>();
-  auto* waiter_ptr = waiter.get();
-  round_waiters_[key] = std::move(waiter);
-  BarrRoundMsg m = co_await *waiter_ptr;
-  round_waiters_.erase(key);
-  co_return m;
+  return {};  // pure synchronization
 }
 
 }  // namespace vodsm::dsm

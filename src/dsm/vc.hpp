@@ -6,7 +6,7 @@
 //
 // VC_d (homeless diffs): the grant carries write notices for the view's
 // pages modified since the requester's last acquisition; faults fetch the
-// diffs from the writers, exactly like LRC's fault path.
+// diffs from the writers on Runtime's shared path, applied in version order.
 //
 // VC_sd (integrated single diff, home-based): releases ship the diffs to
 // the view's manager, which keeps a per-page version log; grants piggyback
@@ -20,23 +20,16 @@
 // is invisible to the simulation: grants are bit-identical and GC charges
 // no simulated time.
 //
-// Barriers are pure synchronization in both: no consistency payload, no
-// invalidation — the paper's key structural difference from LRC.
-//
-// Past the paper's 32 nodes the barrier can run as a radix-4 combining tree
-// or a dissemination (butterfly) barrier (NodeCtx::barrier, DESIGN.md
-// §3.12).
+// Barriers are pure synchronization in both: an empty barrier payload, no
+// invalidation (see runtime.hpp).
 #pragma once
 
 #include <deque>
-#include <map>
 #include <optional>
-#include <set>
 #include <unordered_map>
 
 #include "dsm/msgs.hpp"
 #include "dsm/runtime.hpp"
-#include "sim/waiter.hpp"
 
 namespace vodsm::dsm {
 
@@ -47,15 +40,15 @@ class VcRuntime : public Runtime {
 
   sim::Task<void> acquireView(ViewId v, bool readonly) override;
   sim::Task<void> releaseView(ViewId v, bool readonly) override;
-  sim::Task<void> barrier(BarrierId b) override;
 
   // Traditional lock primitives are not part of the VC model.
   sim::Task<void> acquireLock(LockId) override;
   sim::Task<void> releaseLock(LockId) override;
 
  protected:
-  sim::Task<void> readFault(mem::PageId p) override;
-  void onPageDirtied(mem::PageId p) override;
+  std::vector<mem::Interval> barrierEnter() override;
+  uint64_t applyRank(NodeId writer, uint32_t version) const override;
+  void onMessage(net::Delivery&& d) override;
   void checkReadAllowed(size_t offset, size_t len) override;
   void checkWriteAllowed(size_t offset, size_t len) override;
 
@@ -83,24 +76,13 @@ class VcRuntime : public Runtime {
     // minimum bounds how far gc_version may advance.
     std::unordered_map<NodeId, uint32_t> seen;
   };
-  struct BarrierMgrState {
-    int arrived = 0;
-    sim::Time busy_until = 0;
-  };
   NodeId viewManager(ViewId v) const {
     return ctx_.views.managerOf(v, ctx_.nprocs);
   }
 
-  void onMessage(net::Delivery&& d, const net::ReplyToken& token);
   void onViewAcq(const ViewAcqMsg& m, sim::Time arrive);
   void onViewRelease(const ViewReleaseMsg& m, sim::Time arrive);
   void onViewReadRelease(const ViewReadReleaseMsg& m, sim::Time arrive);
-  void onVcDiffReq(const DiffReqMsg& m, const net::ReplyToken& token,
-                   sim::Time arrive);
-  void onBarrArrive(const BarrArriveMsg& m, sim::Time arrive);
-  void treeBarrierStep(BarrierId b, BarrierMgrState& st);
-  sim::Task<void> barrierButterfly(BarrierId b);
-  sim::Task<BarrRoundMsg> awaitRound(BarrierId b, uint32_t round);
   void grantNow(const ViewAcqMsg& m, ViewMgrState& st, sim::Time when);
   void sdGc(ViewMgrState& st, sim::Time when);
   void pumpQueue(ViewId view, ViewMgrState& st, sim::Time when);
@@ -117,29 +99,12 @@ class VcRuntime : public Runtime {
   uint32_t write_version_ = 0;
   std::unordered_map<ViewId, int> read_depth_;
   std::vector<uint32_t> last_seen_;  // per view: last incorporated version
-  std::set<mem::PageId> dirty_;
-  // VC_d: pending notices per page and own diff log for serving fetches.
-  std::unordered_map<mem::PageId, std::vector<VcNotice>> pending_;
-  std::unordered_map<mem::PageId,
-                     std::vector<std::pair<uint32_t, mem::Diff>>>
-      diff_log_;
 
   std::unordered_map<ViewId, std::unique_ptr<sim::Waiter<ViewGrantMsg>>>
       grant_waiters_;
-  std::unordered_map<BarrierId, std::unique_ptr<sim::Waiter<BarrReleaseMsg>>>
-      barrier_waiters_;
-  // Butterfly rounds (see lrc.hpp): one peer per (barrier, round); early
-  // arrivals park until this node enters the round.
-  std::map<std::pair<BarrierId, uint32_t>,
-           std::unique_ptr<sim::Waiter<BarrRoundMsg>>>
-      round_waiters_;
-  std::map<std::pair<BarrierId, uint32_t>, std::pair<BarrRoundMsg, sim::Time>>
-      round_early_;
-  uint32_t next_round_ = 0;  // numbered across instances (see lrc.hpp)
 
   // Manager-side state.
   std::unordered_map<ViewId, ViewMgrState> mgr_;
-  std::unordered_map<BarrierId, BarrierMgrState> barrier_mgr_;
 };
 
 }  // namespace vodsm::dsm

@@ -17,6 +17,8 @@
 //    the "host" metadata object, and the "axes" coordinate record), so a
 //    baseline written before those records existed still gates a current
 //    file that has them.
+//  * bench/table_common.hpp — parseArgs must reject a processor count
+//    below one with the usage and exit status 2, before any cell runs.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -27,6 +29,7 @@
 
 #include "apps/is.hpp"
 #include "bench/diff_compare.hpp"
+#include "bench/table_common.hpp"
 #include "harness/run.hpp"
 #include "model/extrap.hpp"
 #include "model/fit.hpp"
@@ -494,6 +497,22 @@ TEST(DiffCompare, AxesCoordinateRecordsNeverCompare) {
           "axes": {"procs": 16, "n_scale": 1, "bw_mbps": 50, "loss_pct": 0}})";
   EXPECT_EQ(mismatches(base, cur), 0);
   EXPECT_EQ(mismatches(cur, base), 0);
+}
+
+// --- table_common: command-line parsing ---------------------------------
+
+bench::Options parseOne(const char* flag) {
+  std::string argv0 = "table", arg = flag;
+  char* argv[] = {argv0.data(), arg.data()};
+  return bench::parseArgs(2, argv);
+}
+
+TEST(BenchArgs, ProcsBelowOneIsAUsageError) {
+  for (const char* flag : {"--procs=0", "--procs=-4"})
+    EXPECT_EXIT(parseOne(flag), testing::ExitedWithCode(2),
+                "--procs must be at least 1")
+        << flag;
+  EXPECT_EQ(parseOne("--procs=1").procs, 1);
 }
 
 }  // namespace

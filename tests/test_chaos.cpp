@@ -143,7 +143,7 @@ std::vector<ChaosParam> sweep() {
           out.push_back({app, proto, profile, static_cast<uint64_t>(s + 1)});
   for (dsm::BarrierAlg barrier :
        {dsm::BarrierAlg::kTree, dsm::BarrierAlg::kButterfly})
-    for (dsm::Protocol proto : {dsm::Protocol::kLrcDiff, dsm::Protocol::kVcSd})
+    for (dsm::Protocol proto : protos)
       for (const char* app : {"is", "sor"})
         for (const char* profile : {"lossy", "partition"})
           out.push_back({app, proto, profile, 1, barrier, 8});

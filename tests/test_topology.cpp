@@ -36,6 +36,7 @@ TEST(BarrierAlg, IsChecksumsMatchSerialUnderEveryAlgorithm) {
                    dsm::BarrierAlg::kButterfly}) {
     for (auto [proto, variant] :
          {std::pair{dsm::Protocol::kLrcDiff, apps::IsVariant::kTraditional},
+          std::pair{dsm::Protocol::kVcDiff, apps::IsVariant::kVopp},
           std::pair{dsm::Protocol::kVcSd, apps::IsVariant::kVopp}}) {
       RunConfig c;
       c.protocol = proto;
@@ -87,15 +88,18 @@ TEST(BarrierAlg, GaussSorNnChecksumsMatchSerialUnderEveryAlgorithm) {
 
 TEST(BarrierAlg, BarrierCountIsAlgorithmIndependent) {
   const apps::IsParams is = smallIs();
-  RunConfig c;
-  c.protocol = dsm::Protocol::kVcSd;
-  c.nprocs = 8;
-  const auto central = apps::runIs(c, is, apps::IsVariant::kVopp).result;
-  for (auto alg : {dsm::BarrierAlg::kTree, dsm::BarrierAlg::kButterfly}) {
-    c.barrier = alg;
-    const auto r = apps::runIs(c, is, apps::IsVariant::kVopp).result;
-    EXPECT_EQ(r.dsm.barriers, central.dsm.barriers)
-        << "alg=" << static_cast<int>(alg);
+  for (auto proto : {dsm::Protocol::kVcDiff, dsm::Protocol::kVcSd}) {
+    RunConfig c;
+    c.protocol = proto;
+    c.nprocs = 8;
+    const auto central = apps::runIs(c, is, apps::IsVariant::kVopp).result;
+    for (auto alg : {dsm::BarrierAlg::kTree, dsm::BarrierAlg::kButterfly}) {
+      c.barrier = alg;
+      const auto r = apps::runIs(c, is, apps::IsVariant::kVopp).result;
+      EXPECT_EQ(r.dsm.barriers, central.dsm.barriers)
+          << "alg=" << static_cast<int>(alg)
+          << " proto=" << static_cast<int>(proto);
+    }
   }
 }
 

@@ -18,8 +18,11 @@ vopp::ClusterOptions opts(Protocol proto, int nprocs, uint64_t seed = 42) {
 }
 
 template <typename Body>
-void expectVoppError(Protocol proto, const std::string& needle, Body body) {
-  vopp::Cluster cluster(opts(proto, 2));
+void expectVoppError(Protocol proto, const std::string& needle, Body body,
+                     dsm::BarrierAlg barrier = dsm::BarrierAlg::kCentral) {
+  vopp::ClusterOptions o = opts(proto, 2);
+  o.barrier = barrier;
+  vopp::Cluster cluster(o);
   dsm::ViewId v1 = cluster.defineView(64);
   dsm::ViewId v2 = cluster.defineView(64);
   try {
@@ -90,13 +93,20 @@ TEST_P(VcApiTest, WriteToOtherViewRejected) {
                   });
 }
 
+// The check runs before the barrier algorithm starts, so every algorithm
+// rejects the misuse the same way.
 TEST_P(VcApiTest, BarrierWhileHoldingViewRejected) {
-  expectVoppError(GetParam(), "barrier while holding",
-                  [](vopp::Node& n, dsm::ViewId a,
-                     dsm::ViewId) -> sim::Task<void> {
-                    co_await n.acquireView(a);
-                    co_await n.barrier();
-                  });
+  for (auto alg : {dsm::BarrierAlg::kCentral, dsm::BarrierAlg::kTree,
+                   dsm::BarrierAlg::kButterfly}) {
+    SCOPED_TRACE(dsm::barrierAlgName(alg));
+    expectVoppError(
+        GetParam(), "barrier while holding",
+        [](vopp::Node& n, dsm::ViewId a, dsm::ViewId) -> sim::Task<void> {
+          co_await n.acquireView(a);
+          co_await n.barrier();
+        },
+        alg);
+  }
 }
 
 TEST_P(VcApiTest, RviewWhileWriteHoldingSameViewRejected) {
