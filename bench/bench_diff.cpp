@@ -10,7 +10,8 @@
 //   * host-timing keys (host_seconds, wall_seconds, serial_wall_seconds,
 //     speedup_vs_serial) get a ratio tolerance with an absolute floor —
 //     sub-floor timings are noise and always pass — and may be present in
-//     only one of the two files, and
+//     only one of the two files; one beyond the tolerance is reported as a
+//     host-timing failure, on its own line, never as simulated drift, and
 //   * host run-shape/provenance keys ("jobs", the "host" metadata object)
 //     are ignored outright.
 //
@@ -18,23 +19,27 @@
 //   bench_diff --host-tolerance=25 --host-floor-seconds=5 a.json b.json
 //   bench_diff --explain=PROFILES_A,PROFILES_B a.json b.json
 //
-// --explain upgrades the verdict into a diagnosis: when cells drifted and
-// both sides captured per-cell run profiles (table binaries under
-// --profiles=DIR; one .profile.json per cell), bench_diff loads the
-// drifted cells' profile pairs and prints the ranked differential report
-// for each — why B's makespan moved, attributed to critical-path
-// categories, barrier episodes, pages and wire classes (see
+// --explain upgrades the verdict into a diagnosis: when simulated fields
+// of cells drifted and both sides captured per-cell run profiles (table
+// binaries under --profiles=DIR; one .profile.json per cell), bench_diff
+// loads the drifted cells' profile pairs and prints the ranked
+// differential report for each — why B's makespan moved, attributed to
+// critical-path categories, barrier episodes, pages and wire classes (see
 // obs/profile_diff.hpp). --explain-out=DIR also writes each report as
 // JSON next to the text output, so CI can upload the directory as a
 // failure artifact.
 //
-// Exit 0: no simulated drift. Exit 1: drift (each divergence printed with
-// its JSON path). Exit 2: usage or I/O error. CI runs this against the
-// committed BENCH_tables.json, so any change to the simulation's output
-// must be accompanied by a regenerated baseline in the same commit.
+// Exit 0: no simulated drift and every host timing within tolerance.
+// Exit 1: drift or a host-timing failure (each divergence printed with its
+// JSON path). Exit 2: usage or I/O error — including a tolerance or floor
+// that is not a finite positive number, or a tolerance below 1. CI runs
+// this against the committed BENCH_tables.json, so any change to the
+// simulation's output must be accompanied by a regenerated baseline in the
+// same commit.
 //
 // The comparison core lives in bench/diff_compare.hpp so the unit tests
 // exercise the same code path as this gate.
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -105,8 +110,8 @@ int explainDrift(const std::vector<std::string>& cells,
   return explained;
 }
 
-// Full-token positive number; stod alone would accept "1x" and throw an
-// uncaught exception on "abc".
+// Full-token finite positive number; stod alone would accept "1x", "nan"
+// and "inf", and throw an uncaught exception on "abc".
 double parseNum(const std::string& flag, const std::string& v) {
   size_t used = 0;
   double d = 0;
@@ -115,8 +120,8 @@ double parseNum(const std::string& flag, const std::string& v) {
   } catch (const std::exception&) {
     used = 0;
   }
-  if (v.empty() || used != v.size() || d <= 0) {
-    std::cerr << flag << "=" << v << ": expected a positive number\n";
+  if (v.empty() || used != v.size() || !std::isfinite(d) || d <= 0) {
+    std::cerr << flag << "=" << v << ": expected a finite positive number\n";
     usage();
   }
   return d;
@@ -153,6 +158,11 @@ int main(int argc, char** argv) {
     else
       files.push_back(a);
   }
+  if (cfg.host_tolerance < 1) {
+    // hi/lo >= 1 always, so a tolerance below 1 would fail every timing.
+    std::cerr << "--host-tolerance must be at least 1\n";
+    usage();
+  }
   if (files.size() != 2) usage();
   if (!explain_out.empty() && explain_a.empty()) {
     std::cerr << "--explain-out requires --explain\n";
@@ -164,11 +174,15 @@ int main(int argc, char** argv) {
     Json cur = loadFile(files[1]);
     diff::Report rep;
     diff::compare(base, cur, "$", cfg, rep);
-    if (rep.mismatches > 0) {
+    if (rep.mismatches > 0 || rep.host_failures > 0) {
       std::cout << "bench_diff: " << rep.mismatches
                 << " simulated field(s) drifted between " << files[0]
                 << " and " << files[1] << "\n";
-      if (!explain_a.empty()) {
+      if (rep.host_failures > 0)
+        std::cout << "bench_diff: " << rep.host_failures
+                  << " host-timing field(s) beyond " << cfg.host_tolerance
+                  << "x (floor " << cfg.host_floor_seconds << " s)\n";
+      if (!explain_a.empty() && rep.mismatches > 0) {
         std::cout << "bench_diff: explaining " << rep.drifted_cells.size()
                   << " drifted cell(s) from " << explain_a << " vs "
                   << explain_b << "\n";

@@ -4,8 +4,9 @@
 //
 // Contract (see bench_diff.cpp for the CLI story):
 //   * every field compares EXACTLY, except
-//   * host-timing keys get a ratio tolerance with an absolute floor and
-//     may be present in only one file, and
+//   * host-timing keys get a ratio tolerance with an absolute floor, may be
+//     present in only one file, and count as host-timing failures, never
+//     as simulated drift, and
 //   * ignored keys ("jobs", "host") never compare at all —
 //     they describe the machine that ran the suite, not the simulation.
 #pragma once
@@ -42,28 +43,42 @@ struct Config {
 };
 
 struct Report {
-  int mismatches = 0;
+  int mismatches = 0;     // simulated fields that drifted
+  int host_failures = 0;  // host timings beyond the tolerance
   int host_checked = 0;
   static constexpr int kMaxPrinted = 50;
   std::ostream* out = &std::cout;
   // Ids of the cells ("$.tables[].cells[]" objects, recognized by their
-  // string "id" member) whose subtree drifted, in first-drift order.
-  // bench_diff --explain uses these to pick which per-cell profile pairs
-  // to difference.
+  // string "id" member) whose simulated fields drifted, in first-drift
+  // order. bench_diff --explain uses these to pick which per-cell profile
+  // pairs to difference.
   std::vector<std::string> drifted_cells;
   std::string current_cell;  // set while comparing inside a cell object
 
+  // A simulated field drifted.
   void fail(const std::string& path, const std::string& why) {
-    if (mismatches < kMaxPrinted)
-      *out << "  " << path << ": " << why << "\n";
-    else if (mismatches == kMaxPrinted)
-      *out << "  ... further mismatches suppressed\n";
+    print(path, why);
     ++mismatches;
     if (!current_cell.empty() &&
         std::find(drifted_cells.begin(), drifted_cells.end(),
                   current_cell) == drifted_cells.end())
       drifted_cells.push_back(current_cell);
   }
+  // A host timing left its tolerance: a failure, but no simulated drift.
+  void hostFail(const std::string& path, const std::string& why) {
+    print(path, why);
+    ++host_failures;
+  }
+
+ private:
+  void print(const std::string& path, const std::string& why) {
+    if (printed < kMaxPrinted)
+      *out << "  " << path << ": " << why << "\n";
+    else if (printed == kMaxPrinted)
+      *out << "  ... further mismatches suppressed\n";
+    ++printed;
+  }
+  int printed = 0;
 };
 
 inline bool isHostTimingKey(const std::string& key) {
@@ -118,9 +133,9 @@ inline void checkHostTiming(const support::Json& base,
   if (lo > 0 && hi / lo <= cfg.host_tolerance) return;
   char buf[128];
   std::snprintf(buf, sizeof(buf),
-                "host timing drifted beyond %.0fx: baseline %g vs current %g",
+                "host timing drifted beyond %gx: baseline %g vs current %g",
                 cfg.host_tolerance, a, b);
-  rep.fail(path, buf);
+  rep.hostFail(path, buf);
 }
 
 inline void compare(const support::Json& base, const support::Json& cur,

@@ -30,9 +30,11 @@ struct Options {
   // its recorder, so the parallel sweep stays thread-safe; tracing never
   // charges simulated time, so all sim results are unchanged.
   bool breakdown = false;
-  // Trace every cell and run the critical-path / page-contention analyses
-  // on it (implies tracing for those cells; see bench/tables.cpp). Like
-  // --breakdown these are pure trace consumers: sim results are unchanged.
+  // Trace every cell and print its critical path / page-contention table.
+  // A traced cell always carries both analyses (harness::RunResult); these
+  // only choose what is printed, and --critpath also records
+  // critpath_seconds per cell in the JSON. Like --breakdown these are pure
+  // trace consumers: sim results are unchanged.
   bool critpath = false;
   bool pageheat = false;
   // Meter every cell with a cell-local counter/gauge registry (no sampler,
@@ -41,9 +43,9 @@ struct Options {
   // simulated time, so all sim results are unchanged.
   bool metrics = false;
   // Trace every cell and print its ranked "why is this run slow" diagnosis
-  // (obs::Diagnoser over the cell's trace + metrics). Pure post-processing
-  // like the other analyses: sim results are unchanged, and the report is
-  // byte-identical across --jobs.
+  // (obs::diagnose over the cell's trace analysis + metrics). Pure
+  // post-processing like the other analyses: sim results are unchanged, and
+  // the report is byte-identical across --jobs.
   bool diagnose = false;
   // Trace + meter every cell and write one persisted run profile
   // (obs::RunProfile JSON) per cell into this directory, named after the

@@ -20,6 +20,7 @@
 #include "obs/profile_diff.hpp"
 #include "obs/trace.hpp"
 #include "sim/time.hpp"
+#include "support/json_writer.hpp"
 
 namespace vodsm::bench {
 
@@ -86,36 +87,27 @@ void applyAxes(harness::RunConfig& c, const model::AxisPoint& a) {
   c.net.random_loss = a.loss_pct / 100.0;
 }
 
-// --- cell builders: one per (app, variant) pair -------------------------
+// --- the cell builder -----------------------------------------------------
 
-// Which trace analyses a cell should run; copied out of Options so the
-// cell lambdas stay self-contained. The fault plan travels by value for
-// the same reason: every cell binds its own injector to its own run, so
-// the parallel sweep shares no mutable fault state.
+// Which observers a cell runs under; copied out of Options so the cell
+// lambdas stay self-contained. The fault plan travels by value for the
+// same reason: every cell binds its own injector to its own run, so the
+// parallel sweep shares no mutable fault state.
 struct CellFlags {
+  // Every report (breakdown, critical path, page heat, diagnosis, profile)
+  // reads the trace; a traced cell always carries the whole analysis.
   bool traced = false;
-  bool critpath = false;
-  bool pageheat = false;
+  // Diagnosis and profiles consume the metrics summary too.
   bool metrics = false;
-  // Diagnosis implies tracing (and benefits from metrics; the caller turns
-  // both on in flagsOf) — the Diagnoser is a pure trace/metrics consumer.
   bool diagnose = false;
-  // Profiling implies tracing and metering (the caller turns both on in
-  // flagsOf) — buildRunProfile is a pure trace/metrics consumer too.
-  bool profile = false;
   net::FaultPlan faults;
 };
 
 CellFlags flagsOf(const Options& o) {
-  const bool profile = !o.profile_dir.empty() || !o.compare_dir.empty();
+  const bool profiled = !o.profile_dir.empty() || !o.compare_dir.empty();
   CellFlags f{o.breakdown || o.critpath || o.pageheat || o.diagnose ||
-                  profile,
-              o.critpath,
-              o.pageheat,
-              o.metrics || o.diagnose || profile,
-              o.diagnose,
-              profile,
-              {}};
+                  profiled,
+              o.metrics || o.diagnose || profiled, o.diagnose, {}};
   if (!o.faults.empty()) {
     try {
       f.faults = net::parseFaultPlan(o.faults);
@@ -127,193 +119,25 @@ CellFlags flagsOf(const Options& o) {
   return f;
 }
 
-// Runs one cell, tracing/metering it through cell-local observers when
-// requested. The recorder and registry live only for the run; the folded
-// analyses travel out by value inside RunResult, and per-cell ownership
-// keeps the parallel sweep free of shared mutable state. The metrics
-// registry samples at interval 0: the bench only consumes peaks and means,
-// so no time series is recorded.
-template <typename RunFn>
-RunResult runCell(const CellFlags& flags, harness::RunConfig cfg,
-                  RunFn&& run) {
-  obs::TraceRecorder rec;
-  obs::MetricsRegistry mets;
-  if (flags.traced) cfg.trace = &rec;
-  if (flags.metrics) cfg.metrics = &mets;
-  cfg.critpath = flags.critpath;
-  cfg.pageheat = flags.pageheat;
-  cfg.diagnose = flags.diagnose;
-  cfg.profile = flags.profile;
-  if (!flags.faults.empty()) cfg.faults = &flags.faults;
-  return run(cfg);
-}
-
-Cell isCell(const Options& o, const std::string& impl, Protocol proto,
-            IsVariant variant, int procs) {
-  auto params = isParams(o.full);
-  const CellFlags flags = flagsOf(o);
-  return Cell{cellId("IS", impl, procs), [=] {
-                return runCell(flags, baseConfig(proto, procs),
-                               [&](const harness::RunConfig& cfg) {
-                                 return apps::runIs(cfg, params, variant)
-                                     .result;
-                               });
-              }};
-}
-
-Cell isSeqCell(const Options& o) {
-  auto params = isParams(o.full);
-  const CellFlags flags = flagsOf(o);
-  return Cell{cellId("IS", "seq", 1), [=] {
-                return runCell(flags, sequentialConfig(),
-                               [&](const harness::RunConfig& cfg) {
-                                 return apps::runIs(cfg, params,
-                                                    IsVariant::kTraditional)
-                                     .result;
-                               });
-              }};
-}
-
-Cell gaussCell(const Options& o, const std::string& impl, Protocol proto,
-               GaussVariant variant, int procs) {
-  auto params = gaussParams(o.full);
-  const CellFlags flags = flagsOf(o);
-  return Cell{cellId("Gauss", impl, procs), [=] {
-                return runCell(flags, baseConfig(proto, procs),
-                               [&](const harness::RunConfig& cfg) {
-                                 return apps::runGauss(cfg, params, variant)
-                                     .result;
-                               });
-              }};
-}
-
-Cell gaussSeqCell(const Options& o) {
-  auto params = gaussParams(o.full);
-  const CellFlags flags = flagsOf(o);
-  return Cell{cellId("Gauss", "seq", 1),
-              [=] {
-                return runCell(flags, sequentialConfig(),
-                               [&](const harness::RunConfig& cfg) {
-                                 return apps::runGauss(
-                                            cfg, params,
-                                            GaussVariant::kTraditional)
-                                     .result;
-                               });
-              }};
-}
-
-Cell sorCell(const Options& o, const std::string& impl, Protocol proto,
-             SorVariant variant, int procs) {
-  auto params = sorParams(o.full);
-  const CellFlags flags = flagsOf(o);
-  return Cell{cellId("SOR", impl, procs), [=] {
-                return runCell(flags, baseConfig(proto, procs),
-                               [&](const harness::RunConfig& cfg) {
-                                 return apps::runSor(cfg, params, variant)
-                                     .result;
-                               });
-              }};
-}
-
-Cell sorSeqCell(const Options& o) {
-  auto params = sorParams(o.full);
-  const CellFlags flags = flagsOf(o);
-  return Cell{cellId("SOR", "seq", 1), [=] {
-                return runCell(flags, sequentialConfig(),
-                               [&](const harness::RunConfig& cfg) {
-                                 return apps::runSor(cfg, params,
-                                                     SorVariant::kTraditional)
-                                     .result;
-                               });
-              }};
-}
-
-Cell nnCell(const Options& o, const std::string& impl, Protocol proto,
-            NnVariant variant, int procs) {
-  auto params = nnParams(o.full);
-  const CellFlags flags = flagsOf(o);
-  return Cell{cellId("NN", impl, procs), [=] {
-                return runCell(flags, baseConfig(proto, procs),
-                               [&](const harness::RunConfig& cfg) {
-                                 return apps::runNn(cfg, params, variant)
-                                     .result;
-                               });
-              }};
-}
-
-Cell nnSeqCell(const Options& o) {
-  auto params = nnParams(o.full);
-  const CellFlags flags = flagsOf(o);
-  return Cell{cellId("NN", "seq", 1), [=] {
-                return runCell(flags, sequentialConfig(),
-                               [&](const harness::RunConfig& cfg) {
-                                 return apps::runNn(cfg, params,
-                                                    NnVariant::kTraditional)
-                                     .result;
-                               });
-              }};
-}
-
-// Axis-sweep builders: like isCell/sorCell but at an off-reference
-// coordinate. The problem-size scale hits the app's natural work knob
-// (IS: key count; SOR: iteration count — both scale total work linearly
-// without changing the sharing pattern); bandwidth and loss go through
-// NetConfig.
-Cell isAxisCell(const Options& o, const std::string& impl, Protocol proto,
-                IsVariant variant, int procs, const AxisVariation& v) {
-  auto params = isParams(o.full);
-  params.n_keys = static_cast<size_t>(
-      static_cast<double>(params.n_keys) * v.n_scale);
-  const CellFlags flags = flagsOf(o);
-  const model::AxisPoint axes = axisPoint(procs, v);
-  Cell cell{cellId("IS", impl, procs) + "/" + v.suffix, [=] {
-              harness::RunConfig base = baseConfig(proto, procs);
-              applyAxes(base, axes);
-              return runCell(flags, base,
-                             [&](const harness::RunConfig& cfg) {
-                               return apps::runIs(cfg, params, variant)
-                                   .result;
-                             });
-            }};
-  cell.axes = axes;
-  return cell;
-}
-
-Cell sorAxisCell(const Options& o, const std::string& impl, Protocol proto,
-                 SorVariant variant, int procs, const AxisVariation& v) {
-  auto params = sorParams(o.full);
-  params.iterations = std::max(
-      1, static_cast<int>(static_cast<double>(params.iterations) *
-                          v.n_scale));
-  const CellFlags flags = flagsOf(o);
-  const model::AxisPoint axes = axisPoint(procs, v);
-  Cell cell{cellId("SOR", impl, procs) + "/" + v.suffix, [=] {
-              harness::RunConfig base = baseConfig(proto, procs);
-              applyAxes(base, axes);
-              return runCell(flags, base,
-                             [&](const harness::RunConfig& cfg) {
-                               return apps::runSor(cfg, params, variant)
-                                   .result;
-                             });
-            }};
-  cell.axes = axes;
-  return cell;
-}
-
-// Scaling-sweep builder (table 11): an IS cell on the paper's star fabric
-// with the given barrier algorithm.
-Cell scalingCell(const Options& o, const std::string& impl, Protocol proto,
-                 IsVariant variant, int procs, dsm::BarrierAlg barrier) {
-  auto params = isParams(o.full);
-  const CellFlags flags = flagsOf(o);
-  return Cell{cellId("IS", impl, procs), [=] {
-                harness::RunConfig base = baseConfig(proto, procs);
-                base.barrier = barrier;
-                return runCell(flags, base,
-                               [&](const harness::RunConfig& cfg) {
-                                 return apps::runIs(cfg, params, variant)
-                                     .result;
-                               });
+// The one cell builder: cell `id` runs the app entry point `run` (runIs,
+// runGauss, runSor or runNn) with `params` and `variant` on `cfg`, traced
+// and metered through cell-local observers when `o` asks for it. The
+// recorder and registry live only for the run; the analysis travels out by
+// value inside RunResult, and per-cell ownership keeps the parallel sweep
+// free of shared mutable state. The registry samples at interval 0: the
+// bench only consumes peaks and means, so no time series is recorded.
+template <typename Run, typename Params, typename Variant>
+Cell makeCell(const Options& o, std::string id, harness::RunConfig cfg,
+              Run run, Params params, Variant variant) {
+  return Cell{std::move(id), [=, flags = flagsOf(o)] {
+                obs::TraceRecorder rec;
+                obs::MetricsRegistry mets;
+                harness::RunConfig c = cfg;
+                if (flags.traced) c.trace = &rec;
+                if (flags.metrics) c.metrics = &mets;
+                c.diagnose = flags.diagnose;
+                if (!flags.faults.empty()) c.faults = &flags.faults;
+                return run(c, params, variant).result;
               }};
 }
 
@@ -365,135 +189,201 @@ TableSpec speedupSpec(std::string name, std::string title,
 }  // namespace
 
 TableSpec table1Spec(const Options& o) {
+  const int p = o.procs;
+  const apps::IsParams is = isParams(o.full);
   return statsSpec(
       "table1_is_stats",
-      "Table 1: Statistics of IS on " + std::to_string(o.procs) +
-          " processors",
+      "Table 1: Statistics of IS on " + std::to_string(p) + " processors",
       {"LRC_d", "VC_d", "VC_sd"},
-      {isCell(o, "LRC_d", Protocol::kLrcDiff, IsVariant::kTraditional,
-              o.procs),
-       isCell(o, "VC_d", Protocol::kVcDiff, IsVariant::kVopp, o.procs),
-       isCell(o, "VC_sd", Protocol::kVcSd, IsVariant::kVopp, o.procs)});
+      {makeCell(o, cellId("IS", "LRC_d", p), baseConfig(Protocol::kLrcDiff, p),
+                apps::runIs, is, IsVariant::kTraditional),
+       makeCell(o, cellId("IS", "VC_d", p), baseConfig(Protocol::kVcDiff, p),
+                apps::runIs, is, IsVariant::kVopp),
+       makeCell(o, cellId("IS", "VC_sd", p), baseConfig(Protocol::kVcSd, p),
+                apps::runIs, is, IsVariant::kVopp)});
 }
 
 TableSpec table2Spec(const Options& o) {
+  const int p = o.procs;
+  const apps::IsParams is = isParams(o.full);
   return statsSpec(
       "table2_is_fewer_barriers",
       "Table 2: Statistics of IS with fewer barriers on " +
-          std::to_string(o.procs) + " processors",
+          std::to_string(p) + " processors",
       {"VC_d", "VC_sd"},
-      {isCell(o, "VC_d_lb", Protocol::kVcDiff,
-              IsVariant::kVoppFewerBarriers, o.procs),
-       isCell(o, "VC_sd_lb", Protocol::kVcSd, IsVariant::kVoppFewerBarriers,
-              o.procs)});
+      {makeCell(o, cellId("IS", "VC_d_lb", p), baseConfig(Protocol::kVcDiff, p),
+                apps::runIs, is, IsVariant::kVoppFewerBarriers),
+       makeCell(o, cellId("IS", "VC_sd_lb", p), baseConfig(Protocol::kVcSd, p),
+                apps::runIs, is, IsVariant::kVoppFewerBarriers)});
 }
 
 TableSpec table3Spec(const Options& o) {
+  const apps::IsParams is = isParams(o.full);
   std::vector<Cell> grid;
   for (int p : kSpeedupProcs)
-    grid.push_back(
-        isCell(o, "LRC_d", Protocol::kLrcDiff, IsVariant::kTraditional, p));
+    grid.push_back(makeCell(o, cellId("IS", "LRC_d", p),
+                            baseConfig(Protocol::kLrcDiff, p), apps::runIs,
+                            is, IsVariant::kTraditional));
   for (int p : kSpeedupProcs)
-    grid.push_back(isCell(o, "VC_sd", Protocol::kVcSd, IsVariant::kVopp, p));
+    grid.push_back(makeCell(o, cellId("IS", "VC_sd", p),
+                            baseConfig(Protocol::kVcSd, p), apps::runIs, is,
+                            IsVariant::kVopp));
   for (int p : kSpeedupProcs)
-    grid.push_back(isCell(o, "VC_sd_lb", Protocol::kVcSd,
-                          IsVariant::kVoppFewerBarriers, p));
+    grid.push_back(makeCell(o, cellId("IS", "VC_sd_lb", p),
+                            baseConfig(Protocol::kVcSd, p), apps::runIs, is,
+                            IsVariant::kVoppFewerBarriers));
   return speedupSpec("table3_is_speedup",
                      "Table 3: Speedup of IS on LRC_d and VC_sd",
-                     {"LRC_d", "VC_sd", "VC_sd lb"}, isSeqCell(o),
+                     {"LRC_d", "VC_sd", "VC_sd lb"},
+                     makeCell(o, cellId("IS", "seq", 1), sequentialConfig(),
+                              apps::runIs, is, IsVariant::kTraditional),
                      std::move(grid));
 }
 
 TableSpec table4Spec(const Options& o) {
+  const int p = o.procs;
+  const apps::GaussParams gauss = gaussParams(o.full);
   return statsSpec(
       "table4_gauss_stats",
-      "Table 4: Statistics of Gauss on " + std::to_string(o.procs) +
-          " processors",
+      "Table 4: Statistics of Gauss on " + std::to_string(p) + " processors",
       {"LRC_d", "VC_d", "VC_sd"},
-      {gaussCell(o, "LRC_d", Protocol::kLrcDiff, GaussVariant::kTraditional,
-                 o.procs),
-       gaussCell(o, "VC_d", Protocol::kVcDiff, GaussVariant::kVopp, o.procs),
-       gaussCell(o, "VC_sd", Protocol::kVcSd, GaussVariant::kVopp,
-                 o.procs)});
+      {makeCell(o, cellId("Gauss", "LRC_d", p),
+                baseConfig(Protocol::kLrcDiff, p), apps::runGauss, gauss,
+                GaussVariant::kTraditional),
+       makeCell(o, cellId("Gauss", "VC_d", p), baseConfig(Protocol::kVcDiff, p),
+                apps::runGauss, gauss, GaussVariant::kVopp),
+       makeCell(o, cellId("Gauss", "VC_sd", p), baseConfig(Protocol::kVcSd, p),
+                apps::runGauss, gauss, GaussVariant::kVopp)});
 }
 
 TableSpec table5Spec(const Options& o) {
+  const apps::GaussParams gauss = gaussParams(o.full);
   std::vector<Cell> grid;
   for (int p : kSpeedupProcs)
-    grid.push_back(gaussCell(o, "LRC_d", Protocol::kLrcDiff,
-                             GaussVariant::kTraditional, p));
+    grid.push_back(makeCell(o, cellId("Gauss", "LRC_d", p),
+                            baseConfig(Protocol::kLrcDiff, p), apps::runGauss,
+                            gauss, GaussVariant::kTraditional));
   for (int p : kSpeedupProcs)
-    grid.push_back(
-        gaussCell(o, "VC_sd", Protocol::kVcSd, GaussVariant::kVopp, p));
-  return speedupSpec("table5_gauss_speedup",
-                     "Table 5: Speedup of Gauss on LRC_d and VC_sd",
-                     {"LRC_d", "VC_sd"}, gaussSeqCell(o), std::move(grid));
+    grid.push_back(makeCell(o, cellId("Gauss", "VC_sd", p),
+                            baseConfig(Protocol::kVcSd, p), apps::runGauss,
+                            gauss, GaussVariant::kVopp));
+  return speedupSpec(
+      "table5_gauss_speedup", "Table 5: Speedup of Gauss on LRC_d and VC_sd",
+      {"LRC_d", "VC_sd"},
+      makeCell(o, cellId("Gauss", "seq", 1), sequentialConfig(),
+               apps::runGauss, gauss, GaussVariant::kTraditional),
+      std::move(grid));
 }
 
 TableSpec table6Spec(const Options& o) {
+  const int p = o.procs;
+  const apps::SorParams sor = sorParams(o.full);
   return statsSpec(
       "table6_sor_stats",
-      "Table 6: Statistics of SOR on " + std::to_string(o.procs) +
-          " processors",
+      "Table 6: Statistics of SOR on " + std::to_string(p) + " processors",
       {"LRC_d", "VC_d", "VC_sd"},
-      {sorCell(o, "LRC_d", Protocol::kLrcDiff, SorVariant::kTraditional,
-               o.procs),
-       sorCell(o, "VC_d", Protocol::kVcDiff, SorVariant::kVopp, o.procs),
-       sorCell(o, "VC_sd", Protocol::kVcSd, SorVariant::kVopp, o.procs)});
+      {makeCell(o, cellId("SOR", "LRC_d", p),
+                baseConfig(Protocol::kLrcDiff, p), apps::runSor, sor,
+                SorVariant::kTraditional),
+       makeCell(o, cellId("SOR", "VC_d", p), baseConfig(Protocol::kVcDiff, p),
+                apps::runSor, sor, SorVariant::kVopp),
+       makeCell(o, cellId("SOR", "VC_sd", p), baseConfig(Protocol::kVcSd, p),
+                apps::runSor, sor, SorVariant::kVopp)});
 }
 
 TableSpec table7Spec(const Options& o) {
+  const apps::SorParams sor = sorParams(o.full);
   std::vector<Cell> grid;
   for (int p : kSpeedupProcs)
-    grid.push_back(
-        sorCell(o, "LRC_d", Protocol::kLrcDiff, SorVariant::kTraditional, p));
+    grid.push_back(makeCell(o, cellId("SOR", "LRC_d", p),
+                            baseConfig(Protocol::kLrcDiff, p), apps::runSor,
+                            sor, SorVariant::kTraditional));
   for (int p : kSpeedupProcs)
-    grid.push_back(sorCell(o, "VC_sd", Protocol::kVcSd, SorVariant::kVopp, p));
-  return speedupSpec("table7_sor_speedup",
-                     "Table 7: Speedup of SOR on LRC_d and VC_sd",
-                     {"LRC_d", "VC_sd"}, sorSeqCell(o), std::move(grid));
+    grid.push_back(makeCell(o, cellId("SOR", "VC_sd", p),
+                            baseConfig(Protocol::kVcSd, p), apps::runSor, sor,
+                            SorVariant::kVopp));
+  return speedupSpec(
+      "table7_sor_speedup", "Table 7: Speedup of SOR on LRC_d and VC_sd",
+      {"LRC_d", "VC_sd"},
+      makeCell(o, cellId("SOR", "seq", 1), sequentialConfig(), apps::runSor,
+               sor, SorVariant::kTraditional),
+      std::move(grid));
 }
 
 TableSpec table8Spec(const Options& o) {
+  const int p = o.procs;
+  const apps::NnParams nn = nnParams(o.full);
   return statsSpec(
       "table8_nn_stats",
-      "Table 8: Statistics of NN on " + std::to_string(o.procs) +
-          " processors",
+      "Table 8: Statistics of NN on " + std::to_string(p) + " processors",
       {"LRC_d", "VC_d", "VC_sd"},
-      {nnCell(o, "LRC_d", Protocol::kLrcDiff, NnVariant::kTraditional,
-              o.procs),
-       nnCell(o, "VC_d", Protocol::kVcDiff, NnVariant::kVopp, o.procs),
-       nnCell(o, "VC_sd", Protocol::kVcSd, NnVariant::kVopp, o.procs)},
+      {makeCell(o, cellId("NN", "LRC_d", p), baseConfig(Protocol::kLrcDiff, p),
+                apps::runNn, nn, NnVariant::kTraditional),
+       makeCell(o, cellId("NN", "VC_d", p), baseConfig(Protocol::kVcDiff, p),
+                apps::runNn, nn, NnVariant::kVopp),
+       makeCell(o, cellId("NN", "VC_sd", p), baseConfig(Protocol::kVcSd, p),
+                apps::runNn, nn, NnVariant::kVopp)},
       /*show_acquire_time=*/true);
 }
 
 TableSpec table9Spec(const Options& o) {
+  const apps::NnParams nn = nnParams(o.full);
   std::vector<Cell> grid;
   for (int p : kSpeedupProcs)
-    grid.push_back(
-        nnCell(o, "LRC_d", Protocol::kLrcDiff, NnVariant::kTraditional, p));
+    grid.push_back(makeCell(o, cellId("NN", "LRC_d", p),
+                            baseConfig(Protocol::kLrcDiff, p), apps::runNn, nn,
+                            NnVariant::kTraditional));
   for (int p : kSpeedupProcs)
-    grid.push_back(nnCell(o, "VC_sd", Protocol::kVcSd, NnVariant::kVopp, p));
+    grid.push_back(makeCell(o, cellId("NN", "VC_sd", p),
+                            baseConfig(Protocol::kVcSd, p), apps::runNn, nn,
+                            NnVariant::kVopp));
   for (int p : kSpeedupProcs)
-    grid.push_back(nnCell(o, "MPI", Protocol::kVcSd, NnVariant::kMpi, p));
-  return speedupSpec("table9_nn_speedup",
-                     "Table 9: Speedup of NN on LRC_d, VC_sd and MPI",
-                     {"LRC_d", "VC_sd", "MPI"}, nnSeqCell(o),
-                     std::move(grid));
+    grid.push_back(makeCell(o, cellId("NN", "MPI", p),
+                            baseConfig(Protocol::kVcSd, p), apps::runNn, nn,
+                            NnVariant::kMpi));
+  return speedupSpec(
+      "table9_nn_speedup", "Table 9: Speedup of NN on LRC_d, VC_sd and MPI",
+      {"LRC_d", "VC_sd", "MPI"},
+      makeCell(o, cellId("NN", "seq", 1), sequentialConfig(), apps::runNn, nn,
+               NnVariant::kTraditional),
+      std::move(grid));
 }
 
 TableSpec table10Spec(const Options& o) {
   TableSpec spec;
   spec.name = "table10_axis_sweep";
   for (const AxisVariation& v : kAxisVariations) {
-    spec.cells.push_back(isAxisCell(o, "LRC_d", Protocol::kLrcDiff,
-                                    IsVariant::kTraditional, o.procs, v));
-    spec.cells.push_back(
-        isAxisCell(o, "VC_sd", Protocol::kVcSd, IsVariant::kVopp, o.procs, v));
-    spec.cells.push_back(sorAxisCell(o, "LRC_d", Protocol::kLrcDiff,
-                                     SorVariant::kTraditional, o.procs, v));
-    spec.cells.push_back(sorAxisCell(o, "VC_sd", Protocol::kVcSd,
-                                     SorVariant::kVopp, o.procs, v));
+    // The problem-size scale hits each app's natural work knob (IS: key
+    // count; SOR: iteration count — both scale total work linearly without
+    // changing the sharing pattern); bandwidth and loss go through
+    // NetConfig.
+    apps::IsParams is = isParams(o.full);
+    is.n_keys =
+        static_cast<size_t>(static_cast<double>(is.n_keys) * v.n_scale);
+    apps::SorParams sor = sorParams(o.full);
+    sor.iterations = std::max(
+        1, static_cast<int>(static_cast<double>(sor.iterations) * v.n_scale));
+    const model::AxisPoint axes = axisPoint(o.procs, v);
+    const auto at = [&](Protocol proto) {
+      harness::RunConfig c = baseConfig(proto, o.procs);
+      applyAxes(c, axes);
+      return c;
+    };
+    const auto id = [&](const char* app, const char* impl) {
+      return cellId(app, impl, o.procs) + "/" + v.suffix;
+    };
+    for (Cell& c : std::vector<Cell>{
+             makeCell(o, id("IS", "LRC_d"), at(Protocol::kLrcDiff), apps::runIs,
+                      is, IsVariant::kTraditional),
+             makeCell(o, id("IS", "VC_sd"), at(Protocol::kVcSd), apps::runIs,
+                      is, IsVariant::kVopp),
+             makeCell(o, id("SOR", "LRC_d"), at(Protocol::kLrcDiff),
+                      apps::runSor, sor, SorVariant::kTraditional),
+             makeCell(o, id("SOR", "VC_sd"), at(Protocol::kVcSd), apps::runSor,
+                      sor, SorVariant::kVopp)}) {
+      c.axes = axes;
+      spec.cells.push_back(std::move(c));
+    }
   }
   std::vector<std::string> ids;
   for (const Cell& c : spec.cells) ids.push_back(c.id);
@@ -521,6 +411,15 @@ TableSpec table11Spec(const Options& o) {
   using dsm::BarrierAlg;
   TableSpec spec;
   spec.name = "table11_scaling";
+  const apps::IsParams is = isParams(o.full);
+  // An IS cell on the paper's star fabric with the given barrier algorithm.
+  const auto add = [&](const char* impl, Protocol proto, IsVariant variant,
+                       int p, BarrierAlg barrier) {
+    harness::RunConfig c = baseConfig(proto, p);
+    c.barrier = barrier;
+    spec.cells.push_back(
+        makeCell(o, cellId("IS", impl, p), c, apps::runIs, is, variant));
+  };
   for (int p : procs) {
     // Past 256 processors the star/centralized cells are deep in
     // retransmission collapse — simulated time and host memory both blow
@@ -528,40 +427,27 @@ TableSpec table11Spec(const Options& o) {
     // carry only the tree barrier. The butterfly gets one cell per
     // protocol at 256p, where it beats the tree for LRC_d and loses for
     // VC_sd.
-    if (p <= 256) {
-      spec.cells.push_back(scalingCell(o, "LRC_d", Protocol::kLrcDiff,
-                                       IsVariant::kTraditional, p,
-                                       BarrierAlg::kCentral));
-    }
-    spec.cells.push_back(scalingCell(o, "LRC_d_tree", Protocol::kLrcDiff,
-                                     IsVariant::kTraditional, p,
-                                     BarrierAlg::kTree));
-    if (p == 256) {
-      spec.cells.push_back(scalingCell(o, "LRC_d_butterfly",
-                                       Protocol::kLrcDiff,
-                                       IsVariant::kTraditional, p,
-                                       BarrierAlg::kButterfly));
-    }
-    if (p <= 256) {
-      spec.cells.push_back(scalingCell(o, "VC_sd", Protocol::kVcSd,
-                                       IsVariant::kVopp, p,
-                                       BarrierAlg::kCentral));
-    }
+    if (p <= 256)
+      add("LRC_d", Protocol::kLrcDiff, IsVariant::kTraditional, p,
+          BarrierAlg::kCentral);
+    add("LRC_d_tree", Protocol::kLrcDiff, IsVariant::kTraditional, p,
+        BarrierAlg::kTree);
+    if (p == 256)
+      add("LRC_d_butterfly", Protocol::kLrcDiff, IsVariant::kTraditional, p,
+          BarrierAlg::kButterfly);
+    if (p <= 256)
+      add("VC_sd", Protocol::kVcSd, IsVariant::kVopp, p, BarrierAlg::kCentral);
     // VOPP IS lays out p^2 contribution views, so each node's page table
     // is O(p^2) and the cluster's host footprint O(p^3): ~7.5 GB at 512
     // processors, past any CI runner at 1024. The traditional variant's
     // flat bucket array keeps the 1024p row affordable, and still
     // exercises the tree barrier at full scale.
-    if (p <= 512) {
-      spec.cells.push_back(scalingCell(o, "VC_sd_tree", Protocol::kVcSd,
-                                       IsVariant::kVopp, p,
-                                       BarrierAlg::kTree));
-    }
-    if (p == 256) {
-      spec.cells.push_back(scalingCell(o, "VC_sd_butterfly", Protocol::kVcSd,
-                                       IsVariant::kVopp, p,
-                                       BarrierAlg::kButterfly));
-    }
+    if (p <= 512)
+      add("VC_sd_tree", Protocol::kVcSd, IsVariant::kVopp, p,
+          BarrierAlg::kTree);
+    if (p == 256)
+      add("VC_sd_butterfly", Protocol::kVcSd, IsVariant::kVopp, p,
+          BarrierAlg::kButterfly);
   }
   std::vector<std::string> ids;
   for (const Cell& c : spec.cells) ids.push_back(c.id);
@@ -670,19 +556,6 @@ int compareCellProfiles(const std::string& baseline_dir,
   return printed;
 }
 
-namespace {
-
-std::string jsonEsc(const std::string& s) {
-  std::string esc;
-  for (char c : s) {
-    if (c == '"' || c == '\\') esc.push_back('\\');
-    esc.push_back(c);
-  }
-  return esc;
-}
-
-}  // namespace
-
 void writeTablesJson(std::ostream& os, const std::vector<TableSpec>& specs,
                      const std::vector<SpecRun>& runs, const Options& o,
                      int jobs, double wall_seconds,
@@ -705,7 +578,7 @@ void writeTablesJson(std::ostream& os, const std::vector<TableSpec>& specs,
     // Record the active fault spec (escaped as a JSON string) so a faulted
     // artifact can never be mistaken for a baseline. Fault-free runs write
     // no fault keys at all, keeping the baseline byte-identical.
-    os << "  \"faults\": \"" << jsonEsc(o.faults) << "\",\n";
+    os << "  \"faults\": \"" << support::jsonEscape(o.faults) << "\",\n";
   }
   os << "  \"jobs\": " << jobs << ",\n";
   os << "  \"cells\": " << n_cells << ",\n";
@@ -753,9 +626,10 @@ void writeTablesJson(std::ostream& os, const std::vector<TableSpec>& specs,
            << ", \"fault_diff\": " << sim::toSeconds(b.fault_diff)
            << ", \"idle\": " << sim::toSeconds(b.idle) << "}";
       }
-      if (r.critpath.enabled()) {
-        // Critical-path attribution: the buckets partition the cell's
-        // makespan exactly, so these sum to sim_seconds.
+      if (o.critpath && r.critpath.enabled()) {
+        // Critical-path attribution, on request (every traced cell carries
+        // one): the buckets partition the cell's makespan exactly, so these
+        // sum to sim_seconds.
         const auto& cat = r.critpath.by_cat;
         os << ", \"critpath_seconds\": {";
         for (int c = 0; c < obs::kPathCatCount; ++c) {

@@ -230,14 +230,12 @@ int main(int argc, char** argv) {
     usage(argv[0]);
   }
   const bool want_profile = !profile_path.empty() || !compare_path.empty();
+  // Every report below reads the trace; a traced run carries all of them.
   obs::TraceRecorder recorder;
   if (!trace_path.empty() || want_breakdown || want_critpath || want_pageheat ||
       !pageheat_csv.empty() || want_diagnose || want_profile)
     cfg.trace = &recorder;
-  cfg.critpath = want_critpath;
-  cfg.pageheat = want_pageheat || !pageheat_csv.empty();
   cfg.diagnose = want_diagnose;
-  cfg.profile = want_profile;
   // Metrics piggyback on any trace export (counter tracks) and are also
   // available standalone via --memstats / --metrics-csv.
   obs::MetricsRegistry registry{
@@ -263,11 +261,22 @@ int main(int argc, char** argv) {
   else if (runtime == "vc_sd" || runtime == "mpi")
     cfg.protocol = dsm::Protocol::kVcSd;
   else usage(argv[0]);
-  if (runtime == "mpi" && want_profile) {
-    std::fprintf(stderr,
-                 "error: --profile/--compare are not available for the mpi "
-                 "runtime (no DSM trace to profile)\n");
-    return 2;
+  if (runtime == "mpi") {
+    // The MPI reference runner runs NN only and records no trace, so every
+    // trace report would come out empty.
+    if (app != "nn") {
+      std::fprintf(stderr, "error: the mpi runtime runs NN only\n");
+      return 2;
+    }
+    for (const char* flag : {"trace", "breakdown", "critpath", "pageheat",
+                             "pageheat-csv", "diagnose", "profile", "compare"})
+      if (args.kv.count(flag)) {
+        std::fprintf(stderr,
+                     "error: --%s is not available for the mpi runtime (no "
+                     "DSM trace)\n",
+                     flag);
+        return 2;
+      }
   }
 
   const std::string title = app + " on " + runtime + " (" + variant + "), " +

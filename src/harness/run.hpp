@@ -30,19 +30,11 @@ struct RunConfig {
   // Caller-owned counter/gauge registry; null disables metrics. Like the
   // recorder, metering never changes what the run computes.
   obs::MetricsRegistry* metrics = nullptr;
-  // Trace analyses to fold into the result (require `trace`). Pure
-  // post-processing: they never change what the run computes.
-  bool critpath = false;
-  bool pageheat = false;
-  // Runs the diagnosis pass catalog over the trace (requires `trace`;
-  // consumes the metrics summary too when metered). Post-processing like
-  // the other analyses: a diagnosed run is bit-identical to an undiagnosed
-  // one, and the report itself is deterministic across --jobs.
+  // Also runs the diagnosis passes over the traced run's analysis (requires
+  // `trace`; consumes the metrics summary too when metered). Post-processing
+  // like the rest of the analysis: a diagnosed run is bit-identical to an
+  // undiagnosed one, and the report itself is deterministic across --jobs.
   bool diagnose = false;
-  // Builds a persisted run profile (obs::RunProfile) from the trace and
-  // metrics (requires `trace`). Pure post-processing like the analyses
-  // above: a profiled run is bit-identical to an unprofiled one.
-  bool profile = false;
   // Caller-owned fault plan (net::FaultPlan); null or empty disables
   // injection and keeps the run byte-identical to a plan-free build.
   const net::FaultPlan* faults = nullptr;
@@ -53,19 +45,19 @@ struct RunResult {
   double seconds = 0;
   dsm::DsmStats dsm;
   net::NetStats net;
-  // Per-node time buckets folded from the trace; empty unless the run was
-  // traced (RunConfig::trace). Kept by value so it outlives the recorder.
+  // The trace analysis, built once from one set of trace folds (see
+  // vopp::Cluster::analyze) and kept by value so it outlives the recorder:
+  // a traced run (RunConfig::trace) always fills the per-node time
+  // buckets, the critical path, the per-page contention rows and the
+  // persisted run profile (unlabelled; the caller names it before writing).
+  // All are empty on an untraced run.
   obs::Breakdown breakdown;
-  // Critical-path and per-page contention analyses; empty unless requested
-  // via RunConfig::critpath / pageheat on a traced run.
   obs::CriticalPath critpath;
   obs::PageHeat pageheat;
-  // Ranked findings from the diagnosis passes; empty unless requested via
-  // RunConfig::diagnose on a traced run.
-  obs::Diagnosis diagnosis;
-  // Persisted run profile; empty unless requested via RunConfig::profile on
-  // a traced run. The caller labels it before writing.
   obs::RunProfile profile;
+  // Ranked findings of the diagnosis passes; empty unless
+  // RunConfig::diagnose was set on a traced run.
+  obs::Diagnosis diagnosis;
   // Counter/gauge aggregates (peaks, finals, means); empty unless the run
   // was metered via RunConfig::metrics. The MPI reference runner does not
   // meter, so its results leave this empty.
@@ -81,10 +73,10 @@ struct RunResult {
   uint64_t barrierEpisodes() const { return dsm.barriers; }
 };
 
-// Copies the standard result fields out of a finished cluster, honoring the
-// analysis toggles. Templated so this header does not depend on the vopp
-// layer; any type with seconds()/dsmStats()/netStats()/breakdown()/
-// criticalPath()/pageHeat() works.
+// Copies the standard result fields out of a finished cluster and, on a
+// traced run, its analysis. Templated so this header does not depend on the
+// vopp layer; any type with seconds()/dsmStats()/netStats()/
+// metricsSummary()/analyze(bool) works.
 template <typename ClusterT>
 void collectResult(const ClusterT& cluster, const RunConfig& cfg,
                    RunResult& out) {
@@ -92,11 +84,12 @@ void collectResult(const ClusterT& cluster, const RunConfig& cfg,
   out.dsm = cluster.dsmStats();
   out.net = cluster.netStats();
   if (cfg.trace) {
-    out.breakdown = cluster.breakdown();
-    if (cfg.critpath) out.critpath = cluster.criticalPath();
-    if (cfg.pageheat) out.pageheat = cluster.pageHeat();
-    if (cfg.diagnose) out.diagnosis = cluster.diagnosis();
-    if (cfg.profile) out.profile = cluster.runProfile();
+    auto a = cluster.analyze(cfg.diagnose);
+    out.breakdown = std::move(a.breakdown);
+    out.critpath = std::move(a.critpath);
+    out.pageheat = std::move(a.pageheat);
+    out.profile = std::move(a.profile);
+    out.diagnosis = std::move(a.diagnosis);
   }
   if (cfg.metrics) out.metrics = cluster.metricsSummary();
 }

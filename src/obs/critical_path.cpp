@@ -169,12 +169,6 @@ std::string idLabel(PathCat c, uint64_t id) {
   }
 }
 
-std::string fmtSecs(sim::Time t) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(4) << sim::toSeconds(t);
-  return os.str();
-}
-
 std::string pct(sim::Time part, sim::Time whole) {
   double p = whole > 0 ? 100.0 * static_cast<double>(part) /
                              static_cast<double>(whole)
@@ -184,17 +178,23 @@ std::string pct(sim::Time part, sim::Time whole) {
 
 }  // namespace
 
+std::string fmtSeconds(sim::Time t) {
+  std::ostringstream os;
+  os << std::fixed << std::setprecision(4) << sim::toSeconds(t);
+  return os.str();
+}
+
 void printCriticalPath(std::ostream& os, const CriticalPath& cp,
                        const std::string& title, size_t max_slices) {
   os << "\n" << title << "\n";
-  os << "makespan " << fmtSecs(cp.makespan)
+  os << "makespan " << fmtSeconds(cp.makespan)
      << " s, " << cp.hops << " cross-node hops\n";
   TextTable cats;
   cats.header({"category", "seconds", "share"});
   for (int c = 0; c < kPathCatCount; ++c) {
     if (cp.by_cat[c] == 0) continue;
     cats.row({kPathCatName[c],
-              fmtSecs(cp.by_cat[c]),
+              fmtSeconds(cp.by_cat[c]),
               pct(cp.by_cat[c], cp.makespan)});
   }
   cats.print(os);
@@ -205,7 +205,7 @@ void printCriticalPath(std::ostream& os, const CriticalPath& cp,
     const PathSlice& s = cp.slices[i];
     top.row({std::to_string(s.node), kPathCatName[static_cast<int>(s.cat)],
              idLabel(s.cat, s.id),
-             fmtSecs(s.nanos),
+             fmtSeconds(s.nanos),
              pct(s.nanos, cp.makespan)});
   }
   os << "top attributions:\n";

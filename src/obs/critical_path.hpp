@@ -84,6 +84,10 @@ CriticalPath computeCriticalPath(const EventGraph& graph, sim::Time finish);
 CriticalPath computeCriticalPath(const TraceRecorder& trace, int nprocs,
                                  sim::Time finish);
 
+// Seconds at four decimals, the precision of the critical-path and
+// diagnosis text reports.
+std::string fmtSeconds(sim::Time t);
+
 // Renders the per-category totals plus the top-`max_slices` attributions.
 void printCriticalPath(std::ostream& os, const CriticalPath& cp,
                        const std::string& title, size_t max_slices = 12);

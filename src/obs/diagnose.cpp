@@ -2,52 +2,68 @@
 
 #include <algorithm>
 #include <iomanip>
+#include <map>
 #include <sstream>
 
 #include "obs/passes/passes.hpp"
+#include "support/json_writer.hpp"
 
 namespace vodsm::obs {
 
-Diagnoser::Diagnoser() : Diagnoser(true) {}
-
-Diagnoser::Diagnoser(bool with_default_catalog) {
-  if (!with_default_catalog) return;
-  // Catalog order is documentation only; the report ranks by severity.
-  passes_.push_back(passes::makePartitionPass());
-  passes_.push_back(passes::makeStragglerPass());
-  passes_.push_back(passes::makeDegradedLinkPass());
-  passes_.push_back(passes::makeRetransmitStormPass());
-  passes_.push_back(passes::makeGrantStormPass());
-  passes_.push_back(passes::makeAllToAllDiffPass());
-  passes_.push_back(passes::makeImbalancePass());
-  passes_.push_back(passes::makePageImbalancePass());
-  passes_.push_back(passes::makeDiffStoreGrowthPass());
-  passes_.push_back(passes::makeHotspotPass());
+const Flow* FlowFold::find(uint64_t corr) const {
+  auto it = std::lower_bound(
+      flows.begin(), flows.end(), corr,
+      [](const Flow& f, uint64_t c) { return f.corr < c; });
+  if (it == flows.end() || it->corr != corr) return nullptr;
+  return &*it;
 }
 
-void Diagnoser::addPass(std::unique_ptr<Pass> pass) {
-  passes_.push_back(std::move(pass));
+FlowFold foldFlows(const TraceRecorder& trace) {
+  // std::map keeps the flow order deterministic (by corr).
+  std::map<uint64_t, Flow> flows;
+  const std::vector<Event>& ev = trace.events();
+  for (size_t i = 0; i < ev.size(); ++i) {
+    const Event& e = ev[i];
+    if (e.node == kEngineNode || e.corr == kNoCorr) continue;
+    if (e.cat != Cat::kSend && e.cat != Cat::kDeliver &&
+        e.cat != Cat::kRetransmit && e.cat != Cat::kDrop)
+      continue;
+    Flow& f = flows[e.corr];
+    f.corr = e.corr;
+    if (e.cat == Cat::kSend) {
+      if (f.send < 0) f.send = static_cast<int64_t>(i);
+    } else if (e.cat == Cat::kDeliver) {
+      if (f.deliver < 0) f.deliver = static_cast<int64_t>(i);
+    } else if (e.cat == Cat::kRetransmit) {
+      f.retransmits++;
+    } else {
+      f.drops++;
+    }
+  }
+  FlowFold out;
+  out.flows.reserve(flows.size());
+  for (const auto& [corr, f] : flows) {
+    if (f.deliver >= 0 && f.send < 0) out.delivers_without_send++;
+    out.flows.push_back(f);
+  }
+  return out;
 }
 
-Diagnosis Diagnoser::run(const DiagnosisInput& in) const {
+Diagnosis diagnose(const TraceRecorder& trace, const RunFolds& folds,
+                   const MetricsSummary* metrics,
+                   const std::function<WireClass(uint64_t)>& classify,
+                   const std::function<sim::Time(uint64_t)>& tx_time) {
+  const FlowFold flows = foldFlows(trace);
+  const passes::DiagnosisInput in{
+      trace, folds.graph, folds.breakdown, folds.critpath, folds.pageheat,
+      flows, metrics && metrics->enabled() ? metrics : nullptr, folds.nprocs,
+      folds.finish, classify, tx_time};
   Diagnosis d;
   d.on = true;
-  d.makespan = in.finish;
-  d.nprocs = in.nprocs;
-  for (const auto& pass : passes_) pass->run(in, d.findings);
-  for (Finding& f : d.findings)
-    f.severity = std::clamp(f.severity, 0.0, 1.0);
-  // Rank: severity desc, then category (root causes enumerate before
-  // symptoms), then location — a total order, so the report is
-  // deterministic regardless of pass registration order.
-  std::sort(d.findings.begin(), d.findings.end(),
-            [](const Finding& a, const Finding& b) {
-              if (a.severity != b.severity) return a.severity > b.severity;
-              if (a.cat != b.cat) return a.cat < b.cat;
-              if (a.location != b.location) return a.location < b.location;
-              if (a.node != b.node) return a.node < b.node;
-              return a.id < b.id;
-            });
+  d.makespan = folds.finish;
+  d.nprocs = folds.nprocs;
+  for (passes::PassFn pass : passes::kPasses) pass(in, d.findings);
+  rankFindings(d.findings);
   return d;
 }
 
@@ -55,79 +71,46 @@ Diagnosis diagnose(const TraceRecorder& trace, int nprocs, sim::Time finish,
                    const MetricsSummary* metrics,
                    std::function<WireClass(uint64_t)> classify,
                    std::function<sim::Time(uint64_t)> tx_time) {
-  const EventGraph graph = buildEventGraph(trace, nprocs);
-  const CriticalPath cp = computeCriticalPath(graph, finish);
-  const Breakdown bd = foldBreakdown(trace, nprocs, finish);
-  const PageHeat heat = foldPageHeat(trace);
-
-  DiagnosisInput in;
-  in.trace = &trace;
-  in.graph = &graph;
-  in.critpath = &cp;
-  in.breakdown = &bd;
-  in.pageheat = &heat;
-  in.metrics = metrics && metrics->enabled() ? metrics : nullptr;
-  in.nprocs = nprocs;
-  in.finish = finish;
-  in.classify = std::move(classify);
-  in.tx_time = std::move(tx_time);
-  return Diagnoser().run(in);
+  return diagnose(trace, foldRun(trace, nprocs, finish), metrics, classify,
+                  tx_time);
 }
 
-namespace {
-
-std::string fmtSecs(sim::Time t) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(4) << sim::toSeconds(t);
-  return os.str();
+void rankFindings(std::vector<Finding>& findings) {
+  for (Finding& f : findings) f.severity = std::clamp(f.severity, 0.0, 1.0);
+  std::sort(findings.begin(), findings.end(),
+            [](const Finding& a, const Finding& b) {
+              if (a.severity != b.severity) return a.severity > b.severity;
+              if (a.cat != b.cat) return a.cat < b.cat;
+              if (a.location != b.location) return a.location < b.location;
+              if (a.node != b.node) return a.node < b.node;
+              return a.id < b.id;
+            });
 }
 
-std::string fmtSeverity(double sev) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(1) << std::setw(5)
-     << sev * 100.0;
-  return os.str();
-}
-
-void jsonEscape(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-             << static_cast<int>(c) << std::dec << std::setfill(' ');
-        } else {
-          os << c;
-        }
-    }
+void printFindings(std::ostream& os, const std::vector<Finding>& findings) {
+  int rank = 0;
+  for (const Finding& f : findings) {
+    std::ostringstream sev;
+    sev << std::fixed << std::setprecision(1) << std::setw(5)
+        << f.severity * 100.0;
+    os << "#" << ++rank << " [" << sev.str() << "%] "
+       << findingCatName(f.cat) << ": " << f.location << "\n";
+    os << "    evidence: " << f.evidence << "\n";
+    os << "    remedy:   " << f.remedy << "\n";
   }
-  os << '"';
 }
-
-}  // namespace
 
 void printDiagnosis(std::ostream& os, const Diagnosis& d,
                     const std::string& title) {
   os << "\n" << title << "\n";
-  os << "makespan " << fmtSecs(d.makespan) << " s over " << d.nprocs
+  os << "makespan " << fmtSeconds(d.makespan) << " s over " << d.nprocs
      << " nodes; " << d.findings.size()
      << (d.findings.size() == 1 ? " finding" : " findings") << "\n";
   if (d.findings.empty()) {
     os << "no significant pattern detected; the run looks healthy\n";
     return;
   }
-  int rank = 0;
-  for (const Finding& f : d.findings) {
-    os << "#" << ++rank << " [" << fmtSeverity(f.severity) << "%] "
-       << findingCatName(f.cat) << ": " << f.location << "\n";
-    os << "    evidence: " << f.evidence << "\n";
-    os << "    remedy:   " << f.remedy << "\n";
-  }
+  printFindings(os, d.findings);
 }
 
 void writeDiagnosisJson(std::ostream& os, const Diagnosis& d) {
@@ -143,9 +126,8 @@ void writeDiagnosisJson(std::ostream& os, const Diagnosis& d) {
     os << "      \"rank\": " << ++rank << ",\n";
     os << "      \"category\": \"" << findingCatName(f.cat) << "\",\n";
     os << "      \"severity\": " << f.severity << ",\n";
-    os << "      \"location\": ";
-    jsonEscape(os, f.location);
-    os << ",\n";
+    os << "      \"location\": \"" << support::jsonEscape(f.location)
+       << "\",\n";
     os << "      \"node\": " << f.node << ",\n";
     os << "      \"id\": " << f.id << ",\n";
     os << "      \"window_begin_seconds\": ";
@@ -160,12 +142,10 @@ void writeDiagnosisJson(std::ostream& os, const Diagnosis& d) {
     else
       os << "null";
     os << ",\n";
-    os << "      \"evidence\": ";
-    jsonEscape(os, f.evidence);
-    os << ",\n";
-    os << "      \"remedy\": ";
-    jsonEscape(os, f.remedy);
-    os << "\n    }";
+    os << "      \"evidence\": \"" << support::jsonEscape(f.evidence)
+       << "\",\n";
+    os << "      \"remedy\": \"" << support::jsonEscape(f.remedy)
+       << "\"\n    }";
   }
   os << (rank == 0 ? "]\n" : "\n  ]\n");
   os << "}\n";

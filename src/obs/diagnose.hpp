@@ -1,18 +1,19 @@
 // Automated "why is this run slow" diagnosis over the observability stack.
 //
-// A Diagnoser runs a catalog of composable analysis passes (PerFlow-style)
-// over the artifacts the obs layer already reconstructs — the run DAG
+// diagnose() runs a fixed list of analysis passes (PerFlow-style; see
+// src/obs/passes/) over the folds a traced run already built — the run DAG
 // (obs/graph.hpp), the exact critical path, the five-bucket breakdown, the
-// page-heat fold, and the metrics summary — and emits ranked Finding
-// records: what pattern was detected, how much of the makespan it explains,
-// where it lives (node / link / id / barrier episode / time window), the
-// evidence behind the claim, and a remediation hint.
+// page-heat fold (bundled as obs::RunFolds) — plus the per-frame flow fold
+// below and the metrics summary, and emits ranked Finding records: what
+// pattern was detected, how much of the makespan it explains, where it
+// lives (node / link / id / barrier episode / time window), the evidence
+// behind the claim, and a remediation hint.
 //
 // Contracts, asserted in tests/test_diagnose.cpp:
 //  * Pure post-processing: diagnosing a run never touches simulated state,
 //    so a diagnosed run is bit-identical to an undiagnosed one.
-//  * Deterministic output: every pass iterates ordered containers and the
-//    final ranking breaks severity ties by category then location, so the
+//  * Deterministic output: every pass iterates ordered containers and
+//    rankFindings breaks severity ties by category then location, so the
 //    text and JSON reports are byte-identical across --jobs values.
 //  * Root causes outrank symptoms: on an injected-fault run the top-ranked
 //    finding names the injected fault class and its location. Detector
@@ -22,23 +23,19 @@
 //
 // Layering: vodsm_obs sits below net and dsm, so passes that need
 // network-config or message-class knowledge receive it through the plain
-// std::function hooks on DiagnosisInput (wired by the vopp layer); null
-// hooks degrade those detectors gracefully instead of breaking the build
+// std::function hooks of diagnose() (wired by the vopp layer); empty hooks
+// degrade those detectors gracefully instead of breaking the build
 // layering.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
 
-#include "obs/breakdown.hpp"
-#include "obs/critical_path.hpp"
-#include "obs/graph.hpp"
 #include "obs/metrics.hpp"
-#include "obs/page_heat.hpp"
+#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "sim/time.hpp"
 
@@ -121,7 +118,8 @@ struct Diagnosis {
 };
 
 // Wire message classes, mirroring net::MsgClass order so the vopp layer can
-// wire `DiagnosisInput::classify` with a plain cast (asserted where wired).
+// wire diagnose()'s `classify` hook with a plain cast (asserted where
+// wired).
 enum class WireClass : uint8_t {
   kAcquire = 0,
   kGrant,
@@ -133,56 +131,55 @@ enum class WireClass : uint8_t {
   kOther,
 };
 
-// Everything a pass may consume. `trace` and `graph` are required; the
-// analysis folds are optional (null disables the passes that need them).
-struct DiagnosisInput {
-  const TraceRecorder* trace = nullptr;
-  const EventGraph* graph = nullptr;
-  const CriticalPath* critpath = nullptr;
-  const Breakdown* breakdown = nullptr;
-  const PageHeat* pageheat = nullptr;
-  const MetricsSummary* metrics = nullptr;
-  int nprocs = 0;
-  sim::Time finish = 0;
-  // Classifies a kSend event's a0 (wire message type) into a WireClass.
-  std::function<WireClass(uint64_t)> classify;
-  // Undegraded serialization time of a frame of `bytes` total bytes
-  // (net::NetConfig::txTime on the run's config).
-  std::function<sim::Time(uint64_t)> tx_time;
+// All net-track events concerning one transport frame, keyed by the wire
+// correlation id. Indices point into the trace's event vector; -1 = absent.
+struct Flow {
+  uint64_t corr = kNoCorr;
+  int64_t send = -1;     // first kSend with this id
+  int64_t deliver = -1;  // first kDeliver (later ones are duplicates)
+  uint32_t retransmits = 0;
+  uint32_t drops = 0;
 };
 
-// One analysis pass: reads the input, appends zero or more findings.
-class Pass {
- public:
-  virtual ~Pass() = default;
-  virtual const char* name() const = 0;
-  virtual void run(const DiagnosisInput& in,
-                   std::vector<Finding>& out) const = 0;
+// The per-frame fold the network passes read; built only when diagnosing.
+struct FlowFold {
+  std::vector<Flow> flows;  // sorted by corr (deterministic)
+  // Diagnostic; zero on a well-formed trace (asserted in tests).
+  uint64_t delivers_without_send = 0;
+
+  const Flow* find(uint64_t corr) const;  // nullptr when unknown
 };
 
-// Runs a pass catalog and ranks the merged findings. Constructed with the
-// default catalog (see src/obs/passes/); addPass() appends custom passes.
-class Diagnoser {
- public:
-  Diagnoser();  // default catalog
-  explicit Diagnoser(bool with_default_catalog);
+// Folds the trace's kSend / kDeliver / kRetransmit / kDrop events by
+// correlation id. Engine pseudo-node events are skipped.
+FlowFold foldFlows(const TraceRecorder& trace);
 
-  void addPass(std::unique_ptr<Pass> pass);
-  size_t passCount() const { return passes_.size(); }
+// Runs the pass list over a traced run's folds and ranks the findings.
+// `metrics` may be null; `classify` (kSend a0 -> WireClass) and `tx_time`
+// (undegraded serialization time of a frame of that many bytes, i.e.
+// net::NetConfig::txTime) may be empty, silencing the passes that need
+// them.
+Diagnosis diagnose(const TraceRecorder& trace, const RunFolds& folds,
+                   const MetricsSummary* metrics,
+                   const std::function<WireClass(uint64_t)>& classify,
+                   const std::function<sim::Time(uint64_t)>& tx_time);
 
-  Diagnosis run(const DiagnosisInput& in) const;
-
- private:
-  std::vector<std::unique_ptr<Pass>> passes_;
-};
-
-// Convenience entry point: builds graph, critical path, breakdown, and page
-// heat from the trace, then runs the default catalog. `metrics` may be
-// null; `classify` / `tx_time` may be empty (see DiagnosisInput).
+// Convenience: fold the trace (foldRun), then diagnose.
 Diagnosis diagnose(const TraceRecorder& trace, int nprocs, sim::Time finish,
                    const MetricsSummary* metrics = nullptr,
                    std::function<WireClass(uint64_t)> classify = {},
                    std::function<sim::Time(uint64_t)> tx_time = {});
+
+// The one ranking of single-run and differential findings: clamps every
+// severity to [0, 1], then orders by severity desc, category (root causes
+// enumerate before symptoms), location, node and id — a total order, so
+// reports are deterministic regardless of which pass emitted what first.
+void rankFindings(std::vector<Finding>& findings);
+
+// Prints ranked findings as "#N [sev%] category: location" lines, each
+// with its evidence and remedy; the findings block of both the diagnosis
+// and the differential report.
+void printFindings(std::ostream& os, const std::vector<Finding>& findings);
 
 // Renders the ranked findings as a fixed-width report with evidence and
 // remediation lines. Deterministic: fixed precision, no host state.

@@ -13,26 +13,17 @@ using IdNode = std::pair<uint64_t, uint32_t>;
 
 }  // namespace
 
-const Flow* EventGraph::flowOf(uint64_t corr) const {
-  auto it = std::lower_bound(
-      flows.begin(), flows.end(), corr,
-      [](const Flow& f, uint64_t c) { return f.corr < c; });
-  if (it == flows.end() || it->corr != corr) return nullptr;
-  return &*it;
-}
-
 EventGraph buildEventGraph(const TraceRecorder& trace, int nprocs) {
   EventGraph g;
   g.nodes.resize(static_cast<size_t>(nprocs));
   const std::vector<Event>& ev = trace.events();
 
-  // Pass 1: per-node timelines (waits + local spans), flows, and the raw
+  // Pass 1: per-node timelines (waits + local spans) and the raw
   // producer-side instants (grants, folds) for pass 2's edge matching.
   // std::map keys keep every derived order deterministic.
   std::map<IdNode, std::vector<int64_t>> grants;  // (id, requester) -> events
   std::map<uint64_t, std::vector<int64_t>> folds;  // barrier -> fold events
   std::map<IdNode, sim::Time> open;  // (cat, node) -> open begin ts
-  std::map<uint64_t, Flow> flows;
 
   auto openKey = [](Cat c, uint32_t node) {
     return IdNode{static_cast<uint64_t>(c), node};
@@ -89,24 +80,6 @@ EventGraph buildEventGraph(const TraceRecorder& trace, int nprocs) {
       case Cat::kBarrFold:
         folds[e.a0].push_back(static_cast<int64_t>(i));
         break;
-      case Cat::kSend:
-      case Cat::kDeliver:
-      case Cat::kRetransmit:
-      case Cat::kDrop: {
-        if (e.corr == kNoCorr) break;
-        Flow& f = flows[e.corr];
-        f.corr = e.corr;
-        if (e.cat == Cat::kSend) {
-          if (f.send < 0) f.send = static_cast<int64_t>(i);
-        } else if (e.cat == Cat::kDeliver) {
-          if (f.deliver < 0) f.deliver = static_cast<int64_t>(i);
-        } else if (e.cat == Cat::kRetransmit) {
-          f.retransmits++;
-        } else {
-          f.drops++;
-        }
-        break;
-      }
       default:
         break;
     }
@@ -185,13 +158,28 @@ EventGraph buildEventGraph(const TraceRecorder& trace, int nprocs) {
   for (const NodeTimeline& tl : g.nodes)
     for (const Wait& w : tl.waits)
       if (w.trigger < 0) g.waits_without_trigger++;
-
-  g.flows.reserve(flows.size());
-  for (auto& [corr, f] : flows) {
-    if (f.deliver >= 0 && f.send < 0) g.delivers_without_send++;
-    g.flows.push_back(f);
-  }
   return g;
+}
+
+BarrierEpisodes barrierEpisodes(const EventGraph& g) {
+  BarrierEpisodes episodes;
+  for (uint32_t n = 0; n < g.nodes.size(); ++n) {
+    std::map<uint64_t, size_t> seen;
+    for (const Wait& w : g.nodes[n].waits) {
+      if (w.cat != Cat::kBarrierWait) continue;
+      const size_t j = seen[w.id]++;
+      auto& eps = episodes[w.id];
+      if (eps.size() <= j) eps.resize(j + 1);
+      eps[j].push_back({n, w.begin, w.end});
+    }
+  }
+  for (auto& [barrier, eps] : episodes)
+    for (std::vector<Arrival>& a : eps)
+      std::sort(a.begin(), a.end(), [](const Arrival& x, const Arrival& y) {
+        if (x.begin != y.begin) return x.begin < y.begin;
+        return x.node < y.node;
+      });
+  return episodes;
 }
 
 }  // namespace vodsm::obs

@@ -5,9 +5,6 @@
 //
 //  * program-order edges — implicit: per-node timelines of waits and local
 //    service spans (page faults, diff creation), each sorted by time;
-//  * message edges — kSend -> kDeliver pairs matched by the wire
-//    correlation id, with retransmissions and drops folded into the same
-//    Flow record;
 //  * wakeup edges — the cross-node event that ended each wait: the kGrant
 //    instant on the granting node for an acquire_wait, the releasing
 //    kBarrFold instant on the barrier manager for a barrier_wait.
@@ -20,11 +17,16 @@
 // episode, and episode k+1 arrivals strictly follow the episode-k release),
 // and the last fold of an episode is the one that released all its waiters.
 //
+// The graph holds no wire traffic: the per-frame fold the diagnoser's
+// network passes read is built next to them (obs/diagnose.hpp), and only
+// when a run is diagnosed.
+//
 // Like every obs consumer this is pure post-processing: building a graph
 // never touches simulated state.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -62,31 +64,32 @@ struct NodeTimeline {
   std::vector<LocalSpan> spans;   // sorted by begin; mutually disjoint
 };
 
-// All net-track events concerning one transport frame, keyed by the wire
-// correlation id. Indices point into the trace's event vector; -1 = absent.
-struct Flow {
-  uint64_t corr = kNoCorr;
-  int64_t send = -1;     // first kSend with this id
-  int64_t deliver = -1;  // first kDeliver (later ones are duplicates)
-  uint32_t retransmits = 0;
-  uint32_t drops = 0;
-};
-
 struct EventGraph {
   std::vector<NodeTimeline> nodes;  // index = node id
-  std::vector<Flow> flows;          // sorted by corr (deterministic)
 
   // Diagnostics; all zero on a well-formed trace (asserted in tests).
-  uint64_t delivers_without_send = 0;
   uint64_t waits_without_trigger = 0;
   uint64_t unmatched_spans = 0;  // begin/end pairing failures
-
-  const Flow* flowOf(uint64_t corr) const;  // nullptr when unknown
 };
 
 // Builds the graph from a recorded trace. `nprocs` bounds the node ids
 // considered (engine pseudo-node events are skipped) and sets the barrier
 // episode size.
 EventGraph buildEventGraph(const TraceRecorder& trace, int nprocs);
+
+// One node's arrival at a barrier episode: its wait span on the barrier.
+struct Arrival {
+  uint32_t node = 0;
+  sim::Time begin = 0;  // arrive-at-barrier timestamp (wait begin)
+  sim::Time end = 0;    // release incorporated (wait end)
+};
+
+// Barrier waits grouped into episodes: episodes[b][j] holds every node's
+// j-th wait on barrier b, sorted by arrival (begin, then node). The run
+// profile and the imbalance passes all read episodes through this one
+// grouping.
+using BarrierEpisodes =
+    std::map<uint64_t, std::vector<std::vector<Arrival>>>;
+BarrierEpisodes barrierEpisodes(const EventGraph& g);
 
 }  // namespace vodsm::obs

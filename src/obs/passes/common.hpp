@@ -11,31 +11,25 @@
 #include <string>
 #include <vector>
 
-#include "obs/diagnose.hpp"
+#include "obs/passes/passes.hpp"
 #include "sim/time.hpp"
 
 namespace vodsm::obs::passes {
 
 inline double clamp01(double v) { return std::clamp(v, 0.0, 1.0); }
 
-inline std::string fmtSecs(sim::Time t) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(4) << sim::toSeconds(t) << " s";
-  return os.str();
-}
+inline std::string fmtSecs(sim::Time t) { return fmtSeconds(t) + " s"; }
 
 // Duration with a unit scaled to its magnitude (fixed precision per band,
 // so output stays deterministic).
 inline std::string fmtDur(sim::Time t) {
+  if (t >= sim::msec(1000)) return fmtSecs(t);
   std::ostringstream os;
   os << std::fixed;
-  if (t < sim::usec(1000)) {
+  if (t < sim::usec(1000))
     os << std::setprecision(2) << static_cast<double>(t) / 1e3 << " us";
-  } else if (t < sim::msec(1000)) {
+  else
     os << std::setprecision(3) << static_cast<double>(t) / 1e6 << " ms";
-  } else {
-    os << std::setprecision(4) << sim::toSeconds(t) << " s";
-  }
   return os.str();
 }
 
@@ -99,9 +93,8 @@ inline DropWindow detectDropWindow(const DiagnosisInput& in) {
     uint64_t corr;
   };
   DropWindow w;
-  if (!in.trace) return w;
   std::vector<DropRec> drops;
-  for (const Event& ev : in.trace->events()) {
+  for (const Event& ev : in.trace.events()) {
     if (ev.cat != Cat::kDrop || ev.phase != Phase::kInstant) continue;
     drops.push_back({ev.ts, static_cast<uint32_t>(ev.a0), ev.node, ev.corr});
   }
@@ -141,10 +134,9 @@ inline DropWindow detectDropWindow(const DiagnosisInput& in) {
 inline sim::Time partitionRecoveryEnd(const DiagnosisInput& in,
                                       const DropWindow& w) {
   sim::Time recovery = w.t1;
-  if (!in.graph || !in.trace) return recovery;
-  const auto& events = in.trace->events();
+  const auto& events = in.trace.events();
   for (uint64_t corr : w.corrs) {
-    const Flow* fl = in.graph->flowOf(corr);
+    const Flow* fl = in.flows.find(corr);
     if (fl && fl->deliver >= 0)
       recovery =
           std::max(recovery, events[static_cast<size_t>(fl->deliver)].ts);

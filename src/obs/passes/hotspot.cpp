@@ -15,9 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/diagnose.hpp"
 #include "obs/passes/common.hpp"
-#include "obs/passes/passes.hpp"
 
 namespace vodsm::obs::passes {
 namespace {
@@ -61,80 +59,70 @@ const char* remedyFor(PathCat c) {
   }
 }
 
-class HotspotPass : public Pass {
- public:
-  const char* name() const override { return "critical_path_hotspot"; }
-
-  void run(const DiagnosisInput& in,
-           std::vector<Finding>& out) const override {
-    const CriticalPath* cp = in.critpath;
-    if (!cp || cp->makespan <= 0 || in.nprocs <= 0) return;
-    const double makespan = static_cast<double>(cp->makespan);
-
-    // Dominant category by calibrated severity.
-    int best_cat = -1;
-    double best_sev = 0;
-    for (int c = 0; c < kPathCatCount; ++c) {
-      const double share = static_cast<double>(cp->by_cat[c]) / makespan;
-      double sev;
-      if (c == static_cast<int>(PathCat::kCompute))
-        sev = share - 1.0 / in.nprocs;
-      else if (isWaitCat(c))
-        sev = kWaitDiscount * share;
-      else
-        sev = kServiceDiscount * share;
-      if (sev > best_sev) {
-        best_sev = sev;
-        best_cat = c;
-      }
-    }
-    if (best_cat < 0) return;
-
-    // Heaviest slice inside the dominant category (slices are sorted by
-    // nanos desc then key, so the first match is the deterministic winner).
-    const PathSlice* top = nullptr;
-    for (const PathSlice& s : cp->slices) {
-      if (static_cast<int>(s.cat) == best_cat) {
-        top = &s;
-        break;
-      }
-    }
-
-    Finding f;
-    f.cat = FindingCat::kHotspot;
-    f.severity = clamp01(best_sev);
-    const PathCat cat = static_cast<PathCat>(best_cat);
-    f.location = std::string(kPathCatName[best_cat]);
-    if (top) {
-      f.location += " on node " + std::to_string(top->node) +
-                    idLabel(cat, top->id);
-      f.node = top->node;
-      f.id = static_cast<int64_t>(top->id);
-    }
-    std::string ev = "critical path:";
-    bool first = true;
-    for (const PathSlice& s : cp->slices) {
-      // Top three slices overall give the reader the path's shape.
-      if (&s - cp->slices.data() >= 3) break;
-      ev += first ? " " : ", ";
-      first = false;
-      ev += "node " + std::to_string(s.node) + " " +
-            kPathCatName[static_cast<int>(s.cat)] + idLabel(s.cat, s.id) +
-            " " + fmtPct(static_cast<double>(s.nanos) / makespan);
-    }
-    ev += "; " + std::string(kPathCatName[best_cat]) + " explains " +
-          fmtPct(static_cast<double>(cp->by_cat[best_cat]) / makespan) +
-          " of the makespan overall";
-    f.evidence = ev;
-    f.remedy = remedyFor(cat);
-    out.push_back(std::move(f));
-  }
-};
-
 }  // namespace
 
-std::unique_ptr<Pass> makeHotspotPass() {
-  return std::make_unique<HotspotPass>();
+void hotspot(const DiagnosisInput& in, std::vector<Finding>& out) {
+  const CriticalPath& cp = in.critpath;
+  if (cp.makespan <= 0 || in.nprocs <= 0) return;
+  const double makespan = static_cast<double>(cp.makespan);
+
+  // Dominant category by calibrated severity.
+  int best_cat = -1;
+  double best_sev = 0;
+  for (int c = 0; c < kPathCatCount; ++c) {
+    const double share = static_cast<double>(cp.by_cat[c]) / makespan;
+    double sev;
+    if (c == static_cast<int>(PathCat::kCompute))
+      sev = share - 1.0 / in.nprocs;
+    else if (isWaitCat(c))
+      sev = kWaitDiscount * share;
+    else
+      sev = kServiceDiscount * share;
+    if (sev > best_sev) {
+      best_sev = sev;
+      best_cat = c;
+    }
+  }
+  if (best_cat < 0) return;
+
+  // Heaviest slice inside the dominant category (slices are sorted by
+  // nanos desc then key, so the first match is the deterministic winner).
+  const PathSlice* top = nullptr;
+  for (const PathSlice& s : cp.slices) {
+    if (static_cast<int>(s.cat) == best_cat) {
+      top = &s;
+      break;
+    }
+  }
+
+  Finding f;
+  f.cat = FindingCat::kHotspot;
+  f.severity = clamp01(best_sev);
+  const PathCat cat = static_cast<PathCat>(best_cat);
+  f.location = std::string(kPathCatName[best_cat]);
+  if (top) {
+    f.location += " on node " + std::to_string(top->node) +
+                  idLabel(cat, top->id);
+    f.node = top->node;
+    f.id = static_cast<int64_t>(top->id);
+  }
+  std::string ev = "critical path:";
+  bool first = true;
+  for (const PathSlice& s : cp.slices) {
+    // Top three slices overall give the reader the path's shape.
+    if (&s - cp.slices.data() >= 3) break;
+    ev += first ? " " : ", ";
+    first = false;
+    ev += "node " + std::to_string(s.node) + " " +
+          kPathCatName[static_cast<int>(s.cat)] + idLabel(s.cat, s.id) +
+          " " + fmtPct(static_cast<double>(s.nanos) / makespan);
+  }
+  ev += "; " + std::string(kPathCatName[best_cat]) + " explains " +
+        fmtPct(static_cast<double>(cp.by_cat[best_cat]) / makespan) +
+        " of the makespan overall";
+  f.evidence = ev;
+  f.remedy = remedyFor(cat);
+  out.push_back(std::move(f));
 }
 
 }  // namespace vodsm::obs::passes

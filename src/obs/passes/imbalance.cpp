@@ -12,13 +12,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "obs/diagnose.hpp"
 #include "obs/passes/common.hpp"
-#include "obs/passes/passes.hpp"
 
 namespace vodsm::obs::passes {
 namespace {
@@ -26,99 +23,65 @@ namespace {
 constexpr double kMinSeverity = 0.005;
 constexpr size_t kMaxFindings = 3;
 
-struct Arrival {
-  uint32_t node = 0;
-  sim::Time begin = 0;  // arrive-at-barrier timestamp (wait begin)
-  sim::Time end = 0;    // release incorporated
-};
-
-class ImbalancePass : public Pass {
- public:
-  const char* name() const override { return "load_imbalance"; }
-
-  void run(const DiagnosisInput& in,
-           std::vector<Finding>& out) const override {
-    const EventGraph* g = in.graph;
-    if (!g || in.finish <= 0 || in.nprocs < 2) return;
-
-    // episodes[barrier][j] = arrivals of each node's j-th wait on barrier.
-    std::map<uint64_t, std::vector<std::vector<Arrival>>> episodes;
-    for (uint32_t n = 0; n < g->nodes.size(); ++n) {
-      std::map<uint64_t, size_t> seen;
-      for (const Wait& w : g->nodes[n].waits) {
-        if (w.cat != Cat::kBarrierWait) continue;
-        const size_t j = seen[w.id]++;
-        auto& eps = episodes[w.id];
-        if (eps.size() <= j) eps.resize(j + 1);
-        eps[j].push_back({n, w.begin, w.end});
-      }
-    }
-
-    std::vector<Finding> found;
-    for (const auto& [barrier, eps] : episodes) {
-      for (size_t j = 0; j < eps.size(); ++j) {
-        std::vector<Arrival> a = eps[j];
-        if (a.size() < 2) continue;
-        std::sort(a.begin(), a.end(), [](const Arrival& x, const Arrival& y) {
-          if (x.begin != y.begin) return x.begin < y.begin;
-          return x.node < y.node;
-        });
-        const Arrival& slow = a.back();
-        const sim::Time gap_begin = a[a.size() - 2].begin;
-        const sim::Time gap = slow.begin - gap_begin;
-        const double sev =
-            static_cast<double>(gap) / static_cast<double>(in.finish);
-        if (gap <= 0 || sev < kMinSeverity) continue;
-
-        // Attribute the gap interval on the slowest node.
-        sim::Time fault_part = 0;
-        for (const LocalSpan& s : g->nodes[slow.node].spans) {
-          if (s.begin >= slow.begin) break;  // spans sorted by begin
-          const sim::Time b = std::max(s.begin, gap_begin);
-          const sim::Time e = std::min(s.end, slow.begin);
-          if (e > b) fault_part += e - b;
-        }
-        const sim::Time compute_part = gap - std::min(gap, fault_part);
-
-        Finding f;
-        f.cat = FindingCat::kLoadImbalance;
-        f.severity = clamp01(sev);
-        f.location = "barrier " + std::to_string(barrier) + " episode " +
-                     std::to_string(j) + ", node " +
-                     std::to_string(slow.node);
-        f.node = slow.node;
-        f.id = static_cast<int64_t>(barrier);
-        f.window_begin = gap_begin;
-        f.window_end = slow.begin;
-        f.evidence = "node " + std::to_string(slow.node) + " arrived " +
-                     fmtDur(gap) + " after the next-slowest node (" +
-                     fmtDur(compute_part) + " compute, " + fmtDur(fault_part) +
-                     " fault/diff in the gap); episode released at " +
-                     fmtSecs(slow.end);
-        f.remedy = compute_part >= fault_part
-                       ? "shift work off the slow node for this phase of "
-                         "the program"
-                       : "the slow node stalls on fault/diff service before "
-                         "this barrier; pre-fetch or re-home its hot pages";
-        found.push_back(std::move(f));
-      }
-    }
-
-    std::sort(found.begin(), found.end(),
-              [](const Finding& x, const Finding& y) {
-                if (x.severity != y.severity) return x.severity > y.severity;
-                if (x.id != y.id) return x.id < y.id;
-                return x.window_begin < y.window_begin;
-              });
-    if (found.size() > kMaxFindings) found.resize(kMaxFindings);
-    for (Finding& f : found) out.push_back(std::move(f));
-  }
-};
-
 }  // namespace
 
-std::unique_ptr<Pass> makeImbalancePass() {
-  return std::make_unique<ImbalancePass>();
+void loadImbalance(const DiagnosisInput& in, std::vector<Finding>& out) {
+  if (in.finish <= 0 || in.nprocs < 2) return;
+
+  std::vector<Finding> found;
+  for (const auto& [barrier, eps] : barrierEpisodes(in.graph)) {
+    for (size_t j = 0; j < eps.size(); ++j) {
+      const std::vector<Arrival>& a = eps[j];
+      if (a.size() < 2) continue;
+      const Arrival& slow = a.back();
+      const sim::Time gap_begin = a[a.size() - 2].begin;
+      const sim::Time gap = slow.begin - gap_begin;
+      const double sev =
+          static_cast<double>(gap) / static_cast<double>(in.finish);
+      if (gap <= 0 || sev < kMinSeverity) continue;
+
+      // Attribute the gap interval on the slowest node.
+      sim::Time fault_part = 0;
+      for (const LocalSpan& s : in.graph.nodes[slow.node].spans) {
+        if (s.begin >= slow.begin) break;  // spans sorted by begin
+        const sim::Time b = std::max(s.begin, gap_begin);
+        const sim::Time e = std::min(s.end, slow.begin);
+        if (e > b) fault_part += e - b;
+      }
+      const sim::Time compute_part = gap - std::min(gap, fault_part);
+
+      Finding f;
+      f.cat = FindingCat::kLoadImbalance;
+      f.severity = clamp01(sev);
+      f.location = "barrier " + std::to_string(barrier) + " episode " +
+                   std::to_string(j) + ", node " +
+                   std::to_string(slow.node);
+      f.node = slow.node;
+      f.id = static_cast<int64_t>(barrier);
+      f.window_begin = gap_begin;
+      f.window_end = slow.begin;
+      f.evidence = "node " + std::to_string(slow.node) + " arrived " +
+                   fmtDur(gap) + " after the next-slowest node (" +
+                   fmtDur(compute_part) + " compute, " + fmtDur(fault_part) +
+                   " fault/diff in the gap); episode released at " +
+                   fmtSecs(slow.end);
+      f.remedy = compute_part >= fault_part
+                     ? "shift work off the slow node for this phase of "
+                       "the program"
+                     : "the slow node stalls on fault/diff service before "
+                       "this barrier; pre-fetch or re-home its hot pages";
+      found.push_back(std::move(f));
+    }
+  }
+
+  std::sort(found.begin(), found.end(),
+            [](const Finding& x, const Finding& y) {
+              if (x.severity != y.severity) return x.severity > y.severity;
+              if (x.id != y.id) return x.id < y.id;
+              return x.window_begin < y.window_begin;
+            });
+  if (found.size() > kMaxFindings) found.resize(kMaxFindings);
+  for (Finding& f : found) out.push_back(std::move(f));
 }
 
 }  // namespace vodsm::obs::passes

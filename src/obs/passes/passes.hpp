@@ -1,30 +1,57 @@
-// Factory functions for the built-in diagnosis pass catalog. Each pass is
-// self-contained in its .cpp; the Diagnoser constructor instantiates them in
-// this order (order does not affect the ranking, which is severity-based).
+// The diagnosis pass list: ten free functions, each reading one
+// DiagnosisInput and appending zero or more findings. diagnose() runs them
+// in list order; the order does not affect the report, which rankFindings
+// orders by severity.
 #pragma once
 
-#include <memory>
+#include <functional>
+#include <vector>
 
 #include "obs/diagnose.hpp"
 
 namespace vodsm::obs::passes {
 
-// Detectors for injected/physical faults (root causes).
-std::unique_ptr<Pass> makePartitionPass();      // anomalies.cpp
-std::unique_ptr<Pass> makeStragglerPass();      // skew.cpp
-std::unique_ptr<Pass> makeDegradedLinkPass();   // skew.cpp
-std::unique_ptr<Pass> makeRetransmitStormPass();  // anomalies.cpp
+// Everything a pass reads: the run's folds, built once per traced run, and
+// the flow fold, built once per diagnosis.
+struct DiagnosisInput {
+  const TraceRecorder& trace;
+  const EventGraph& graph;
+  const Breakdown& breakdown;
+  const CriticalPath& critpath;
+  const PageHeat& pageheat;
+  const FlowFold& flows;
+  const MetricsSummary* metrics;  // null when the run was not metered
+  int nprocs;
+  sim::Time finish;
+  const std::function<WireClass(uint64_t)>& classify;  // may be empty
+  const std::function<sim::Time(uint64_t)>& tx_time;   // may be empty
+};
 
-// Communication-pattern detectors.
-std::unique_ptr<Pass> makeGrantStormPass();    // comm_patterns.cpp
-std::unique_ptr<Pass> makeAllToAllDiffPass();  // comm_patterns.cpp
+using PassFn = void (*)(const DiagnosisInput& in, std::vector<Finding>& out);
 
-// Load / memory structure.
-std::unique_ptr<Pass> makeImbalancePass();        // imbalance.cpp
-std::unique_ptr<Pass> makePageImbalancePass();    // page_imbalance.cpp
-std::unique_ptr<Pass> makeDiffStoreGrowthPass();  // memory.cpp
+// Detectors for injected/physical faults (root causes): anomalies.cpp
+// (partition, retransmitStorm) and skew.cpp (straggler, degradedLink).
+void partition(const DiagnosisInput& in, std::vector<Finding>& out);
+void straggler(const DiagnosisInput& in, std::vector<Finding>& out);
+void degradedLink(const DiagnosisInput& in, std::vector<Finding>& out);
+void retransmitStorm(const DiagnosisInput& in, std::vector<Finding>& out);
 
-// Catch-all critical-path summarizer (always emits when a path exists).
-std::unique_ptr<Pass> makeHotspotPass();  // hotspot.cpp
+// Communication-pattern detectors (comm_patterns.cpp).
+void grantStorm(const DiagnosisInput& in, std::vector<Finding>& out);
+void allToAllDiff(const DiagnosisInput& in, std::vector<Finding>& out);
+
+// Load / memory structure: imbalance.cpp, page_imbalance.cpp, memory.cpp.
+void loadImbalance(const DiagnosisInput& in, std::vector<Finding>& out);
+void pageImbalance(const DiagnosisInput& in, std::vector<Finding>& out);
+void diffStoreGrowth(const DiagnosisInput& in, std::vector<Finding>& out);
+
+// Catch-all critical-path summarizer, always emitting when a path exists
+// (hotspot.cpp).
+void hotspot(const DiagnosisInput& in, std::vector<Finding>& out);
+
+inline constexpr PassFn kPasses[] = {
+    partition,    straggler,     degradedLink,  retransmitStorm, grantStorm,
+    allToAllDiff, loadImbalance, pageImbalance, diffStoreGrowth, hotspot,
+};
 
 }  // namespace vodsm::obs::passes

@@ -2,50 +2,25 @@
 
 #include <algorithm>
 #include <fstream>
-#include <map>
 #include <sstream>
 
-#include "obs/graph.hpp"
 #include "support/check.hpp"
 #include "support/json_writer.hpp"
 
 namespace vodsm::obs {
 namespace {
 
-struct Arrival {
-  uint32_t node = 0;
-  sim::Time begin = 0;
-  sim::Time end = 0;
-};
-
-// Groups barrier waits into episodes exactly like passes/imbalance.cpp: the
-// j-th wait of a node on barrier b belongs to episode (b, j).
+// One ProfileEpisode per barrier episode with at least two arrivals.
 std::vector<ProfileEpisode> foldEpisodes(const EventGraph& g,
                                          uint64_t* total) {
-  std::map<uint64_t, std::vector<std::vector<Arrival>>> episodes;
-  for (uint32_t n = 0; n < g.nodes.size(); ++n) {
-    std::map<uint64_t, size_t> seen;
-    for (const Wait& w : g.nodes[n].waits) {
-      if (w.cat != Cat::kBarrierWait) continue;
-      const size_t j = seen[w.id]++;
-      auto& eps = episodes[w.id];
-      if (eps.size() <= j) eps.resize(j + 1);
-      eps[j].push_back({n, w.begin, w.end});
-    }
-  }
-
   std::vector<ProfileEpisode> out;
   *total = 0;
-  for (const auto& [barrier, eps] : episodes) {
+  for (const auto& [barrier, eps] : barrierEpisodes(g)) {
     for (size_t j = 0; j < eps.size(); ++j) {
-      std::vector<Arrival> a = eps[j];
+      const std::vector<Arrival>& a = eps[j];
       if (a.size() < 2) continue;
       ++*total;
       if (out.size() >= kMaxProfileEpisodes) continue;
-      std::sort(a.begin(), a.end(), [](const Arrival& x, const Arrival& y) {
-        if (x.begin != y.begin) return x.begin < y.begin;
-        return x.node < y.node;
-      });
       ProfileEpisode e;
       e.barrier = barrier;
       e.episode = static_cast<uint32_t>(j);
@@ -123,26 +98,37 @@ Metric metricFromName(const std::string& name) {
 
 }  // namespace
 
-RunProfile buildRunProfile(const TraceRecorder& trace, int nprocs,
-                           sim::Time finish, const MetricsSummary* metrics) {
+RunFolds foldRun(const TraceRecorder& trace, int nprocs, sim::Time finish) {
+  RunFolds f;
+  f.nprocs = nprocs;
+  f.finish = finish;
+  f.graph = buildEventGraph(trace, nprocs);
+  f.breakdown = foldBreakdown(trace, nprocs, finish);
+  f.critpath = computeCriticalPath(f.graph, finish);
+  f.pageheat = foldPageHeat(trace);
+  return f;
+}
+
+RunProfile buildRunProfile(const RunFolds& folds,
+                           const MetricsSummary* metrics) {
   RunProfile p;
   p.on = true;
-  p.nprocs = nprocs;
-  p.makespan = finish;
-
-  const EventGraph graph = buildEventGraph(trace, nprocs);
-  const Breakdown bd = foldBreakdown(trace, nprocs, finish);
-  p.buckets = bd.nodes;
-
-  const CriticalPath cp = computeCriticalPath(graph, finish);
-  for (int c = 0; c < kPathCatCount; ++c) p.critpath[c] = cp.by_cat[c];
-  p.slices = cp.slices;
+  p.nprocs = folds.nprocs;
+  p.makespan = folds.finish;
+  p.buckets = folds.breakdown.nodes;
+  for (int c = 0; c < kPathCatCount; ++c)
+    p.critpath[c] = folds.critpath.by_cat[c];
+  p.slices = folds.critpath.slices;
   if (p.slices.size() > kMaxProfileSlices) p.slices.resize(kMaxProfileSlices);
-
-  p.episodes = foldEpisodes(graph, &p.episodes_total);
-  p.pages = hottestPages(foldPageHeat(trace), &p.pages_total);
+  p.episodes = foldEpisodes(folds.graph, &p.episodes_total);
+  p.pages = hottestPages(folds.pageheat, &p.pages_total);
   if (metrics && metrics->enabled()) p.metrics = foldMetrics(*metrics);
   return p;
+}
+
+RunProfile buildRunProfile(const TraceRecorder& trace, int nprocs,
+                           sim::Time finish, const MetricsSummary* metrics) {
+  return buildRunProfile(foldRun(trace, nprocs, finish), metrics);
 }
 
 void writeRunProfileJson(std::ostream& os, const RunProfile& p) {

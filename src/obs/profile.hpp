@@ -1,6 +1,6 @@
 // Persisted run profiles: a compact, deterministic, committable summary of
-// one run, built from the observability artifacts the obs layer already
-// reconstructs and written as byte-stable JSON.
+// one run, assembled from the run's trace folds (RunFolds below) and
+// written as byte-stable JSON.
 //
 // A RunProfile holds bounded aggregates only — never raw events:
 //
@@ -31,6 +31,7 @@
 
 #include "obs/breakdown.hpp"
 #include "obs/critical_path.hpp"
+#include "obs/graph.hpp"
 #include "obs/metrics.hpp"
 #include "obs/page_heat.hpp"
 #include "obs/trace.hpp"
@@ -122,9 +123,30 @@ struct RunProfile {
   bool enabled() const { return on; }
 };
 
-// Builds the trace-derived parts of a profile (buckets, critical path,
-// episodes, pages, metrics). The caller fills label and the net counters;
-// vopp::Cluster::runProfile() wires both.
+// The four folds of a recorded trace that every single-run report reads.
+// A traced run builds them once (vopp::Cluster::analyze) and derives its
+// breakdown, critical path, page heat, profile and diagnosis from them.
+struct RunFolds {
+  int nprocs = 0;
+  sim::Time finish = 0;
+  EventGraph graph;
+  Breakdown breakdown;
+  CriticalPath critpath;
+  PageHeat pageheat;
+};
+
+// Runs buildEventGraph, foldBreakdown, computeCriticalPath and
+// foldPageHeat once each.
+RunFolds foldRun(const TraceRecorder& trace, int nprocs, sim::Time finish);
+
+// Assembles the fold-derived parts of a profile (buckets, critical path,
+// episodes, pages, metrics), capping the tables at the kMaxProfile* bounds.
+// The caller fills label and the net counters; vopp::Cluster::analyze()
+// wires both.
+RunProfile buildRunProfile(const RunFolds& folds,
+                           const MetricsSummary* metrics);
+
+// Convenience: fold the trace, then assemble.
 RunProfile buildRunProfile(const TraceRecorder& trace, int nprocs,
                            sim::Time finish, const MetricsSummary* metrics);
 

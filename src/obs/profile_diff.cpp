@@ -21,7 +21,7 @@ using passes::fmtDur;
 using passes::fmtPct;
 
 // Calibration. All fractions are of |delta| (the makespan difference being
-// explained), mirroring the Diagnoser's severity = fraction-of-makespan
+// explained), mirroring the diagnoser's severity = fraction-of-makespan
 // convention at the differential level.
 constexpr double kMinCatFrac = 0.01;     // ignore category deltas below 1%
 constexpr double kMinShiftShare = 0.05;  // per-side makespan-share movement
@@ -361,18 +361,7 @@ DiffReport diffProfiles(const RunProfile& a, const RunProfile& b) {
     r.findings.push_back(std::move(f));
   }
 
-  for (Finding& f : r.findings)
-    f.severity = std::clamp(f.severity, 0.0, 1.0);
-  // The Diagnoser's ranking: severity desc, then category (root causes
-  // enumerate before symptoms), then location — a deterministic total order.
-  std::sort(r.findings.begin(), r.findings.end(),
-            [](const Finding& x, const Finding& y) {
-              if (x.severity != y.severity) return x.severity > y.severity;
-              if (x.cat != y.cat) return x.cat < y.cat;
-              if (x.location != y.location) return x.location < y.location;
-              if (x.node != y.node) return x.node < y.node;
-              return x.id < y.id;
-            });
+  rankFindings(r.findings);
   return r;
 }
 
@@ -384,10 +373,9 @@ std::string fmtSecs6(sim::Time t) {
   return os.str();
 }
 
-std::string fmtSeverity(double sev) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(1) << std::setw(5) << sev * 100.0;
-  return os.str();
+// Signed seconds at six decimals: "+0.001234" / "-0.001234".
+std::string fmtSignedSecs6(sim::Time d) {
+  return (d < 0 ? "-" : "+") + fmtSecs6(d < 0 ? -d : d);
 }
 
 }  // namespace
@@ -399,8 +387,7 @@ void printDiffReport(std::ostream& os, const DiffReport& r,
      << " s over " << r.nprocs_a << " nodes\n";
   os << "B: " << r.label_b << " — makespan " << fmtSecs6(r.makespan_b)
      << " s over " << r.nprocs_b << " nodes\n";
-  os << "delta: " << (r.delta < 0 ? "-" : "+")
-     << fmtSecs6(r.delta < 0 ? -r.delta : r.delta) << " s (B is ";
+  os << "delta: " << fmtSignedSecs6(r.delta) << " s (B is ";
   if (r.makespan_a > 0) {
     std::ostringstream pct;
     pct << std::fixed << std::setprecision(1)
@@ -418,14 +405,12 @@ void printDiffReport(std::ostream& os, const DiffReport& r,
     const sim::Time d = r.cat_b[c] - r.cat_a[c];
     os << "  " << std::left << std::setw(16) << kPathCatName[c] << std::right
        << std::setw(12) << fmtSecs6(r.cat_a[c]) << std::setw(12)
-       << fmtSecs6(r.cat_b[c]) << std::setw(12)
-       << ((d < 0 ? "-" : "+") + fmtSecs6(d < 0 ? -d : d)) << "\n";
+       << fmtSecs6(r.cat_b[c]) << std::setw(12) << fmtSignedSecs6(d)
+       << "\n";
   }
   os << "  " << std::left << std::setw(16) << "total" << std::right
      << std::setw(12) << fmtSecs6(r.makespan_a) << std::setw(12)
-     << fmtSecs6(r.makespan_b) << std::setw(12)
-     << ((r.delta < 0 ? "-" : "+") +
-         fmtSecs6(r.delta < 0 ? -r.delta : r.delta))
+     << fmtSecs6(r.makespan_b) << std::setw(12) << fmtSignedSecs6(r.delta)
      << "\n";
 
   os << "\n" << r.findings.size()
@@ -434,13 +419,7 @@ void printDiffReport(std::ostream& os, const DiffReport& r,
     os << "no significant delta pattern; the runs look equivalent\n";
     return;
   }
-  int rank = 0;
-  for (const Finding& f : r.findings) {
-    os << "#" << ++rank << " [" << fmtSeverity(f.severity) << "%] "
-       << findingCatName(f.cat) << ": " << f.location << "\n";
-    os << "    evidence: " << f.evidence << "\n";
-    os << "    remedy:   " << f.remedy << "\n";
-  }
+  printFindings(os, r.findings);
 }
 
 void writeDiffReportJson(std::ostream& os, const DiffReport& r) {

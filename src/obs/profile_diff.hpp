@@ -3,15 +3,15 @@
 // diffProfiles aligns two persisted RunProfiles by program structure —
 // critical-path categories, barrier episodes keyed (barrier, episode),
 // pages keyed by page id, wire message classes — and explains the makespan
-// delta as ranked Finding records (the Diagnoser's record and ranking
-// rules, with differential categories).
+// delta as ranked Finding records (the diagnoser's record, ranked by the
+// same rankFindings, with differential categories).
 //
 // The foundation is exact: each profile's critical-path category totals
 // partition its makespan to the nanosecond (obs/critical_path.hpp), so the
 // per-category deltas partition `makespan_b - makespan_a` exactly — an
 // identity diffProfiles asserts and tests pin. Severity is the fraction of
 // the *delta* a finding explains (not of either makespan), clamped to
-// [0, 1], and the calibration follows the Diagnoser's
+// [0, 1], and the calibration follows the diagnoser's
 // root-cause-over-symptom rule: a detected transfer shift (time moving
 // between fault/diff service and grant transfer — the LRC-vs-VC signature)
 // outranks the per-category deltas it manifests as, which outrank the

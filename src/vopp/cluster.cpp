@@ -4,6 +4,50 @@
 
 namespace vodsm::vopp {
 
+namespace {
+
+// obs sits below net, so its wire-class tables mirror net::MsgClass
+// value-for-value; the mirrors are asserted here, where both are in scope.
+static_assert(static_cast<int>(obs::WireClass::kAcquire) ==
+                      static_cast<int>(net::MsgClass::kAcquire) &&
+                  static_cast<int>(obs::WireClass::kDiffRequest) ==
+                      static_cast<int>(net::MsgClass::kDiffRequest) &&
+                  static_cast<int>(obs::WireClass::kDiffReply) ==
+                      static_cast<int>(net::MsgClass::kDiffReply) &&
+                  static_cast<int>(obs::WireClass::kOther) ==
+                      static_cast<int>(net::MsgClass::kOther),
+              "WireClass must mirror net::MsgClass");
+static_assert(static_cast<int>(net::MsgClass::kAcquire) == 0 &&
+                  static_cast<int>(net::MsgClass::kGrant) == 1 &&
+                  static_cast<int>(net::MsgClass::kRelease) == 2 &&
+                  static_cast<int>(net::MsgClass::kDiffRequest) == 3 &&
+                  static_cast<int>(net::MsgClass::kDiffReply) == 4 &&
+                  static_cast<int>(net::MsgClass::kBarrier) == 5 &&
+                  static_cast<int>(net::MsgClass::kData) == 6 &&
+                  static_cast<int>(net::MsgClass::kOther) == 7 &&
+                  obs::kProfileClassCount == net::kMsgClassCount,
+              "profile class table must mirror net::MsgClass");
+
+// The profile's wire half: the transport counters, per class and in total.
+void fillNetCounters(const net::NetStats& ns, obs::RunProfile& p) {
+  p.has_net = true;
+  for (int c = 0; c < obs::kProfileClassCount; ++c) {
+    p.classes[c].messages = ns.kind[c].messages;
+    p.classes[c].payload_bytes = ns.kind[c].payload_bytes;
+    p.classes[c].retransmissions = ns.kind[c].retransmissions;
+    p.classes[c].drops = ns.kind[c].drops;
+  }
+  p.net_messages = ns.messages;
+  p.net_payload_bytes = ns.payload_bytes;
+  p.net_retransmissions = ns.retransmissions;
+  p.net_acks = ns.acks;
+  p.net_ack_drops = ns.ack_drops;
+  p.net_frames_sent = ns.frames_sent;
+  p.net_frames_delivered = ns.frames_delivered;
+}
+
+}  // namespace
+
 std::unique_ptr<dsm::Runtime> Cluster::makeRuntime(dsm::NodeCtx& ctx) const {
   switch (opts_.protocol) {
     case dsm::Protocol::kLrcDiff:
@@ -99,70 +143,34 @@ void Cluster::run(const Program& program) {
   }
 }
 
-obs::Diagnosis Cluster::diagnosis() const {
-  if (!opts_.trace) return {};
-  // obs sits below net/dsm, so the diagnosis passes take the wire knowledge
-  // they need as hooks wired here: the dsm message classifier (WireClass
-  // mirrors net::MsgClass value-for-value, checked below) and the run's
-  // undegraded frame serialization cost.
-  static_assert(static_cast<int>(obs::WireClass::kAcquire) ==
-                    static_cast<int>(net::MsgClass::kAcquire) &&
-                static_cast<int>(obs::WireClass::kDiffRequest) ==
-                    static_cast<int>(net::MsgClass::kDiffRequest) &&
-                static_cast<int>(obs::WireClass::kDiffReply) ==
-                    static_cast<int>(net::MsgClass::kDiffReply) &&
-                static_cast<int>(obs::WireClass::kOther) ==
-                    static_cast<int>(net::MsgClass::kOther),
-                "WireClass must mirror net::MsgClass");
+RunAnalysis Cluster::analyze(bool diagnose) const {
+  RunAnalysis a;
+  if (!opts_.trace) return a;
+  const obs::TraceRecorder& trace = *opts_.trace;
+  obs::RunFolds folds = obs::foldRun(trace, opts_.nprocs, finish_time_);
   const obs::MetricsSummary metrics = metricsSummary();
-  const net::NetConfig cfg = opts_.net;
-  return obs::diagnose(
-      *opts_.trace, opts_.nprocs, finish_time_,
-      metrics.enabled() ? &metrics : nullptr,
-      [](uint64_t type) {
-        return static_cast<obs::WireClass>(
-            dsm::classifyMsg(static_cast<uint16_t>(type)));
-      },
-      [cfg](uint64_t bytes) {
-        return cfg.txTime(static_cast<size_t>(bytes));
-      });
-}
-
-obs::RunProfile Cluster::runProfile() const {
-  if (!opts_.trace) return {};
-  const obs::MetricsSummary metrics = metricsSummary();
-  obs::RunProfile p =
-      obs::buildRunProfile(*opts_.trace, opts_.nprocs, finish_time_,
-                           metrics.enabled() ? &metrics : nullptr);
-  // The profile's per-class counters are keyed by kProfileClassName, whose
-  // order mirrors net::MsgClass value-for-value (obs sits below net, so the
-  // mirror is asserted here where both are in scope).
-  static_assert(static_cast<int>(net::MsgClass::kAcquire) == 0 &&
-                    static_cast<int>(net::MsgClass::kGrant) == 1 &&
-                    static_cast<int>(net::MsgClass::kRelease) == 2 &&
-                    static_cast<int>(net::MsgClass::kDiffRequest) == 3 &&
-                    static_cast<int>(net::MsgClass::kDiffReply) == 4 &&
-                    static_cast<int>(net::MsgClass::kBarrier) == 5 &&
-                    static_cast<int>(net::MsgClass::kData) == 6 &&
-                    static_cast<int>(net::MsgClass::kOther) == 7 &&
-                    obs::kProfileClassCount == net::kMsgClassCount,
-                "profile class table must mirror net::MsgClass");
-  const net::NetStats& ns = netStats();
-  p.has_net = true;
-  for (int c = 0; c < obs::kProfileClassCount; ++c) {
-    p.classes[c].messages = ns.kind[c].messages;
-    p.classes[c].payload_bytes = ns.kind[c].payload_bytes;
-    p.classes[c].retransmissions = ns.kind[c].retransmissions;
-    p.classes[c].drops = ns.kind[c].drops;
+  const obs::MetricsSummary* m = metrics.enabled() ? &metrics : nullptr;
+  a.profile = obs::buildRunProfile(folds, m);
+  fillNetCounters(netStats(), a.profile);
+  if (diagnose) {
+    // obs sits below net/dsm, so the diagnosis passes take the wire
+    // knowledge they need as hooks wired here: the dsm message classifier
+    // and the run's undegraded frame serialization cost.
+    const net::NetConfig& cfg = opts_.net;
+    a.diagnosis = obs::diagnose(
+        trace, folds, m,
+        [](uint64_t type) {
+          return static_cast<obs::WireClass>(
+              dsm::classifyMsg(static_cast<uint16_t>(type)));
+        },
+        [&cfg](uint64_t bytes) {
+          return cfg.txTime(static_cast<size_t>(bytes));
+        });
   }
-  p.net_messages = ns.messages;
-  p.net_payload_bytes = ns.payload_bytes;
-  p.net_retransmissions = ns.retransmissions;
-  p.net_acks = ns.acks;
-  p.net_ack_drops = ns.ack_drops;
-  p.net_frames_sent = ns.frames_sent;
-  p.net_frames_delivered = ns.frames_delivered;
-  return p;
+  a.breakdown = std::move(folds.breakdown);
+  a.critpath = std::move(folds.critpath);
+  a.pageheat = std::move(folds.pageheat);
+  return a;
 }
 
 dsm::DsmStats Cluster::dsmStats() const {

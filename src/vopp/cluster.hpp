@@ -26,10 +26,7 @@
 #include "dsm/runtime.hpp"
 #include "dsm/vc.hpp"
 #include "net/network.hpp"
-#include "obs/breakdown.hpp"
-#include "obs/critical_path.hpp"
 #include "obs/diagnose.hpp"
-#include "obs/page_heat.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
@@ -63,6 +60,16 @@ struct ClusterOptions {
 };
 
 class Cluster;
+
+// Every single-run report of a traced run, derived from one set of trace
+// folds (see Cluster::analyze).
+struct RunAnalysis {
+  obs::Breakdown breakdown;
+  obs::CriticalPath critpath;
+  obs::PageHeat pageheat;
+  obs::RunProfile profile;   // unlabelled; the caller names it
+  obs::Diagnosis diagnosis;  // empty unless diagnosed
+};
 
 // Per-node program environment: every method charges simulated time and/or
 // suspends on simulated communication.
@@ -264,23 +271,6 @@ class Cluster {
   double seconds() const { return sim::toSeconds(finish_time_); }
   sim::Time finishTime() const { return finish_time_; }
   dsm::DsmStats dsmStats() const;
-  // Folds the recorded trace into per-node time buckets. Empty (enabled() ==
-  // false) when the run was not traced.
-  obs::Breakdown breakdown() const {
-    if (!opts_.trace) return {};
-    return obs::foldBreakdown(*opts_.trace, opts_.nprocs, finish_time_);
-  }
-  // Walks the critical path of the recorded trace. Empty when untraced.
-  obs::CriticalPath criticalPath() const {
-    if (!opts_.trace) return {};
-    return obs::computeCriticalPath(*opts_.trace, opts_.nprocs, finish_time_);
-  }
-  // Folds the recorded trace into per-page contention rows. Empty when
-  // untraced.
-  obs::PageHeat pageHeat() const {
-    if (!opts_.trace) return {};
-    return obs::foldPageHeat(*opts_.trace);
-  }
   const net::NetStats& netStats() const {
     VODSM_CHECK(network_ != nullptr);
     return network_->stats();
@@ -297,15 +287,13 @@ class Cluster {
     if (!opts_.metrics) return {};
     return opts_.metrics->summary();
   }
-  // Runs the diagnosis pass catalog over the recorded trace (and metrics
-  // summary when metered). Empty when untraced. Defined in cluster.cpp,
-  // where the dsm message classifier and the run's NetConfig are in scope —
-  // obs itself stays below those layers.
-  obs::Diagnosis diagnosis() const;
-  // Builds a persisted run profile from the recorded trace, metrics summary
-  // and transport counters. Empty when untraced. Defined in cluster.cpp,
-  // where net::NetStats is in scope — obs itself stays below net.
-  obs::RunProfile runProfile() const;
+  // Builds the trace analysis once: folds the recorded trace a single time
+  // (obs::foldRun), assembles the run profile from those folds, the metrics
+  // summary and the transport counters, and, when `diagnose` is set, runs
+  // the diagnosis passes over the same folds. Empty when untraced. Lives
+  // here, where net::NetStats, the dsm message classifier and the run's
+  // NetConfig are in scope — obs itself stays below those layers.
+  RunAnalysis analyze(bool diagnose) const;
   // Inspect a node's final memory (for result validation).
   ByteSpan memoryOf(int node, size_t offset, size_t len) const {
     return ctxs_.at(static_cast<size_t>(node))->store.rangeView(offset, len);

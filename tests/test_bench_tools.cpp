@@ -16,7 +16,10 @@
 //    simulated fields exactly while stripping the host-shape keys ("jobs",
 //    the "host" metadata object, and the "axes" coordinate record), so a
 //    baseline written before those records existed still gates a current
-//    file that has them.
+//    file that has them; a host timing beyond its tolerance is a
+//    host-timing failure, never simulated drift of its cell.
+//  * bench/tables.hpp — writeTablesJson escapes the --faults spec, so a
+//    record with control characters in it still parses.
 //  * bench/table_common.hpp — parseArgs must reject a processor count
 //    below one with the usage and exit status 2, before any cell runs.
 #include <gtest/gtest.h>
@@ -30,6 +33,7 @@
 #include "apps/is.hpp"
 #include "bench/diff_compare.hpp"
 #include "bench/table_common.hpp"
+#include "bench/tables.hpp"
 #include "harness/run.hpp"
 #include "model/extrap.hpp"
 #include "model/fit.hpp"
@@ -472,10 +476,12 @@ TEST(DiffCompare, HostTimingsGetToleranceNotEquality) {
   EXPECT_EQ(mismatches(R"({"wall_seconds": 10.0})",
                        R"({"wall_seconds": 200.0})"),
             0);
-  // Beyond 25x: drift.
-  EXPECT_EQ(mismatches(R"({"wall_seconds": 10.0})",
-                       R"({"wall_seconds": 600.0})"),
-            1);
+  // Beyond 25x: a host-timing failure, not simulated drift.
+  const bench::diff::Report beyond =
+      runCompare(R"({"wall_seconds": 10.0})", R"({"wall_seconds": 600.0})",
+                 bench::diff::Config{});
+  EXPECT_EQ(beyond.mismatches, 0);
+  EXPECT_EQ(beyond.host_failures, 1);
   // Both under the 5s floor: noise, always passes.
   EXPECT_EQ(mismatches(R"({"host_seconds": 0.001})",
                        R"({"host_seconds": 4.9})"),
@@ -484,6 +490,22 @@ TEST(DiffCompare, HostTimingsGetToleranceNotEquality) {
   EXPECT_EQ(mismatches(R"({"serial_wall_seconds": 9.0, "a": 1})",
                        R"({"a": 1})"),
             0);
+}
+
+TEST(DiffCompare, HostOnlyFailureDriftsNoCell) {
+  // Only the host timing moved: the cell fails the host check, but its
+  // simulated fields are identical, so --explain has nothing to explain.
+  const std::string base =
+      R"({"cells": [{"id": "IS/LRC_d/16p", "sim_seconds": 2.0,
+                     "host_seconds": 10.0}]})";
+  const std::string cur =
+      R"({"cells": [{"id": "IS/LRC_d/16p", "sim_seconds": 2.0,
+                     "host_seconds": 900.0}]})";
+  const bench::diff::Report rep =
+      runCompare(base, cur, bench::diff::Config{});
+  EXPECT_EQ(rep.mismatches, 0);
+  EXPECT_EQ(rep.host_failures, 1);
+  EXPECT_TRUE(rep.drifted_cells.empty());
 }
 
 TEST(DiffCompare, AxesCoordinateRecordsNeverCompare) {
@@ -497,6 +519,24 @@ TEST(DiffCompare, AxesCoordinateRecordsNeverCompare) {
           "axes": {"procs": 16, "n_scale": 1, "bw_mbps": 50, "loss_pct": 0}})";
   EXPECT_EQ(mismatches(base, cur), 0);
   EXPECT_EQ(mismatches(cur, base), 0);
+}
+
+// --- tables: the JSON record ---------------------------------------------
+
+TEST(TablesJson, FaultSpecIsEscaped) {
+  // A fault-plan path may hold any byte; the record must stay valid JSON.
+  bench::Options o;
+  o.faults = "@/tmp/plan\tdir/\"q\"\n.json";
+  bench::TableSpec spec;
+  spec.name = "t";
+  spec.cells.emplace_back("IS/LRC_d/2p", nullptr);
+  bench::SpecRun run;
+  run.results.resize(1);
+  run.cell_host_seconds = {0.0};
+  std::ostringstream os;
+  bench::writeTablesJson(os, {spec}, {run}, o, 1, 0, 0);
+  const Json doc = Json::parse(os.str());
+  EXPECT_EQ(doc.at("faults").asString(), o.faults);
 }
 
 // --- table_common: command-line parsing ---------------------------------

@@ -199,7 +199,6 @@ TEST_P(ChaosSweep, SurvivesWithBooksBalanced) {
   c.faults = &plan;
   c.trace = &trace_;
   c.metrics = &reg;
-  c.critpath = true;
   c.diagnose = true;
 
   // Faults may change timing, never answers: every app's output matches

@@ -1,8 +1,9 @@
 // Diagnosis contracts (see src/obs/diagnose.hpp):
 //
-//  * Pass mechanics: the default catalog is loaded, custom passes rank with
-//    the built-ins, and the merged findings sort by severity then category
-//    then location.
+//  * Pass mechanics: the pass list holds the ten built-in passes, and
+//    rankFindings sorts findings by severity then category then location.
+//  * One analysis: a diagnosed run's result.diagnosis is the report that
+//    obs::diagnose builds from the run's trace with the same hooks.
 //  * Exactness on hand-crafted streams: the imbalance, grant-storm, and
 //    partition detectors report the precisely-known gap, id, window, and
 //    attribution encoded in a synthetic trace — and the partition's own
@@ -18,17 +19,19 @@
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <memory>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "apps/is.hpp"
+#include "dsm/msgs.hpp"
 #include "harness/parallel_runner.hpp"
 #include "harness/run.hpp"
 #include "net/faults.hpp"
 #include "obs/diagnose.hpp"
 #include "obs/metrics.hpp"
+#include "obs/passes/passes.hpp"
 #include "obs/trace.hpp"
 #include "support/json.hpp"
 
@@ -55,25 +58,8 @@ std::string render(const obs::Diagnosis& d) {
 // --- pass framework ----------------------------------------------------
 
 TEST(Diagnoser, DefaultCatalogIsLoaded) {
-  obs::Diagnoser with_catalog;
-  EXPECT_EQ(with_catalog.passCount(), 10u);
-  obs::Diagnoser empty(/*with_default_catalog=*/false);
-  EXPECT_EQ(empty.passCount(), 0u);
+  EXPECT_EQ(std::size(obs::passes::kPasses), 10u);
 }
-
-// A stub pass emitting fixed findings, for ranking tests.
-class StubPass : public obs::Pass {
- public:
-  explicit StubPass(std::vector<obs::Finding> fs) : findings_(std::move(fs)) {}
-  const char* name() const override { return "stub"; }
-  void run(const obs::DiagnosisInput&,
-           std::vector<obs::Finding>& out) const override {
-    for (const obs::Finding& f : findings_) out.push_back(f);
-  }
-
- private:
-  std::vector<obs::Finding> findings_;
-};
 
 TEST(Diagnoser, FindingsRankBySeverityThenCategoryThenLocation) {
   obs::Finding weak;
@@ -89,23 +75,19 @@ TEST(Diagnoser, FindingsRankBySeverityThenCategoryThenLocation) {
   tied.severity = 0.9;
   tied.location = "c";
 
-  obs::Diagnoser d(/*with_default_catalog=*/false);
-  d.addPass(std::make_unique<StubPass>(
-      std::vector<obs::Finding>{weak, strong, tied}));
-  EXPECT_EQ(d.passCount(), 1u);
+  obs::Finding over;  // out of range: clamped to 1, so it ranks first
+  over.cat = obs::FindingCat::kHotspot;
+  over.severity = 1.5;
+  over.location = "d";
 
-  obs::DiagnosisInput in;
-  in.nprocs = 2;
-  in.finish = sim::usec(100);
-  obs::Diagnosis out = d.run(in);
-  ASSERT_TRUE(out.enabled());
-  EXPECT_EQ(out.makespan, sim::usec(100));
-  EXPECT_EQ(out.nprocs, 2);
-  ASSERT_EQ(out.findings.size(), 3u);
-  EXPECT_EQ(out.findings[0].cat, obs::FindingCat::kStraggler);
-  EXPECT_EQ(out.findings[1].cat, obs::FindingCat::kHotspot);
-  EXPECT_EQ(out.findings[2].cat, obs::FindingCat::kPartition);
-  EXPECT_EQ(out.top(), &out.findings[0]);
+  std::vector<obs::Finding> findings{weak, strong, tied, over};
+  obs::rankFindings(findings);
+  ASSERT_EQ(findings.size(), 4u);
+  EXPECT_EQ(findings[0].location, "d");
+  EXPECT_DOUBLE_EQ(findings[0].severity, 1.0);
+  EXPECT_EQ(findings[1].cat, obs::FindingCat::kStraggler);
+  EXPECT_EQ(findings[2].cat, obs::FindingCat::kHotspot);
+  EXPECT_EQ(findings[3].cat, obs::FindingCat::kPartition);
 }
 
 TEST(Diagnoser, HealthyReportSaysSo) {
@@ -364,6 +346,43 @@ TEST(DiagnoseDeterminism, ReportIsByteIdenticalAcrossHostThreads) {
     rendered[i] = runDiagnosedIs("loss:p=0.01").rendered;
   });
   for (const std::string& r : rendered) EXPECT_EQ(r, reference.rendered);
+}
+
+TEST(DiagnoseDeterminism, RunDiagnosisMatchesDiagnosingTheTrace) {
+  // The run builds its analysis once and hands the same folds to the
+  // passes; diagnosing the recorded trace from scratch, with the hooks the
+  // cluster wires, must render the identical report. The faults make the
+  // flow fold (partition, loss) and both hooks plus the metrics (degraded
+  // link) decide findings.
+  for (const char* spec :
+       {"profile:partition", "loss:p=0.01", "degrade:bw=8,to=2"}) {
+    const net::FaultPlan plan = net::parseFaultPlan(spec);
+    obs::TraceRecorder rec;
+    obs::MetricsRegistry mets;
+    RunConfig c;
+    c.protocol = dsm::Protocol::kVcSd;
+    c.nprocs = kDiagProcs;
+    c.faults = &plan;
+    c.trace = &rec;
+    c.metrics = &mets;
+    c.diagnose = true;
+    const RunResult r =
+        apps::runIs(c, diagIs(), apps::IsVariant::kVopp).result;
+    ASSERT_TRUE(r.diagnosis.enabled()) << spec;
+    ASSERT_FALSE(r.diagnosis.findings.empty()) << spec;
+    const obs::MetricsSummary summary = mets.summary();
+    const net::NetConfig net = c.net;
+    const obs::Diagnosis direct = obs::diagnose(
+        rec, c.nprocs, r.profile.makespan, &summary,
+        [](uint64_t type) {
+          return static_cast<obs::WireClass>(
+              dsm::classifyMsg(static_cast<uint16_t>(type)));
+        },
+        [net](uint64_t bytes) {
+          return net.txTime(static_cast<size_t>(bytes));
+        });
+    EXPECT_EQ(render(r.diagnosis), render(direct)) << spec;
+  }
 }
 
 TEST(DiagnoseDeterminism, DiagnosedRunMatchesUndiagnosedRun) {

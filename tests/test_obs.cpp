@@ -21,6 +21,7 @@
 #include "harness/run.hpp"
 #include "obs/breakdown.hpp"
 #include "obs/critical_path.hpp"
+#include "obs/diagnose.hpp"
 #include "obs/graph.hpp"
 #include "obs/metrics.hpp"
 #include "obs/page_heat.hpp"
@@ -337,17 +338,18 @@ TEST(Obs, EventGraphIsCompleteOnRealRuns) {
       c.trace = &rec;
       (void)apps::runIs(c, smallIs(), variantFor(proto));
       obs::EventGraph g = obs::buildEventGraph(rec, c.nprocs);
+      const obs::FlowFold flows = obs::foldFlows(rec);
       const std::string what =
           std::string(lossy ? "lossy " : "") + "proto " +
           std::to_string(static_cast<int>(proto));
       // Every deliver has a matching send, every wait a wakeup edge, every
       // span a begin/end pair — even under loss and retransmission.
-      EXPECT_EQ(g.delivers_without_send, 0u) << what;
+      EXPECT_EQ(flows.delivers_without_send, 0u) << what;
       EXPECT_EQ(g.waits_without_trigger, 0u) << what;
       EXPECT_EQ(g.unmatched_spans, 0u) << what;
-      EXPECT_FALSE(g.flows.empty()) << what;
+      EXPECT_FALSE(flows.flows.empty()) << what;
       uint64_t delivered = 0, retransmitted = 0;
-      for (const obs::Flow& f : g.flows) {
+      for (const obs::Flow& f : flows.flows) {
         EXPECT_NE(f.corr, obs::kNoCorr);
         EXPECT_GE(f.send, 0) << what;
         if (f.deliver >= 0) delivered++;
@@ -366,8 +368,6 @@ TEST(Obs, CriticalPathSumsToMakespanOnRealRuns) {
     RunConfig c = smallConfig(proto);
     obs::TraceRecorder rec;
     c.trace = &rec;
-    c.critpath = true;
-    c.pageheat = true;
     RunResult r = apps::runIs(c, smallIs(), variantFor(proto)).result;
     const obs::CriticalPath& cp = r.critpath;
     ASSERT_TRUE(cp.enabled());
@@ -396,7 +396,6 @@ TEST(Obs, CriticalPathOutputIndependentOfHostThreading) {
       RunConfig c = smallConfig(proto);
       obs::TraceRecorder rec;
       c.trace = &rec;
-      c.critpath = true;
       RunResult r = apps::runIs(c, smallIs(), variantFor(proto)).result;
       std::ostringstream os;
       obs::printCriticalPath(os, r.critpath, "cp");

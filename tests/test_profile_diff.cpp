@@ -3,8 +3,10 @@
 //
 //  * Round trip: write -> load -> write is byte-identical, so a profile can
 //    live in git and be compared across commits.
-//  * Purity: a profiled run's simulated results are bit-identical to an
-//    unprofiled run's, for every protocol.
+//  * One analysis: a traced run's profile is byte-identical to the one
+//    buildRunProfile folds from the same trace with the same net counters.
+//  * Purity: a profiled (traced) run's simulated results are bit-identical
+//    to an untraced run's, for every protocol.
 //  * Determinism: the profile JSON and the differential report are
 //    byte-identical across host-thread interleavings (--jobs).
 //  * Exactness: on hand-crafted profiles the per-category deltas partition
@@ -52,7 +54,6 @@ RunResult runProfiledIs(dsm::Protocol proto, apps::IsVariant variant,
   c.nprocs = nprocs;
   c.trace = &rec;
   c.metrics = &mets;
-  c.profile = true;
   return apps::runIs(c, params, variant).result;
 }
 
@@ -87,6 +88,40 @@ TEST(RunProfile, CriticalPathCategoriesPartitionTheMakespan) {
   sim::Time sum = 0;
   for (int c = 0; c < obs::kPathCatCount; ++c) sum += r.profile.critpath[c];
   EXPECT_EQ(sum, r.profile.makespan);
+}
+
+// --- one analysis -------------------------------------------------------
+
+TEST(RunProfile, TracedRunProfileMatchesFoldingTheTrace) {
+  obs::TraceRecorder rec;
+  obs::MetricsRegistry mets;
+  RunConfig c;
+  c.protocol = dsm::Protocol::kLrcDiff;
+  c.nprocs = 4;
+  c.trace = &rec;
+  c.metrics = &mets;
+  const RunResult r =
+      apps::runIs(c, testIs(), apps::IsVariant::kTraditional).result;
+  ASSERT_TRUE(r.profile.enabled());
+  const obs::MetricsSummary summary = mets.summary();
+  obs::RunProfile direct =
+      obs::buildRunProfile(rec, c.nprocs, r.profile.makespan, &summary);
+  // The wire half comes from the transport counters, not the trace.
+  direct.has_net = true;
+  for (int k = 0; k < obs::kProfileClassCount; ++k) {
+    direct.classes[k].messages = r.net.kind[k].messages;
+    direct.classes[k].payload_bytes = r.net.kind[k].payload_bytes;
+    direct.classes[k].retransmissions = r.net.kind[k].retransmissions;
+    direct.classes[k].drops = r.net.kind[k].drops;
+  }
+  direct.net_messages = r.net.messages;
+  direct.net_payload_bytes = r.net.payload_bytes;
+  direct.net_retransmissions = r.net.retransmissions;
+  direct.net_acks = r.net.acks;
+  direct.net_ack_drops = r.net.ack_drops;
+  direct.net_frames_sent = r.net.frames_sent;
+  direct.net_frames_delivered = r.net.frames_delivered;
+  EXPECT_EQ(renderProfile(r.profile), renderProfile(direct));
 }
 
 // --- purity -------------------------------------------------------------
