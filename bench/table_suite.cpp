@@ -15,17 +15,14 @@
 //   table_suite --compare-serial     # also measure the serial sweep and
 //                                    # record speedup in the JSON
 //   table_suite --json=out.json      # default: BENCH_tables.json
-#include <chrono>
 #include <fstream>
 #include <iostream>
-#include <tuple>
 
 #include "bench/tables.hpp"
 #include "harness/parallel_runner.hpp"
 
 int main(int argc, char** argv) {
   using namespace vodsm;
-  using Clock = std::chrono::steady_clock;
   auto opts = bench::parseArgs(argc, argv);
   if (opts.json.empty()) opts.json = "BENCH_tables.json";
   // The suite always traces and meters: BENCH_tables.json carries a
@@ -38,52 +35,23 @@ int main(int argc, char** argv) {
   const int jobs = harness::resolveJobs(opts.jobs);
 
   const auto specs = bench::allTableSpecs(opts);
-
-  // Flatten every table's cells into one global sweep.
-  struct Slot {
-    size_t spec;
-    size_t cell;
-  };
-  std::vector<Slot> slots;
-  for (size_t s = 0; s < specs.size(); ++s)
-    for (size_t c = 0; c < specs[s].cells.size(); ++c)
-      slots.push_back({s, c});
-
-  auto sweep = [&](int sweep_jobs) {
-    std::vector<bench::SpecRun> runs(specs.size());
-    for (size_t s = 0; s < specs.size(); ++s) {
-      runs[s].results.resize(specs[s].cells.size());
-      runs[s].cell_host_seconds.resize(specs[s].cells.size(), 0.0);
-    }
-    const auto t0 = Clock::now();
-    harness::ParallelRunner(sweep_jobs).forEach(slots.size(), [&](size_t i) {
-      const auto [s, c] = slots[i];
-      const auto c0 = Clock::now();
-      runs[s].results[c] = specs[s].cells[c].run();
-      runs[s].cell_host_seconds[c] =
-          std::chrono::duration<double>(Clock::now() - c0).count();
-    });
-    const double wall =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    for (auto& r : runs) r.wall_seconds = wall;  // one shared sweep
-    return std::pair(std::move(runs), wall);
-  };
-
-  std::cerr << "table_suite: " << slots.size() << " cells across "
-            << specs.size() << " tables, jobs=" << jobs << "\n";
+  size_t cells = 0;
+  for (const auto& spec : specs) cells += spec.cells.size();
+  std::cerr << "table_suite: " << cells << " cells across " << specs.size()
+            << " tables, jobs=" << jobs << "\n";
   std::vector<bench::SpecRun> runs;
-  double wall = 0;
   double serial_wall = 0;
   try {
-    std::tie(runs, wall) = sweep(jobs);
+    runs = bench::runSpecs(specs, jobs);
     if (opts.compare_serial && jobs > 1) {
       std::cerr << "table_suite: re-running serially for comparison...\n";
-      serial_wall = sweep(1).second;
+      serial_wall = bench::runSpecs(specs, 1).front().wall_seconds;
     }
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
+  const double wall = runs.front().wall_seconds;  // one shared sweep
 
   for (size_t s = 0; s < specs.size(); ++s)
     specs[s].print(std::cout, runs[s].results);

@@ -483,20 +483,26 @@ std::vector<TableSpec> allTableSpecs(const Options& o) {
   return specs;
 }
 
-SpecRun runSpec(const TableSpec& spec, int jobs) {
+std::vector<SpecRun> runSpecs(const std::vector<TableSpec>& specs, int jobs) {
   using Clock = std::chrono::steady_clock;
-  SpecRun out;
-  out.results.resize(spec.cells.size());
-  out.cell_host_seconds.resize(spec.cells.size(), 0.0);
+  std::vector<SpecRun> runs(specs.size());
+  std::vector<std::pair<size_t, size_t>> slots;  // (spec, cell)
+  for (size_t s = 0; s < specs.size(); ++s) {
+    runs[s].results.resize(specs[s].cells.size());
+    runs[s].cell_host_seconds.resize(specs[s].cells.size(), 0.0);
+    for (size_t c = 0; c < specs[s].cells.size(); ++c) slots.push_back({s, c});
+  }
   const auto t0 = Clock::now();
-  harness::ParallelRunner(jobs).forEach(spec.cells.size(), [&](size_t i) {
+  harness::ParallelRunner(jobs).forEach(slots.size(), [&](size_t i) {
+    const auto [s, c] = slots[i];
     const auto c0 = Clock::now();
-    out.results[i] = spec.cells[i].run();
-    out.cell_host_seconds[i] =
+    runs[s].results[c] = specs[s].cells[c].run();
+    runs[s].cell_host_seconds[c] =
         std::chrono::duration<double>(Clock::now() - c0).count();
   });
-  out.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-  return out;
+  const double wall = std::chrono::duration<double>(Clock::now() - t0).count();
+  for (SpecRun& r : runs) r.wall_seconds = wall;
+  return runs;
 }
 
 std::string profileFileName(const std::string& cell_id) {
@@ -660,7 +666,7 @@ void writeTablesJson(std::ostream& os, const std::vector<TableSpec>& specs,
 int tableMain(const TableSpec& spec, const Options& o) {
   SpecRun run;
   try {
-    run = runSpec(spec, o.jobs);
+    run = std::move(runSpecs({spec}, o.jobs).front());
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -69,8 +69,10 @@ struct SpecRun {
   double wall_seconds = 0;                   // host wall-clock of the sweep
 };
 
-// Runs a spec's cells across `jobs` host threads (see parallel_runner.hpp).
-SpecRun runSpec(const TableSpec& spec, int jobs);
+// Runs every cell of every spec as one sweep across `jobs` host threads
+// (see parallel_runner.hpp), so the tail cells of one table overlap the
+// next table's. One SpecRun per spec, each carrying the sweep's wall time.
+std::vector<SpecRun> runSpecs(const std::vector<TableSpec>& specs, int jobs);
 
 // Profile file name for a cell id: '/' becomes '_' and ".profile.json" is
 // appended ("IS/LRC_d/16p" -> "IS_LRC_d_16p.profile.json").

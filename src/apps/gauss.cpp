@@ -221,15 +221,7 @@ GaussRun runGauss(const harness::RunConfig& config, const GaussParams& params,
   VODSM_CHECK_MSG(variant != GaussVariant::kTraditional ||
                       config.protocol == dsm::Protocol::kLrcDiff,
                   "traditional Gauss runs on LRC_d only");
-  vopp::Cluster cluster({.nprocs = config.nprocs,
-                         .protocol = config.protocol,
-                         .net = config.net,
-                         .costs = config.costs,
-                         .barrier = config.barrier,
-                         .seed = config.seed,
-                         .trace = config.trace,
-                         .metrics = config.metrics,
-                         .faults = config.faults});
+  vopp::Cluster cluster(config);
   GaussLayout lay;
   const size_t n = params.n;
   const size_t row_bytes = n * sizeof(double);
@@ -254,7 +246,7 @@ GaussRun runGauss(const harness::RunConfig& config, const GaussParams& params,
   });
 
   GaussRun out;
-  harness::collectResult(cluster, config, out.result);
+  out.result = cluster.result();
   auto raw = cluster.memoryOf(0, lay.result_off, 8);
   std::memcpy(&out.checksum, raw.data(), 8);
   return out;

@@ -293,15 +293,7 @@ IsRun runIs(const harness::RunConfig& config, const IsParams& params,
   VODSM_CHECK_MSG(variant != IsVariant::kTraditional ||
                       config.protocol == dsm::Protocol::kLrcDiff,
                   "traditional IS runs on LRC_d only");
-  vopp::Cluster cluster({.nprocs = config.nprocs,
-                         .protocol = config.protocol,
-                         .net = config.net,
-                         .costs = config.costs,
-                         .barrier = config.barrier,
-                         .seed = config.seed,
-                         .trace = config.trace,
-                         .metrics = config.metrics,
-                         .faults = config.faults});
+  vopp::Cluster cluster(config);
   IsLayout lay =
       buildLayout(cluster, params, variant != IsVariant::kTraditional);
   cluster.run([&](vopp::Node& node) -> sim::Task<void> {
@@ -309,7 +301,7 @@ IsRun runIs(const harness::RunConfig& config, const IsParams& params,
   });
 
   IsRun out;
-  harness::collectResult(cluster, config, out.result);
+  out.result = cluster.result();
   out.rank_sums.resize(static_cast<size_t>(config.nprocs));
   auto raw = cluster.memoryOf(0, lay.result_off,
                               static_cast<size_t>(config.nprocs) * 8);

@@ -339,10 +339,7 @@ sim::Task<void> nnTraditional(vopp::Node& node, const NnParams& p,
 double runNnMpi(const harness::RunConfig& config, const NnParams& p,
                 harness::RunResult& result) {
   Net net{p.inputs, p.hidden, p.outputs};
-  msg::World world({.nprocs = config.nprocs,
-                    .net = config.net,
-                    .seed = config.seed,
-                    .faults = config.faults});
+  msg::World world(config);
   double checksum = 0;
   world.run([&](msg::Rank& rank) -> sim::Task<void> {
     const size_t s_lo = sampleLo(p.samples, rank.size(), rank.id());
@@ -363,8 +360,7 @@ double runNnMpi(const harness::RunConfig& config, const NnParams& p,
     if (rank.id() == 0) checksum = weightChecksum(w);
     co_await rank.barrier();
   });
-  result.seconds = world.seconds();
-  result.net = world.netStats();
+  result = world.result();
   return checksum;
 }
 
@@ -380,15 +376,7 @@ NnRun runNn(const harness::RunConfig& config, const NnParams& params,
   VODSM_CHECK_MSG(variant != NnVariant::kTraditional ||
                       config.protocol == dsm::Protocol::kLrcDiff,
                   "traditional NN runs on LRC_d only");
-  vopp::Cluster cluster({.nprocs = config.nprocs,
-                         .protocol = config.protocol,
-                         .net = config.net,
-                         .costs = config.costs,
-                         .barrier = config.barrier,
-                         .seed = config.seed,
-                         .trace = config.trace,
-                         .metrics = config.metrics,
-                         .faults = config.faults});
+  vopp::Cluster cluster(config);
   NnLayout lay;
   Net net{params.inputs, params.hidden, params.outputs};
   lay.nw = net.weightCount();
@@ -412,7 +400,7 @@ NnRun runNn(const harness::RunConfig& config, const NnParams& params,
     return variant == NnVariant::kVopp ? nnVopp(node, params, lay)
                                        : nnTraditional(node, params, lay);
   });
-  harness::collectResult(cluster, config, out.result);
+  out.result = cluster.result();
   auto raw = cluster.memoryOf(0, lay.result_off, 8);
   std::memcpy(&out.checksum, raw.data(), 8);
   return out;

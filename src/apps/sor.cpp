@@ -270,15 +270,7 @@ SorRun runSor(const harness::RunConfig& config, const SorParams& params,
                   "traditional SOR runs on LRC_d only");
   VODSM_CHECK_MSG(params.rows >= static_cast<size_t>(config.nprocs) * 2,
                   "SOR needs at least two rows per processor");
-  vopp::Cluster cluster({.nprocs = config.nprocs,
-                         .protocol = config.protocol,
-                         .net = config.net,
-                         .costs = config.costs,
-                         .barrier = config.barrier,
-                         .seed = config.seed,
-                         .trace = config.trace,
-                         .metrics = config.metrics,
-                         .faults = config.faults});
+  vopp::Cluster cluster(config);
   SorLayout lay;
   const size_t row_bytes = params.cols * sizeof(double);
   if (variant == SorVariant::kVopp) {
@@ -307,7 +299,7 @@ SorRun runSor(const harness::RunConfig& config, const SorParams& params,
   });
 
   SorRun out;
-  harness::collectResult(cluster, config, out.result);
+  out.result = cluster.result();
   auto raw = cluster.memoryOf(0, lay.result_off, 8);
   std::memcpy(&out.checksum, raw.data(), 8);
   return out;

@@ -11,10 +11,10 @@ LrcRuntime::LrcRuntime(NodeCtx& ctx)
 void LrcRuntime::onMessage(net::Delivery&& d) {
   switch (d.type) {
     case kLockAcq:
-      onLockAcq(LockAcqMsg::decode(d.payload), d.arrive);
+      onLockAcq(decode<LockAcqMsg>(d.payload), d.arrive);
       return;
     case kLockAuth:
-      onLockAuth(LockAcqMsg::decode(d.payload), d.arrive);
+      onLockAuth(decode<LockAcqMsg>(d.payload), d.arrive);
       return;
     case kLockRelease: {
       Reader r(d.payload);
@@ -22,7 +22,7 @@ void LrcRuntime::onMessage(net::Delivery&& d) {
       return;
     }
     case kLockGrant: {
-      LockGrantMsg g = LockGrantMsg::decode(d.payload);
+      LockGrantMsg g = decode<LockGrantMsg>(d.payload);
       auto it = grant_waiters_.find(g.lock);
       VODSM_CHECK_MSG(it != grant_waiters_.end(),
                       "unexpected lock grant for lock " << g.lock);
@@ -49,7 +49,7 @@ sim::Task<void> LrcRuntime::acquireLock(LockId l) {
   auto* waiter_ptr = waiter.get();
   grant_waiters_[l] = std::move(waiter);
   LockAcqMsg req{l, ctx_.id, vc_};
-  ctx_.endpoint.post(managerOf(l), kLockAcq, req.encode(), ctx_.clock.now());
+  ctx_.endpoint.post(managerOf(l), kLockAcq, encode(req), ctx_.clock.now());
   LockGrantMsg g = co_await *waiter_ptr;
   grant_waiters_.erase(l);
   for (const auto& iv : g.intervals) absorbInterval(iv);
@@ -86,7 +86,7 @@ void LrcRuntime::onLockAcq(const LockAcqMsg& m, sim::Time arrive) {
   if (st.last_releaser == ctx_.id) {
     onLockAuth(m, when);
   } else {
-    ctx_.endpoint.post(st.last_releaser, kLockAuth, m.encode(), when);
+    ctx_.endpoint.post(st.last_releaser, kLockAuth, encode(m), when);
   }
 }
 
@@ -112,7 +112,7 @@ void LrcRuntime::onLockRelease(LockId lock, sim::Time arrive) {
   if (st.last_releaser == ctx_.id) {
     onLockAuth(next, when);
   } else {
-    ctx_.endpoint.post(st.last_releaser, kLockAuth, next.encode(), when);
+    ctx_.endpoint.post(st.last_releaser, kLockAuth, encode(next), when);
   }
 }
 
@@ -123,7 +123,7 @@ void LrcRuntime::sendGrant(const LockAcqMsg& req, sim::Time when) {
   g.intervals = intervalsNotCoveredBy(req.vc);
   if (auto* t = ctx_.trace)
     t->instant(ctx_.id, obs::Cat::kGrant, when, req.lock, req.requester);
-  ctx_.endpoint.post(req.requester, kLockGrant, g.encode(), when);
+  ctx_.endpoint.post(req.requester, kLockGrant, encode(g), when);
 }
 
 std::vector<mem::Interval> LrcRuntime::intervalsNotCoveredBy(

@@ -1,9 +1,14 @@
 // Wire formats for the DSM protocols.
 //
 // Every payload serializes through support/bytes.hpp, so message sizes in
-// the statistics tables are the real encoded sizes.
+// the statistics tables are the real encoded sizes. Each message lists its
+// fields once, in wire order (`fields`); encode() and decode() at the end of
+// this file walk that list.
 #pragma once
 
+#include <algorithm>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "dsm/types.hpp"
@@ -42,8 +47,8 @@ enum MsgType : uint16_t {
 };
 
 // Maps DSM message types onto the transport's traffic classes; installed on
-// each endpoint so NetStats can attribute messages and retransmissions per
-// kind.
+// the simulated network so NetStats can attribute messages, retransmissions
+// and drops per kind.
 inline net::MsgClass classifyMsg(uint16_t type) {
   switch (type) {
     case kLockAcq:
@@ -72,99 +77,29 @@ struct LockAcqMsg {
   LockId lock = 0;
   NodeId requester = 0;
   mem::VClock vc;
-
-  Bytes encode() const {
-    Writer w;
-    w.u32(lock);
-    w.u32(requester);
-    vc.serialize(w);
-    return w.take();
-  }
-  static LockAcqMsg decode(ByteSpan b) {
-    Reader r(b);
-    LockAcqMsg m;
-    m.lock = r.u32();
-    m.requester = r.u32();
-    m.vc = mem::VClock::deserialize(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.lock, m.requester, m.vc); }
 };
 
 struct LockGrantMsg {
   LockId lock = 0;
   mem::VClock grantor_vc;
   std::vector<mem::Interval> intervals;
-
-  Bytes encode() const {
-    Writer w;
-    w.u32(lock);
-    grantor_vc.serialize(w);
-    w.u32(static_cast<uint32_t>(intervals.size()));
-    for (const auto& iv : intervals) iv.serialize(w);
-    return w.take();
-  }
-  static LockGrantMsg decode(ByteSpan b) {
-    Reader r(b);
-    LockGrantMsg m;
-    m.lock = r.u32();
-    m.grantor_vc = mem::VClock::deserialize(r);
-    const uint32_t n = r.u32();
-    m.intervals.reserve(n);
-    for (uint32_t i = 0; i < n; ++i)
-      m.intervals.push_back(mem::Interval::deserialize(r));
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.lock, m.grantor_vc, m.intervals);
   }
 };
 
 struct DiffReqMsg {
   mem::PageId page = 0;
   std::vector<uint32_t> interval_indices;  // which intervals of the writer
-
-  Bytes encode() const {
-    Writer w;
-    w.u32(page);
-    w.u32(static_cast<uint32_t>(interval_indices.size()));
-    for (uint32_t i : interval_indices) w.u32(i);
-    return w.take();
-  }
-  static DiffReqMsg decode(ByteSpan b) {
-    Reader r(b);
-    DiffReqMsg m;
-    m.page = r.u32();
-    const uint32_t n = r.u32();
-    m.interval_indices.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) m.interval_indices.push_back(r.u32());
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.page, m.interval_indices); }
 };
 
 struct DiffRespMsg {
   // (ordering key, diff) pairs; the key is the writer interval index (LRC)
   // or the view version (VC_d).
   std::vector<std::pair<uint32_t, mem::Diff>> diffs;
-
-  Bytes encode() const {
-    size_t total = 4;
-    for (const auto& [key, d] : diffs) total += 4 + d.wireSize();
-    Writer w(total);
-    w.u32(static_cast<uint32_t>(diffs.size()));
-    for (const auto& [key, d] : diffs) {
-      w.u32(key);
-      d.serialize(w);
-    }
-    return w.take();
-  }
-  static DiffRespMsg decode(ByteSpan b) {
-    Reader r(b);
-    DiffRespMsg m;
-    const uint32_t n = r.u32();
-    m.diffs.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      uint32_t key = r.u32();
-      m.diffs.emplace_back(key, mem::Diff::deserialize(r));
-    }
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.diffs); }
 };
 
 // Barrier arrival. VC protocols leave `intervals` empty (pure sync).
@@ -172,25 +107,8 @@ struct BarrArriveMsg {
   BarrierId barrier = 0;
   NodeId node = 0;
   std::vector<mem::Interval> intervals;
-
-  Bytes encode() const {
-    Writer w;
-    w.u32(barrier);
-    w.u32(node);
-    w.u32(static_cast<uint32_t>(intervals.size()));
-    for (const auto& iv : intervals) iv.serialize(w);
-    return w.take();
-  }
-  static BarrArriveMsg decode(ByteSpan b) {
-    Reader r(b);
-    BarrArriveMsg m;
-    m.barrier = r.u32();
-    m.node = r.u32();
-    const uint32_t n = r.u32();
-    m.intervals.reserve(n);
-    for (uint32_t i = 0; i < n; ++i)
-      m.intervals.push_back(mem::Interval::deserialize(r));
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.barrier, m.node, m.intervals);
   }
 };
 
@@ -203,51 +121,15 @@ struct BarrRoundMsg {
   uint32_t round = 0;
   NodeId node = 0;
   std::vector<mem::Interval> intervals;
-
-  Bytes encode() const {
-    Writer w;
-    w.u32(barrier);
-    w.u32(round);
-    w.u32(node);
-    w.u32(static_cast<uint32_t>(intervals.size()));
-    for (const auto& iv : intervals) iv.serialize(w);
-    return w.take();
-  }
-  static BarrRoundMsg decode(ByteSpan b) {
-    Reader r(b);
-    BarrRoundMsg m;
-    m.barrier = r.u32();
-    m.round = r.u32();
-    m.node = r.u32();
-    const uint32_t n = r.u32();
-    m.intervals.reserve(n);
-    for (uint32_t i = 0; i < n; ++i)
-      m.intervals.push_back(mem::Interval::deserialize(r));
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.barrier, m.round, m.node, m.intervals);
   }
 };
 
 struct BarrReleaseMsg {
   BarrierId barrier = 0;
   std::vector<mem::Interval> intervals;  // LRC: global merged set
-
-  Bytes encode() const {
-    Writer w;
-    w.u32(barrier);
-    w.u32(static_cast<uint32_t>(intervals.size()));
-    for (const auto& iv : intervals) iv.serialize(w);
-    return w.take();
-  }
-  static BarrReleaseMsg decode(ByteSpan b) {
-    Reader r(b);
-    BarrReleaseMsg m;
-    m.barrier = r.u32();
-    const uint32_t n = r.u32();
-    m.intervals.reserve(n);
-    for (uint32_t i = 0; i < n; ++i)
-      m.intervals.push_back(mem::Interval::deserialize(r));
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.barrier, m.intervals); }
 };
 
 // ---- VC payloads ----
@@ -257,23 +139,8 @@ struct ViewAcqMsg {
   NodeId requester = 0;
   uint8_t write = 1;
   uint32_t last_seen = 0;  // last view version this node has incorporated
-
-  Bytes encode() const {
-    Writer w;
-    w.u32(view);
-    w.u32(requester);
-    w.u8(write);
-    w.u32(last_seen);
-    return w.take();
-  }
-  static ViewAcqMsg decode(ByteSpan b) {
-    Reader r(b);
-    ViewAcqMsg m;
-    m.view = r.u32();
-    m.requester = r.u32();
-    m.write = r.u8();
-    m.last_seen = r.u32();
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.view, m.requester, m.write, m.last_seen);
   }
 };
 
@@ -283,6 +150,7 @@ struct VcNotice {
   mem::PageId page = 0;
   uint32_t version = 0;
   NodeId writer = 0;
+  static auto fields(auto& m) { return std::tie(m.page, m.version, m.writer); }
 };
 
 struct ViewGrantMsg {
@@ -291,44 +159,8 @@ struct ViewGrantMsg {
   uint32_t write_version = 0;  // version assigned to the writer (0 for reads)
   std::vector<VcNotice> notices;  // VC_d: stale pages to invalidate
   std::vector<mem::Diff> diffs;   // VC_sd: integrated diffs, applied eagerly
-
-  Bytes encode() const {
-    size_t total = 20 + notices.size() * 12;
-    for (const auto& d : diffs) total += d.wireSize();
-    Writer w(total);
-    w.u32(view);
-    w.u32(cur_version);
-    w.u32(write_version);
-    w.u32(static_cast<uint32_t>(notices.size()));
-    for (const auto& n : notices) {
-      w.u32(n.page);
-      w.u32(n.version);
-      w.u32(n.writer);
-    }
-    w.u32(static_cast<uint32_t>(diffs.size()));
-    for (const auto& d : diffs) d.serialize(w);
-    return w.take();
-  }
-  static ViewGrantMsg decode(ByteSpan b) {
-    Reader r(b);
-    ViewGrantMsg m;
-    m.view = r.u32();
-    m.cur_version = r.u32();
-    m.write_version = r.u32();
-    const uint32_t nn = r.u32();
-    m.notices.reserve(nn);
-    for (uint32_t i = 0; i < nn; ++i) {
-      VcNotice n;
-      n.page = r.u32();
-      n.version = r.u32();
-      n.writer = r.u32();
-      m.notices.push_back(n);
-    }
-    const uint32_t nd = r.u32();
-    m.diffs.reserve(nd);
-    for (uint32_t i = 0; i < nd; ++i)
-      m.diffs.push_back(mem::Diff::deserialize(r));
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.view, m.cur_version, m.write_version, m.notices, m.diffs);
   }
 };
 
@@ -338,54 +170,123 @@ struct ViewReleaseMsg {
   uint32_t version = 0;
   std::vector<mem::PageId> pages;  // pages dirtied in this version
   std::vector<mem::Diff> diffs;    // VC_sd: their diffs (home update)
-
-  Bytes encode() const {
-    size_t total = 20 + pages.size() * 4;
-    for (const auto& d : diffs) total += d.wireSize();
-    Writer w(total);
-    w.u32(view);
-    w.u32(writer);
-    w.u32(version);
-    w.u32(static_cast<uint32_t>(pages.size()));
-    for (mem::PageId p : pages) w.u32(p);
-    w.u32(static_cast<uint32_t>(diffs.size()));
-    for (const auto& d : diffs) d.serialize(w);
-    return w.take();
-  }
-  static ViewReleaseMsg decode(ByteSpan b) {
-    Reader r(b);
-    ViewReleaseMsg m;
-    m.view = r.u32();
-    m.writer = r.u32();
-    m.version = r.u32();
-    const uint32_t np = r.u32();
-    m.pages.reserve(np);
-    for (uint32_t i = 0; i < np; ++i) m.pages.push_back(r.u32());
-    const uint32_t nd = r.u32();
-    m.diffs.reserve(nd);
-    for (uint32_t i = 0; i < nd; ++i)
-      m.diffs.push_back(mem::Diff::deserialize(r));
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.view, m.writer, m.version, m.pages, m.diffs);
   }
 };
 
 struct ViewReadReleaseMsg {
   ViewId view = 0;
   NodeId reader = 0;
-
-  Bytes encode() const {
-    Writer w;
-    w.u32(view);
-    w.u32(reader);
-    return w.take();
-  }
-  static ViewReadReleaseMsg decode(ByteSpan b) {
-    Reader r(b);
-    ViewReadReleaseMsg m;
-    m.view = r.u32();
-    m.reader = r.u32();
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.view, m.reader); }
 };
+
+// ---- Codec ----
+//
+// Integers are little-endian u8/u32; a vector is a u32 count followed by its
+// elements; VClock, Interval and Diff bring their own serializers. Each
+// operation (size, put, get) is one overload set: the leaves, then pairs,
+// field lists and vectors, which recurse into it.
+namespace wire {
+
+inline size_t size(uint8_t) { return 1; }
+inline size_t size(uint32_t) { return 4; }
+inline size_t size(const mem::VClock& vc) { return 4 + 4 * vc.size(); }
+inline size_t size(const mem::Interval& iv) {
+  return 12 + size(iv.vc) + 4 * iv.pages.size();
+}
+inline size_t size(const mem::Diff& d) { return d.wireSize(); }
+
+inline void put(Writer& w, uint8_t v) { w.u8(v); }
+inline void put(Writer& w, uint32_t v) { w.u32(v); }
+inline void put(Writer& w, const mem::VClock& v) { v.serialize(w); }
+inline void put(Writer& w, const mem::Interval& v) { v.serialize(w); }
+inline void put(Writer& w, const mem::Diff& v) { v.serialize(w); }
+
+inline void get(Reader& r, uint8_t& v) { v = r.u8(); }
+inline void get(Reader& r, uint32_t& v) { v = r.u32(); }
+inline void get(Reader& r, mem::VClock& v) { v = mem::VClock::deserialize(r); }
+inline void get(Reader& r, mem::Interval& v) {
+  v = mem::Interval::deserialize(r);
+}
+inline void get(Reader& r, mem::Diff& v) { v = mem::Diff::deserialize(r); }
+
+template <typename A, typename B>
+size_t size(const std::pair<A, B>& p) {
+  return size(p.first) + size(p.second);
+}
+template <typename A, typename B>
+void put(Writer& w, const std::pair<A, B>& p) {
+  put(w, p.first);
+  put(w, p.second);
+}
+template <typename A, typename B>
+void get(Reader& r, std::pair<A, B>& p) {
+  get(r, p.first);
+  get(r, p.second);
+}
+
+// Vectors and field lists nest in each other (ViewGrantMsg::notices).
+template <typename T>
+size_t size(const std::vector<T>& v);
+template <typename T>
+void put(Writer& w, const std::vector<T>& v);
+template <typename T>
+void get(Reader& r, std::vector<T>& v);
+
+template <typename M>
+concept HasFields = requires(const M& m) { M::fields(m); };
+
+template <HasFields M>
+size_t size(const M& m) {
+  return std::apply([](const auto&... f) { return (size(f) + ...); },
+                    M::fields(m));
+}
+template <HasFields M>
+void put(Writer& w, const M& m) {
+  std::apply([&w](const auto&... f) { (put(w, f), ...); }, M::fields(m));
+}
+template <HasFields M>
+void get(Reader& r, M& m) {
+  std::apply([&r](auto&... f) { (get(r, f), ...); }, M::fields(m));
+}
+
+template <typename T>
+size_t size(const std::vector<T>& v) {
+  size_t n = 4;
+  for (const T& x : v) n += size(x);
+  return n;
+}
+template <typename T>
+void put(Writer& w, const std::vector<T>& v) {
+  w.u32(static_cast<uint32_t>(v.size()));
+  for (const T& x : v) put(w, x);
+}
+template <typename T>
+void get(Reader& r, std::vector<T>& v) {
+  v.resize(r.u32());
+  for (T& x : v) get(r, x);
+}
+
+}  // namespace wire
+
+// Encodes a message into a buffer of exactly its wire size. Every message
+// has at least one u32 field; saying so lets GCC 12 at -O3 see that the
+// first append fits, where it otherwise reports a false -Wstringop-overflow
+// inside vector::insert.
+template <typename M>
+Bytes encode(const M& m) {
+  Writer w(std::max<size_t>(wire::size(m), 4));
+  wire::put(w, m);
+  return w.take();
+}
+
+template <typename M>
+M decode(ByteSpan b) {
+  Reader r(b);
+  M m;
+  wire::get(r, m);
+  return m;
+}
 
 }  // namespace vodsm::dsm

@@ -19,10 +19,10 @@ Runtime::Runtime(NodeCtx& ctx, uint16_t diff_req, uint16_t diff_resp)
 void Runtime::dispatch(net::Delivery&& d, const net::ReplyToken& token) {
   switch (d.type) {
     case kBarrArrive:
-      onBarrArrive(BarrArriveMsg::decode(d.payload), d.arrive);
+      onBarrArrive(decode<BarrArriveMsg>(d.payload), d.arrive);
       return;
     case kBarrRelease: {
-      BarrReleaseMsg rel = BarrReleaseMsg::decode(d.payload);
+      BarrReleaseMsg rel = decode<BarrReleaseMsg>(d.payload);
       if (ctx_.barrier == BarrierAlg::kTree) {
         // Fan the release down to our subtree before unblocking ourselves;
         // the payload is the complete global set, forwarded verbatim.
@@ -39,7 +39,7 @@ void Runtime::dispatch(net::Delivery&& d, const net::ReplyToken& token) {
       return;
     }
     case kBarrRound: {
-      BarrRoundMsg rm = BarrRoundMsg::decode(d.payload);
+      BarrRoundMsg rm = decode<BarrRoundMsg>(d.payload);
       const auto key = std::make_pair(rm.barrier, rm.round);
       auto it = round_waiters_.find(key);
       if (it != round_waiters_.end()) {
@@ -57,7 +57,7 @@ void Runtime::dispatch(net::Delivery&& d, const net::ReplyToken& token) {
     }
     default:
       if (d.type == diff_req_)
-        serveDiffs(DiffReqMsg::decode(d.payload), token, d.arrive);
+        serveDiffs(decode<DiffReqMsg>(d.payload), token, d.arrive);
       else
         onMessage(std::move(d));
   }
@@ -156,7 +156,7 @@ sim::Task<void> Runtime::readFault(mem::PageId p) {
     std::sort(indices.begin(), indices.end());
     ctx_.stats.diff_requests++;
     calls.push_back(
-        net::RpcCall{writer, diff_req_, DiffReqMsg{p, indices}.encode()});
+        net::RpcCall{writer, diff_req_, encode(DiffReqMsg{p, indices})});
     writers.push_back(writer);
   }
   std::vector<net::RpcResult> responses =
@@ -168,7 +168,7 @@ sim::Task<void> Runtime::readFault(mem::PageId p) {
     const NodeId writer = writers[r];
     ctx_.clock.atLeast(resp.arrive);
     VODSM_CHECK(resp.type == diff_resp_);
-    DiffRespMsg dr = DiffRespMsg::decode(resp.payload);
+    DiffRespMsg dr = decode<DiffRespMsg>(resp.payload);
     for (auto& [index, diff] : dr.diffs)
       collected.push_back(
           Fetched{applyRank(writer, index), writer, index, std::move(diff)});
@@ -201,7 +201,7 @@ void Runtime::serveDiffs(const DiffReqMsg& m, const net::ReplyToken& token,
                     "missing diff for page " << m.page << " index " << want);
     resp.diffs.emplace_back(want, dit->second);
   }
-  ctx_.endpoint.reply(token, diff_resp_, resp.encode(),
+  ctx_.endpoint.reply(token, diff_resp_, encode(resp),
                       arrive + ctx_.costs.handler_service);
 }
 
@@ -227,7 +227,7 @@ sim::Task<void> Runtime::barrier(BarrierId b) {
     // first folds its own arrival locally; node 0's target is unchanged.
     const NodeId arrive_at =
         ctx_.barrier == BarrierAlg::kTree ? ctx_.id : barrierManager();
-    ctx_.endpoint.post(arrive_at, kBarrArrive, arrive_msg.encode(),
+    ctx_.endpoint.post(arrive_at, kBarrArrive, encode(arrive_msg),
                        ctx_.clock.now());
     BarrReleaseMsg rel = co_await *waiter_ptr;
     barrier_waiters_.erase(b);
@@ -270,7 +270,7 @@ void Runtime::onBarrArrive(const BarrArriveMsg& m, sim::Time arrive) {
   for (auto& [key, iv] : st.merged) rel.intervals.push_back(std::move(iv));
   // Keyed by (node, index): already sorted per writer ascending, which the
   // receivers' contiguity check requires.
-  Bytes encoded = rel.encode();
+  Bytes encoded = encode(rel);
   for (NodeId n = 0; n < static_cast<NodeId>(ctx_.nprocs); ++n)
     ctx_.endpoint.post(n, kBarrRelease, Bytes(encoded), st.busy_until);
   barrier_mgr_.erase(m.barrier);
@@ -289,14 +289,14 @@ void Runtime::treeBarrierStep(BarrierId b, BarrierMgrState& st) {
     rel.intervals.reserve(st.merged.size());
     for (auto& [key, iv] : st.merged) rel.intervals.push_back(std::move(iv));
     // Self-post: the release fans down the tree from the root.
-    ctx_.endpoint.post(ctx_.id, kBarrRelease, rel.encode(), st.busy_until);
+    ctx_.endpoint.post(ctx_.id, kBarrRelease, encode(rel), st.busy_until);
   } else {
     BarrArriveMsg up;
     up.barrier = b;
     up.node = ctx_.id;
     up.intervals.reserve(st.merged.size());
     for (auto& [key, iv] : st.merged) up.intervals.push_back(std::move(iv));
-    ctx_.endpoint.post(treeParent(), kBarrArrive, up.encode(), st.busy_until);
+    ctx_.endpoint.post(treeParent(), kBarrArrive, encode(up), st.busy_until);
   }
   barrier_mgr_.erase(b);
 }
@@ -315,7 +315,7 @@ sim::Task<void> Runtime::barrierButterfly(BarrierId b,
     out.round = round;
     out.node = ctx_.id;
     out.intervals = acc;
-    ctx_.endpoint.post((ctx_.id + step) % p, kBarrRound, out.encode(),
+    ctx_.endpoint.post((ctx_.id + step) % p, kBarrRound, encode(out),
                        ctx_.clock.now());
     BarrRoundMsg in = co_await awaitRound(b, round);
     ctx_.clock.charge(ctx_.costs.barrier_fold);

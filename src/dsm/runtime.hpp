@@ -65,7 +65,6 @@ struct NodeCtx {
         barrier(barrier_),
         trace(trace_),
         metrics(metrics_) {
-    endpoint.setClassifier(&classifyMsg);
     endpoint.setTrace(trace);
   }
 

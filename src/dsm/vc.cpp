@@ -13,10 +13,10 @@ VcRuntime::VcRuntime(NodeCtx& ctx, bool integrated)
 void VcRuntime::onMessage(net::Delivery&& d) {
   switch (d.type) {
     case kViewAcq:
-      onViewAcq(ViewAcqMsg::decode(d.payload), d.arrive);
+      onViewAcq(decode<ViewAcqMsg>(d.payload), d.arrive);
       return;
     case kViewGrant: {
-      ViewGrantMsg g = ViewGrantMsg::decode(d.payload);
+      ViewGrantMsg g = decode<ViewGrantMsg>(d.payload);
       auto it = grant_waiters_.find(g.view);
       VODSM_CHECK_MSG(it != grant_waiters_.end(),
                       "unexpected view grant for view " << g.view);
@@ -25,10 +25,10 @@ void VcRuntime::onMessage(net::Delivery&& d) {
       return;
     }
     case kViewRelease:
-      onViewRelease(ViewReleaseMsg::decode(d.payload), d.arrive);
+      onViewRelease(decode<ViewReleaseMsg>(d.payload), d.arrive);
       return;
     case kViewReadRelease:
-      onViewReadRelease(ViewReadReleaseMsg::decode(d.payload), d.arrive);
+      onViewReadRelease(decode<ViewReadReleaseMsg>(d.payload), d.arrive);
       return;
     default:
       VODSM_CHECK_MSG(false, "VC: unknown message type " << d.type);
@@ -59,7 +59,7 @@ sim::Task<void> VcRuntime::acquireView(ViewId v, bool readonly) {
   grant_waiters_[v] = std::move(waiter);
   ViewAcqMsg req{v, ctx_.id, static_cast<uint8_t>(readonly ? 0 : 1),
                  last_seen_[v]};
-  ctx_.endpoint.post(viewManager(v), kViewAcq, req.encode(), ctx_.clock.now());
+  ctx_.endpoint.post(viewManager(v), kViewAcq, encode(req), ctx_.clock.now());
   ViewGrantMsg g = co_await *waiter_ptr;
   grant_waiters_.erase(v);
 
@@ -95,7 +95,7 @@ sim::Task<void> VcRuntime::releaseView(ViewId v, bool readonly) {
                     "release_Rview(" << v << ") not read-held");
     it->second--;
     ViewReadReleaseMsg rel{v, ctx_.id};
-    ctx_.endpoint.post(viewManager(v), kViewReadRelease, rel.encode(),
+    ctx_.endpoint.post(viewManager(v), kViewReadRelease, encode(rel),
                        ctx_.clock.now());
     co_return;
   }
@@ -118,7 +118,7 @@ sim::Task<void> VcRuntime::releaseView(ViewId v, bool readonly) {
   });
   last_seen_[v] = write_version_;
   write_held_.reset();
-  ctx_.endpoint.post(viewManager(v), kViewRelease, rel.encode(),
+  ctx_.endpoint.post(viewManager(v), kViewRelease, encode(rel),
                      ctx_.clock.now());
   co_return;
 }
@@ -198,7 +198,7 @@ void VcRuntime::grantNow(const ViewAcqMsg& m, ViewMgrState& st,
   }
   if (auto* t = ctx_.trace)
     t->instant(ctx_.id, obs::Cat::kGrant, when, m.view, m.requester);
-  ctx_.endpoint.post(m.requester, kViewGrant, g.encode(), when);
+  ctx_.endpoint.post(m.requester, kViewGrant, encode(g), when);
   if (sd_) {
     // The grant fixes what the requester will claim as last_seen next time:
     // the granted version for readers, the version it is about to write for

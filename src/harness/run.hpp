@@ -1,5 +1,6 @@
-// Experiment harness: shared configuration and result records used by the
-// application runners, the test suite, and the table benchmarks.
+// Experiment harness: the one configuration every runtime takes
+// (vopp::Cluster, msg::World) and the one result record it returns, shared
+// by the application runners, the test suite, and the table benchmarks.
 #pragma once
 
 #include "dsm/types.hpp"
@@ -17,27 +18,33 @@
 namespace vodsm::harness {
 
 struct RunConfig {
-  dsm::Protocol protocol = dsm::Protocol::kVcSd;
   int nprocs = 16;
+  dsm::Protocol protocol = dsm::Protocol::kVcSd;
   net::NetConfig net;
   dsm::DsmCosts costs;
   // Barrier algorithm (the default reproduces the paper's centralized
   // protocol byte-for-byte).
   dsm::BarrierAlg barrier = dsm::BarrierAlg::kCentral;
   uint64_t seed = 42;
-  // Caller-owned recorder; null disables tracing (see vopp::ClusterOptions).
+  // Caller-owned event recorder, threaded through every layer of the run
+  // (programs, protocol engines, transport, network). Null disables
+  // tracing; recording never charges simulated time, so traced and
+  // untraced runs produce identical results.
   obs::TraceRecorder* trace = nullptr;
-  // Caller-owned counter/gauge registry; null disables metrics. Like the
-  // recorder, metering never changes what the run computes.
+  // Caller-owned counter/gauge registry, threaded the same way (protocol
+  // engines, network, VOPP primitives). Null disables metrics; like
+  // tracing, metering never changes what the run computes.
   obs::MetricsRegistry* metrics = nullptr;
+  // Caller-owned fault plan. Null (or an empty plan) installs no injector,
+  // so fault-free runs stay byte-identical; otherwise the machine binds the
+  // plan to this run's seed and wires it into the network and every node
+  // clock (straggler rules).
+  const net::FaultPlan* faults = nullptr;
   // Also runs the diagnosis passes over the traced run's analysis (requires
   // `trace`; consumes the metrics summary too when metered). Post-processing
   // like the rest of the analysis: a diagnosed run is bit-identical to an
   // undiagnosed one, and the report itself is deterministic across --jobs.
   bool diagnose = false;
-  // Caller-owned fault plan (net::FaultPlan); null or empty disables
-  // injection and keeps the run byte-identical to a plan-free build.
-  const net::FaultPlan* faults = nullptr;
 };
 
 // Everything the paper's statistics tables report about one run.
@@ -46,7 +53,7 @@ struct RunResult {
   dsm::DsmStats dsm;
   net::NetStats net;
   // The trace analysis, built once from one set of trace folds (see
-  // vopp::Cluster::analyze) and kept by value so it outlives the recorder:
+  // vopp::Cluster::result) and kept by value so it outlives the recorder:
   // a traced run (RunConfig::trace) always fills the per-node time
   // buckets, the critical path, the per-page contention rows and the
   // persisted run profile (unlabelled; the caller names it before writing).
@@ -72,26 +79,5 @@ struct RunResult {
   // Barrier *episodes* (program-level barrier count, as the paper reports).
   uint64_t barrierEpisodes() const { return dsm.barriers; }
 };
-
-// Copies the standard result fields out of a finished cluster and, on a
-// traced run, its analysis. Templated so this header does not depend on the
-// vopp layer; any type with seconds()/dsmStats()/netStats()/
-// metricsSummary()/analyze(bool) works.
-template <typename ClusterT>
-void collectResult(const ClusterT& cluster, const RunConfig& cfg,
-                   RunResult& out) {
-  out.seconds = cluster.seconds();
-  out.dsm = cluster.dsmStats();
-  out.net = cluster.netStats();
-  if (cfg.trace) {
-    auto a = cluster.analyze(cfg.diagnose);
-    out.breakdown = std::move(a.breakdown);
-    out.critpath = std::move(a.critpath);
-    out.pageheat = std::move(a.pageheat);
-    out.profile = std::move(a.profile);
-    out.diagnosis = std::move(a.diagnosis);
-  }
-  if (cfg.metrics) out.metrics = cluster.metricsSummary();
-}
 
 }  // namespace vodsm::harness

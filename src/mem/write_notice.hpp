@@ -35,9 +35,6 @@ struct Interval {
     for (uint32_t i = 0; i < n; ++i) iv.pages.push_back(r.u32());
     return iv;
   }
-
-  // Approximate bytes on the wire (used for message sizing).
-  size_t wireSize() const { return 12 + vc.size() * 4 + pages.size() * 4; }
 };
 
 // A write notice as recorded against one page: node `writer`'s interval

@@ -1,10 +1,26 @@
 #include "msg/world.hpp"
 
-#include <algorithm>
-
 #include "dsm/msgs.hpp"  // for the kMsgData wire type id
 
 namespace vodsm::msg {
+
+namespace {
+
+// Software cost to pack or unpack one KB of message payload.
+constexpr sim::Time kPackPerKb = sim::usec(8);
+
+sim::Time packCost(size_t bytes) {
+  return kPackPerKb * static_cast<sim::Time>(bytes / 1024 + 1);
+}
+
+harness::RunConfig unobserved(harness::RunConfig cfg) {
+  cfg.trace = nullptr;
+  cfg.metrics = nullptr;
+  cfg.diagnose = false;
+  return cfg;
+}
+
+}  // namespace
 
 Rank::Rank(World& world, int id) : world_(world), id_(id) {
   endpoint_ = std::make_unique<net::Endpoint>(
@@ -17,8 +33,7 @@ Rank::Rank(World& world, int id) : world_(world), id_(id) {
 int Rank::size() const { return world_.nprocs(); }
 
 void Rank::send(int dst, uint32_t tag, Bytes payload) {
-  clock_.charge(world_.options().pack_per_kb *
-                static_cast<sim::Time>(payload.size() / 1024 + 1));
+  clock_.charge(packCost(payload.size()));
   Writer w(payload.size() + 8);
   w.u32(tag);
   w.blob(payload);
@@ -47,16 +62,14 @@ sim::Task<Bytes> Rank::recv(int src, uint32_t tag) {
   if (!box.messages.empty()) {
     Bytes out = std::move(box.messages.front());
     box.messages.pop_front();
-    clock_.charge(world_.options().pack_per_kb *
-                  static_cast<sim::Time>(out.size() / 1024 + 1));
+    clock_.charge(packCost(out.size()));
     co_return out;
   }
   VODSM_CHECK_MSG(!box.waiter, "two concurrent recv() on one (src, tag)");
   box.waiter = std::make_unique<sim::Waiter<Bytes>>();
   Bytes out = co_await *box.waiter;
   box.waiter.reset();
-  clock_.charge(world_.options().pack_per_kb *
-                static_cast<sim::Time>(out.size() / 1024 + 1));
+  clock_.charge(packCost(out.size()));
   co_return out;
 }
 
@@ -117,53 +130,15 @@ sim::Task<void> Rank::allreduce(std::vector<int64_t>& inout) {
   if (id_ != 0) unpackInt64(buf, inout);
 }
 
-void World::run(const Program& program) {
-  VODSM_CHECK_MSG(network_ == nullptr, "World::run called twice");
-  // One engine lane (stamp counter) per rank. The lanes fix the tie order
-  // of equal-time events, which the committed results depend on (see
-  // sim::Engine).
-  engine_.configureLanes(opts_.nprocs);
-  network_ =
-      std::make_unique<net::Network>(engine_, opts_.nprocs, opts_.net,
-                                     opts_.seed);
-  if (opts_.faults && !opts_.faults->empty()) {
-    faults_ = std::make_unique<net::FaultInjector>(*opts_.faults, opts_.seed,
-                                                   opts_.nprocs);
-    network_->setFaults(faults_.get());
-  }
-  ranks_.reserve(static_cast<size_t>(opts_.nprocs));
-  for (int i = 0; i < opts_.nprocs; ++i) {
-    ranks_.push_back(std::make_unique<Rank>(*this, i));
-    if (faults_)
-      ranks_.back()->clock_.setScaler(
-          faults_->chargeScalerFor(static_cast<net::NodeId>(i)));
-  }
+World::World(harness::RunConfig cfg) : machine_(unobserved(std::move(cfg))) {}
 
-  // Per-rank completion slots, written by each rank's finish callback and
-  // folded after the engine drains.
-  std::vector<unsigned char> finished(static_cast<size_t>(opts_.nprocs), 0);
-  std::vector<std::exception_ptr> errors(static_cast<size_t>(opts_.nprocs));
-  std::vector<sim::Time> done_times(static_cast<size_t>(opts_.nprocs), 0);
-  for (int i = 0; i < opts_.nprocs; ++i) {
-    Rank& rank = *ranks_[static_cast<size_t>(i)];
-    sim::Engine::LaneGuard lane(engine_, static_cast<net::NodeId>(i));
-    sim::spawn(scope_, program(rank),
-               [i, &rank, &finished, &errors,
-                &done_times](std::exception_ptr e) {
-                 finished[static_cast<size_t>(i)] = 1;
-                 if (e) errors[static_cast<size_t>(i)] = e;
-                 done_times[static_cast<size_t>(i)] = rank.now();
-               });
-  }
-  engine_.run();
-  for (int i = 0; i < opts_.nprocs; ++i)
-    finish_time_ = std::max(finish_time_, done_times[static_cast<size_t>(i)]);
-  for (int i = 0; i < opts_.nprocs; ++i)
-    if (errors[static_cast<size_t>(i)])
-      std::rethrow_exception(errors[static_cast<size_t>(i)]);
-  for (int i = 0; i < opts_.nprocs; ++i)
-    VODSM_CHECK_MSG(finished[static_cast<size_t>(i)],
-                    "deadlock: rank " << i << " never finished");
+void World::run(const Program& program) {
+  VODSM_CHECK_MSG(ranks_.empty(), "World::run called twice");
+  ranks_.reserve(static_cast<size_t>(nprocs()));
+  for (int i = 0; i < nprocs(); ++i)
+    ranks_.push_back(std::make_unique<Rank>(*this, i));
+  machine_.run(scope_, [&](size_t i) { return program(*ranks_[i]); },
+               [&](size_t i) -> sim::Clock& { return ranks_[i]->clock_; });
 }
 
 }  // namespace vodsm::msg

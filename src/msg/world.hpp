@@ -1,10 +1,11 @@
 // MPI-like message-passing library on the simulated cluster network.
 //
 // This is the baseline substrate for the paper's NN-MPI comparison
-// (Table 9): the same wire model as the DSM runtimes, but programs move data
-// explicitly. Point-to-point send/recv matches on (source, tag); the
-// collectives (barrier, bcast, reduce, allreduce) are linear rooted at rank
-// 0, which is faithful to early-2000s MPICH over TCP/UDP on small clusters.
+// (Table 9): the same simulated machine as the DSM runtimes
+// (harness::Machine), but programs move data explicitly. Point-to-point
+// send/recv matches on (source, tag); the collectives (barrier, bcast,
+// reduce, allreduce) are linear rooted at rank 0, which is faithful to
+// early-2000s MPICH over TCP/UDP on small clusters.
 #pragma once
 
 #include <deque>
@@ -13,7 +14,8 @@
 #include <memory>
 #include <vector>
 
-#include "net/faults.hpp"
+#include "harness/machine.hpp"
+#include "harness/run.hpp"
 #include "net/transport.hpp"
 #include "sim/clock.hpp"
 #include "sim/engine.hpp"
@@ -21,17 +23,6 @@
 #include "sim/waiter.hpp"
 
 namespace vodsm::msg {
-
-struct WorldOptions {
-  int nprocs = 4;
-  net::NetConfig net;
-  uint64_t seed = 42;
-  // Software cost to pack/unpack one KB of message payload.
-  sim::Time pack_per_kb = sim::usec(8);
-  // Caller-owned fault plan; null or empty means no injection (same
-  // contract as vopp::ClusterOptions::faults).
-  const net::FaultPlan* faults = nullptr;
-};
 
 class World;
 
@@ -78,28 +69,22 @@ class Rank {
 
 class World {
  public:
-  explicit World(WorldOptions opts) : opts_(std::move(opts)) {
-    VODSM_CHECK(opts_.nprocs > 0);
-  }
+  // Runs unobserved: the world drops the config's trace, metrics and
+  // diagnose (protocol, costs and barrier do not apply to it either).
+  explicit World(harness::RunConfig cfg);
 
   using Program = std::function<sim::Task<void>(Rank&)>;
   void run(const Program& program);
 
-  int nprocs() const { return opts_.nprocs; }
-  const WorldOptions& options() const { return opts_; }
-  sim::Engine& engine() { return engine_; }
-  net::Network& network() { return *network_; }
-  double seconds() const { return sim::toSeconds(finish_time_); }
-  const net::NetStats& netStats() const { return network_->stats(); }
+  int nprocs() const { return machine_.config().nprocs; }
+  sim::Engine& engine() { return machine_.engine(); }
+  net::Network& network() { return machine_.network(); }
+  // Seconds and traffic (after run).
+  harness::RunResult result() const { return machine_.result(); }
 
  private:
-  friend class Rank;
-  WorldOptions opts_;
-  sim::Engine engine_;
-  std::unique_ptr<net::Network> network_;
-  std::unique_ptr<net::FaultInjector> faults_;
+  harness::Machine machine_;
   std::vector<std::unique_ptr<Rank>> ranks_;
-  sim::Time finish_time_ = 0;
   // Last member: rank frames abandoned by a deadlocked run must be reclaimed
   // before the engine/network/ranks they reference go away.
   sim::TaskScope scope_;

@@ -126,10 +126,33 @@ uint64_t parseNodeSet(const std::string& tok) {
   return set;
 }
 
-// Shared by the CLI and JSON paths; `val` is the parsed numeric value and
-// `tok` its original text (for error messages).
-void applyNumericKey(FaultRule& r, const std::string& key, double val,
+// Keys whose values are whole numbers: node ids and drop budgets. The CLI
+// parses them as integers and the JSON path rejects fractional values, so
+// neither path rounds or wraps them through a double.
+bool isIntegerKey(const std::string& key) {
+  return key == "from" || key == "to" || key == "node" || key == "count";
+}
+
+// Shared by the CLI and JSON paths; `tok` is the value's original text (for
+// error messages).
+void applyIntegerKey(FaultRule& r, const std::string& key, uint64_t val,
                      const std::string& tok) {
+  if (key == "count") {
+    r.budget = val;
+    return;
+  }
+  if (val >= kAnyNode) specFail("node id out of range", tok);
+  const auto id = static_cast<NodeId>(val);
+  if (key == "from")
+    r.src = id;
+  else if (key == "to")
+    r.dst = id;
+  else
+    r.node = id;
+}
+
+void applyRealKey(FaultRule& r, const std::string& key, double val,
+                  const std::string& tok) {
   if (key == "p") {
     r.p = val;
     if (r.p < 0 || r.p > 1) specFail("probability outside [0,1]", tok);
@@ -146,36 +169,24 @@ void applyNumericKey(FaultRule& r, const std::string& key, double val,
   } else if (key == "delay" || key == "lat") {
     r.delay = secondsToTime(val);
     if (r.delay < 0) specFail("negative delay", tok);
-  } else if (key == "from") {
-    r.src = static_cast<NodeId>(val);
-  } else if (key == "to") {
-    r.dst = static_cast<NodeId>(val);
-  } else if (key == "node") {
-    r.node = static_cast<NodeId>(val);
   } else if (key == "factor") {
     r.factor = val;
     if (r.factor <= 0) specFail("factor must be positive", tok);
   } else if (key == "bw") {
     r.factor = val;
     if (r.factor <= 0) specFail("bw divisor must be positive", tok);
-  } else if (key == "count") {
-    if (val < 0) specFail("negative count", tok);
-    r.budget = static_cast<uint64_t>(val);
   } else {
     specFail("unknown key", key);
   }
 }
 
 void applyKey(FaultRule& r, const std::string& key, const std::string& val) {
-  if (key == "nodes") {
+  if (key == "nodes")
     r.node_set = parseNodeSet(val);
-    return;
-  }
-  if (key == "from" || key == "to" || key == "node" || key == "count") {
-    applyNumericKey(r, key, static_cast<double>(parseUint(val)), val);
-    return;
-  }
-  applyNumericKey(r, key, parseDouble(val), val);
+  else if (isIntegerKey(key))
+    applyIntegerKey(r, key, parseUint(val), val);
+  else
+    applyRealKey(r, key, parseDouble(val), val);
 }
 
 void validateRule(const FaultRule& r) {
@@ -239,6 +250,16 @@ void appendSegment(FaultPlan& plan, const std::string& seg, int depth) {
 // Rule objects use the same keys as the CLI spec plus "kind"; "nodes" is a
 // JSON array of node ids.
 
+// A JSON number that must be a whole, non-negative integer (JSON has only
+// doubles); `what` names the field in the error.
+uint64_t jsonUint(const support::Json& j, const std::string& what) {
+  const double d = j.asNumber();
+  // 2^64 is the first double past uint64_t's range.
+  if (!(d >= 0) || d != std::floor(d) || d >= 18446744073709551616.0)
+    specFail("not a non-negative integer", what);
+  return static_cast<uint64_t>(d);
+}
+
 FaultRule ruleFromJson(const support::Json& j) {
   FaultRule r;
   r.kind = kindFromName(j.at("kind").asString());
@@ -247,15 +268,17 @@ FaultRule ruleFromJson(const support::Json& j) {
     if (key == "nodes") {
       uint64_t set = 0;
       for (const support::Json& id : val.items()) {
-        const double d = id.asNumber();
-        if (d < 0 || d >= 64) specFail("node id out of range (max 63)",
-                                       std::to_string(d));
-        set |= 1ULL << static_cast<uint64_t>(d);
+        const uint64_t n = jsonUint(id, "nodes");
+        if (n >= 64)
+          specFail("node id out of range (max 63)", std::to_string(n));
+        set |= 1ULL << n;
       }
       r.node_set = set;
-      continue;
+    } else if (isIntegerKey(key)) {
+      applyIntegerKey(r, key, jsonUint(val, key), key);
+    } else {
+      applyRealKey(r, key, val.asNumber(), key);
     }
-    applyNumericKey(r, key, val.asNumber(), key);
   }
   return r;
 }
@@ -265,7 +288,7 @@ FaultPlan planFromJson(const support::Json& doc) {
   const support::Json* rules = &doc;
   if (doc.isObject()) {
     if (const support::Json* s = doc.find("seed"))
-      plan.seed = static_cast<uint64_t>(s->asNumber());
+      plan.seed = jsonUint(*s, "seed");
     rules = &doc.at("rules");
   }
   for (const support::Json& j : rules->items()) {

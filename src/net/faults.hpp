@@ -112,8 +112,9 @@ struct FaultAction {
 };
 
 // Binds a FaultPlan to one run. The Network queries onFrame() for every
-// frame reaching the switch; the cluster installs chargeScalerFor() on each
-// node clock. Not copyable: scalers hand out pointers into this object.
+// frame reaching the switch; the simulated machine installs
+// chargeScalerFor() on each node clock. Not copyable: scalers hand out
+// pointers into this object.
 class FaultInjector {
  public:
   FaultInjector(FaultPlan plan, uint64_t run_seed, int n_nodes);

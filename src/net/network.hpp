@@ -104,10 +104,13 @@ class Network {
   // and drops to the receiver's.
   void setMetrics(obs::MetricsRegistry* m) { metrics_ = m; }
 
-  // Maps the dropped frame's u16 message type onto a MsgClass so drops are
-  // attributed per class in NetStats. Without one, non-ack drops land in
-  // kOther (pure-ack drops are counted separately either way).
+  // Maps u16 message types onto MsgClass for the per-class counters: the
+  // endpoints' sends and retransmissions and the drops here (pure-ack drops
+  // are counted separately). Without one, everything lands in kOther.
   void setClassifier(Classifier c) { classify_ = c; }
+  MsgClass classify(uint16_t type) const {
+    return classify_ ? classify_(type) : MsgClass::kOther;
+  }
 
   // Optional fault injector, queried once per frame at the switch (the same
   // point where random cable loss applies). Null means no injection: the

@@ -13,8 +13,8 @@ namespace vodsm::net {
 
 // Coarse protocol-level classification of transport messages, used for the
 // per-kind traffic breakdown. The transport itself only sees opaque u16
-// message types; the DSM layer installs a classifier on each endpoint
-// mapping its types onto these classes (unclassified traffic lands in
+// message types; the simulated machine installs one classifier on the
+// network mapping them onto these classes (unclassified traffic lands in
 // kOther).
 enum class MsgClass : uint8_t {
   kAcquire = 0,   // lock/view acquire requests and manager forwards
@@ -32,9 +32,9 @@ inline constexpr const char* kMsgClassName[kMsgClassCount] = {
     "barrier", "data",  "other",
 };
 
-// Maps the opaque u16 message type onto a MsgClass. Installed by the
-// protocol layer on endpoints (send attribution) and on the network (drop
-// attribution); without one all traffic counts as kOther.
+// Maps the opaque u16 message type onto a MsgClass. Installed on the
+// network, which attributes drops and, for its endpoints, sends and
+// retransmissions; without one all traffic counts as kOther.
 using Classifier = MsgClass (*)(uint16_t type);
 
 // Per-class slice of the transport counters below.

@@ -91,11 +91,6 @@ class Endpoint {
   NodeId self() const { return self_; }
   void setHandler(Handler h) { handler_ = std::move(h); }
 
-  // Maps the opaque u16 message type onto a MsgClass for the per-kind
-  // traffic breakdown. Installed by the protocol layer; without one all
-  // traffic counts as kOther.
-  void setClassifier(Classifier c) { classify_ = c; }
-
   // Optional event recorder for send/deliver/retransmit instants. Null (the
   // default) disables recording; observation never charges simulated time.
   void setTrace(obs::TraceRecorder* t) { trace_ = t; }
@@ -190,15 +185,11 @@ class Endpoint {
     return w.take();
   }
 
-  MsgClass classify(uint16_t type) const {
-    return classify_ ? classify_(type) : MsgClass::kOther;
-  }
-
   void countSend(uint16_t type, size_t payload_bytes) {
     NetStats& s = stats();
     s.messages++;
     s.payload_bytes += payload_bytes;
-    KindStats& k = s.of(classify(type));
+    KindStats& k = s.of(network_.classify(type));
     k.messages++;
     k.payload_bytes += payload_bytes;
   }
@@ -218,7 +209,7 @@ class Endpoint {
   void countRetransmit(const Bytes& frame, NodeId dst) {
     const uint16_t type = frameMsgType(frame);
     stats().retransmissions++;
-    stats().of(classify(type)).retransmissions++;
+    stats().of(network_.classify(type)).retransmissions++;
     countSend(type, payloadSize(frame));
     // Deliberately not also a kSend instant: one event per wire action. The
     // correlation id ties the retransmission to the original send's flow.
@@ -366,7 +357,6 @@ class Endpoint {
   NodeId self_;
   sim::Time local_delivery_;
   Handler handler_;
-  Classifier classify_ = nullptr;
   obs::TraceRecorder* trace_ = nullptr;
   uint64_t next_seq_ = 0;
   std::unordered_map<uint64_t, Pending> pending_posts_;

@@ -124,7 +124,7 @@ struct RunProfile {
 };
 
 // The four folds of a recorded trace that every single-run report reads.
-// A traced run builds them once (vopp::Cluster::analyze) and derives its
+// A traced run builds them once (vopp::Cluster::result) and derives its
 // breakdown, critical path, page heat, profile and diagnosis from them.
 struct RunFolds {
   int nprocs = 0;
@@ -141,8 +141,8 @@ RunFolds foldRun(const TraceRecorder& trace, int nprocs, sim::Time finish);
 
 // Assembles the fold-derived parts of a profile (buckets, critical path,
 // episodes, pages, metrics), capping the tables at the kMaxProfile* bounds.
-// The caller fills label and the net counters; vopp::Cluster::analyze()
-// wires both.
+// The caller fills label and the net counters; vopp::Cluster::result()
+// fills the counters and leaves the label to whoever writes the profile.
 RunProfile buildRunProfile(const RunFolds& folds,
                            const MetricsSummary* metrics);
 

@@ -1,6 +1,7 @@
 #include "vopp/cluster.hpp"
 
-#include <algorithm>
+#include "obs/diagnose.hpp"
+#include "obs/profile.hpp"
 
 namespace vodsm::vopp {
 
@@ -49,7 +50,7 @@ void fillNetCounters(const net::NetStats& ns, obs::RunProfile& p) {
 }  // namespace
 
 std::unique_ptr<dsm::Runtime> Cluster::makeRuntime(dsm::NodeCtx& ctx) const {
-  switch (opts_.protocol) {
+  switch (protocol()) {
     case dsm::Protocol::kLrcDiff:
       return std::make_unique<dsm::LrcRuntime>(ctx);
     case dsm::Protocol::kVcDiff:
@@ -61,116 +62,62 @@ std::unique_ptr<dsm::Runtime> Cluster::makeRuntime(dsm::NodeCtx& ctx) const {
   return nullptr;
 }
 
+Cluster::Cluster(const harness::RunConfig& cfg) : machine_(cfg) {
+  VODSM_CHECK_MSG(!cfg.diagnose || cfg.trace,
+                  "diagnose needs a traced run (RunConfig::trace)");
+}
+
 void Cluster::run(const Program& program) {
   VODSM_CHECK_MSG(!started_, "Cluster::run called twice");
   started_ = true;
   VODSM_CHECK_MSG(views_.heapBytes() > 0,
                   "no shared memory defined before run");
-
-  // One engine lane (stamp counter) per node. The lanes fix the tie order
-  // of equal-time events, which the committed results depend on (see
-  // sim::Engine).
-  engine_.configureLanes(opts_.nprocs);
-  network_ = std::make_unique<net::Network>(engine_, opts_.nprocs, opts_.net,
-                                            opts_.seed);
-  network_->setTrace(opts_.trace);
-  network_->setMetrics(opts_.metrics);
-  network_->setClassifier(&dsm::classifyMsg);
-  if (opts_.faults && !opts_.faults->empty()) {
-    faults_ = std::make_unique<net::FaultInjector>(*opts_.faults, opts_.seed,
-                                                   opts_.nprocs);
-    network_->setFaults(faults_.get());
-  }
-  ctxs_.reserve(static_cast<size_t>(opts_.nprocs));
-  runtimes_.reserve(static_cast<size_t>(opts_.nprocs));
-  nodes_.reserve(static_cast<size_t>(opts_.nprocs));
-  for (int i = 0; i < opts_.nprocs; ++i) {
+  const harness::RunConfig& cfg = machine_.config();
+  ctxs_.reserve(static_cast<size_t>(cfg.nprocs));
+  runtimes_.reserve(static_cast<size_t>(cfg.nprocs));
+  nodes_.reserve(static_cast<size_t>(cfg.nprocs));
+  for (int i = 0; i < cfg.nprocs; ++i) {
     ctxs_.push_back(std::make_unique<dsm::NodeCtx>(
-        static_cast<dsm::NodeId>(i), opts_.nprocs, engine_, *network_, views_,
-        opts_.costs, opts_.trace, opts_.metrics, opts_.barrier));
-    if (faults_)
-      ctxs_.back()->clock.setScaler(
-          faults_->chargeScalerFor(static_cast<net::NodeId>(i)));
+        static_cast<dsm::NodeId>(i), cfg.nprocs, machine_.engine(),
+        machine_.network(), views_, cfg.costs, cfg.trace, cfg.metrics,
+        cfg.barrier));
     runtimes_.push_back(makeRuntime(*ctxs_.back()));
     nodes_.push_back(
         std::make_unique<Node>(*this, *ctxs_.back(), *runtimes_.back()));
   }
-
-  // Per-node completion slots, written by each node's finish callback and
-  // folded after the engine drains.
-  std::vector<unsigned char> finished(static_cast<size_t>(opts_.nprocs), 0);
-  std::vector<std::exception_ptr> errors(static_cast<size_t>(opts_.nprocs));
-  std::vector<sim::Time> done_times(static_cast<size_t>(opts_.nprocs), 0);
-  for (int i = 0; i < opts_.nprocs; ++i) {
-    Node& node = *nodes_[static_cast<size_t>(i)];
-    if (auto* t = opts_.trace)
-      t->begin(static_cast<uint32_t>(i), obs::Cat::kProgram, 0,
-               static_cast<uint64_t>(i));
-    // Events scheduled while the program runs to its first suspension (and
-    // by the finish callback) belong to node i's lane.
-    sim::Engine::LaneGuard lane(engine_, static_cast<uint32_t>(i));
-    sim::spawn(scope_, program(node),
-               [this, i, &finished, &errors,
-                &done_times](std::exception_ptr e) {
-                 finished[static_cast<size_t>(i)] = 1;
-                 if (e) errors[static_cast<size_t>(i)] = e;
-                 const sim::Time done =
-                     ctxs_[static_cast<size_t>(i)]->clock.now();
-                 if (auto* t = opts_.trace)
-                   t->end(static_cast<uint32_t>(i), obs::Cat::kProgram, done,
-                          static_cast<uint64_t>(i));
-                 done_times[static_cast<size_t>(i)] = done;
-               });
-  }
-  if (auto* t = opts_.trace)
-    t->begin(obs::kEngineNode, obs::Cat::kEngineRun, engine_.now());
-  if (auto* m = opts_.metrics) m->startSampling(engine_);
-  const uint64_t engine_events = engine_.run();
-  for (int i = 0; i < opts_.nprocs; ++i)
-    finish_time_ = std::max(finish_time_, done_times[static_cast<size_t>(i)]);
-  if (auto* t = opts_.trace)
-    t->end(obs::kEngineNode, obs::Cat::kEngineRun, engine_.now(),
-           engine_events);
-  if (auto* m = opts_.metrics) m->closeRun(opts_.nprocs, finish_time_);
-
-  for (int i = 0; i < opts_.nprocs; ++i)
-    if (errors[static_cast<size_t>(i)])
-      std::rethrow_exception(errors[static_cast<size_t>(i)]);
-  for (int i = 0; i < opts_.nprocs; ++i) {
-    VODSM_CHECK_MSG(finished[static_cast<size_t>(i)],
-                    "deadlock: node " << i
-                                      << " never finished (engine drained)");
-  }
+  machine_.run(scope_, [&](size_t i) { return program(*nodes_[i]); },
+               [&](size_t i) -> sim::Clock& { return ctxs_[i]->clock; });
 }
 
-RunAnalysis Cluster::analyze(bool diagnose) const {
-  RunAnalysis a;
-  if (!opts_.trace) return a;
-  const obs::TraceRecorder& trace = *opts_.trace;
-  obs::RunFolds folds = obs::foldRun(trace, opts_.nprocs, finish_time_);
-  const obs::MetricsSummary metrics = metricsSummary();
-  const obs::MetricsSummary* m = metrics.enabled() ? &metrics : nullptr;
-  a.profile = obs::buildRunProfile(folds, m);
-  fillNetCounters(netStats(), a.profile);
-  if (diagnose) {
+harness::RunResult Cluster::result() const {
+  harness::RunResult r = machine_.result();
+  r.dsm = dsmStats();
+  const harness::RunConfig& cfg = machine_.config();
+  if (!cfg.trace) return r;
+  const obs::TraceRecorder& trace = *cfg.trace;
+  obs::RunFolds folds = obs::foldRun(trace, cfg.nprocs, finishTime());
+  const obs::MetricsSummary* m = r.metrics.enabled() ? &r.metrics : nullptr;
+  r.profile = obs::buildRunProfile(folds, m);
+  fillNetCounters(r.net, r.profile);
+  if (cfg.diagnose) {
     // obs sits below net/dsm, so the diagnosis passes take the wire
     // knowledge they need as hooks wired here: the dsm message classifier
     // and the run's undegraded frame serialization cost.
-    const net::NetConfig& cfg = opts_.net;
-    a.diagnosis = obs::diagnose(
+    const net::NetConfig& net = cfg.net;
+    r.diagnosis = obs::diagnose(
         trace, folds, m,
         [](uint64_t type) {
           return static_cast<obs::WireClass>(
               dsm::classifyMsg(static_cast<uint16_t>(type)));
         },
-        [&cfg](uint64_t bytes) {
-          return cfg.txTime(static_cast<size_t>(bytes));
+        [&net](uint64_t bytes) {
+          return net.txTime(static_cast<size_t>(bytes));
         });
   }
-  a.breakdown = std::move(folds.breakdown);
-  a.critpath = std::move(folds.critpath);
-  a.pageheat = std::move(folds.pageheat);
-  return a;
+  r.breakdown = std::move(folds.breakdown);
+  r.critpath = std::move(folds.critpath);
+  r.pageheat = std::move(folds.pageheat);
+  return r;
 }
 
 dsm::DsmStats Cluster::dsmStats() const {

@@ -1,7 +1,9 @@
 // Public VOPP API: the paper's View-Oriented Parallel Programming model.
 //
-// A Cluster owns a simulated machine (engine, network, one DSM runtime per
-// node). The user defines views, then runs one program coroutine per node:
+// A Cluster holds a simulated machine (harness::Machine: engine, network,
+// fault injector) and puts one DSM runtime on every node. It takes the one
+// harness::RunConfig every runtime takes and returns one harness::RunResult.
+// The user defines views, then runs one program coroutine per node:
 //
 //   vopp::Cluster cluster({.nprocs = 16, .protocol = dsm::Protocol::kVcSd});
 //   auto data = cluster.defineView(bytes);
@@ -11,6 +13,7 @@
 //     co_await node.releaseView(data);
 //     co_await node.barrier();
 //   });
+//   harness::RunResult r = cluster.result();
 //
 // The VOPP primitives map 1:1 to the paper's: acquire_view / release_view
 // (exclusive), acquire_Rview / release_Rview (shared, nestable), barriers
@@ -25,51 +28,14 @@
 #include "dsm/lrc.hpp"
 #include "dsm/runtime.hpp"
 #include "dsm/vc.hpp"
-#include "net/network.hpp"
-#include "obs/diagnose.hpp"
-#include "obs/profile.hpp"
+#include "harness/machine.hpp"
+#include "harness/run.hpp"
 #include "obs/trace.hpp"
-#include "sim/engine.hpp"
 #include "sim/task.hpp"
 
 namespace vodsm::vopp {
 
-struct ClusterOptions {
-  int nprocs = 4;
-  dsm::Protocol protocol = dsm::Protocol::kVcSd;
-  net::NetConfig net;
-  dsm::DsmCosts costs;
-  // Barrier algorithm; the default keeps every run byte-identical to the
-  // paper's centralized protocol.
-  dsm::BarrierAlg barrier = dsm::BarrierAlg::kCentral;
-  uint64_t seed = 42;
-  // Caller-owned event recorder, threaded through every layer of the run
-  // (programs, protocol engines, transport, network). Null disables tracing;
-  // recording never charges simulated time, so traced and untraced runs
-  // produce identical results.
-  obs::TraceRecorder* trace = nullptr;
-  // Caller-owned counter/gauge registry, threaded the same way (protocol
-  // engines, network, VOPP primitives). Null disables metrics; like tracing,
-  // metering never perturbs simulated results.
-  obs::MetricsRegistry* metrics = nullptr;
-  // Caller-owned fault plan. Null (or an empty plan) installs no injector,
-  // so fault-free runs stay byte-identical; otherwise the cluster binds the
-  // plan to this run's seed and wires it into the network and every node
-  // clock (straggler rules).
-  const net::FaultPlan* faults = nullptr;
-};
-
 class Cluster;
-
-// Every single-run report of a traced run, derived from one set of trace
-// folds (see Cluster::analyze).
-struct RunAnalysis {
-  obs::Breakdown breakdown;
-  obs::CriticalPath critpath;
-  obs::PageHeat pageheat;
-  obs::RunProfile profile;   // unlabelled; the caller names it
-  obs::Diagnosis diagnosis;  // empty unless diagnosed
-};
 
 // Per-node program environment: every method charges simulated time and/or
 // suspends on simulated communication.
@@ -241,9 +207,8 @@ class SharedArray {
 
 class Cluster {
  public:
-  explicit Cluster(ClusterOptions opts) : opts_(std::move(opts)) {
-    VODSM_CHECK(opts_.nprocs > 0);
-  }
+  // Rejects `diagnose` without `trace`: the diagnosis reads the trace.
+  explicit Cluster(const harness::RunConfig& cfg);
 
   // --- layout (before run) ---
   // Define a view. `home` optionally pins the view's manager node: pin it
@@ -266,34 +231,25 @@ class Cluster {
   void run(const Program& program);
 
   // --- results (after run) ---
-  int nprocs() const { return opts_.nprocs; }
-  dsm::Protocol protocol() const { return opts_.protocol; }
-  double seconds() const { return sim::toSeconds(finish_time_); }
-  sim::Time finishTime() const { return finish_time_; }
+  int nprocs() const { return machine_.config().nprocs; }
+  dsm::Protocol protocol() const { return machine_.config().protocol; }
+  double seconds() const { return sim::toSeconds(finishTime()); }
+  sim::Time finishTime() const { return machine_.finishTime(); }
   dsm::DsmStats dsmStats() const;
-  const net::NetStats& netStats() const {
-    VODSM_CHECK(network_ != nullptr);
-    return network_->stats();
-  }
+  const net::NetStats& netStats() const { return machine_.network().stats(); }
   // One node's transport shard (deliveries count against the receiver, so
   // shard 0 exposes e.g. the barrier manager's downlink traffic).
   const net::NetStats& netStatsFor(int node) const {
-    VODSM_CHECK(network_ != nullptr);
-    return network_->statsFor(static_cast<net::NodeId>(node));
+    return machine_.network().statsFor(static_cast<net::NodeId>(node));
   }
-  // Aggregated counter/gauge view of the run. Empty (enabled() == false)
-  // when the run was not metered.
-  obs::MetricsSummary metricsSummary() const {
-    if (!opts_.metrics) return {};
-    return opts_.metrics->summary();
-  }
-  // Builds the trace analysis once: folds the recorded trace a single time
-  // (obs::foldRun), assembles the run profile from those folds, the metrics
-  // summary and the transport counters, and, when `diagnose` is set, runs
-  // the diagnosis passes over the same folds. Empty when untraced. Lives
-  // here, where net::NetStats, the dsm message classifier and the run's
-  // NetConfig are in scope — obs itself stays below those layers.
-  RunAnalysis analyze(bool diagnose) const;
+  // The run's result: seconds, DSM and transport statistics, and the
+  // metrics summary when metered. A traced run also folds its trace once
+  // (obs::foldRun) into the breakdown, critical path, page heat and run
+  // profile, and diagnoses the same folds when RunConfig::diagnose is set.
+  // The analysis is built here, where net::NetStats, the dsm message
+  // classifier and the run's NetConfig are in scope — obs itself stays
+  // below those layers.
+  harness::RunResult result() const;
   // Inspect a node's final memory (for result validation).
   ByteSpan memoryOf(int node, size_t offset, size_t len) const {
     return ctxs_.at(static_cast<size_t>(node))->store.rangeView(offset, len);
@@ -302,17 +258,12 @@ class Cluster {
  private:
   std::unique_ptr<dsm::Runtime> makeRuntime(dsm::NodeCtx& ctx) const;
 
-  ClusterOptions opts_;
   dsm::ViewMap views_;
   bool started_ = false;
-
-  sim::Engine engine_;
-  std::unique_ptr<net::Network> network_;
-  std::unique_ptr<net::FaultInjector> faults_;
+  harness::Machine machine_;
   std::vector<std::unique_ptr<dsm::NodeCtx>> ctxs_;
   std::vector<std::unique_ptr<dsm::Runtime>> runtimes_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  sim::Time finish_time_ = 0;
   // Last member: node-program frames abandoned by a deadlocked run must be
   // reclaimed before the engine/network/runtimes they reference go away.
   sim::TaskScope scope_;

@@ -138,6 +138,16 @@ INSTANTIATE_TEST_SUITE_P(Sweep, TraditionalAppTest,
 // MPI variant.
 class MpiAppTest : public ::testing::TestWithParam<int> {};
 
+// Every MPI message is payload: the shared machine's classifier counts all
+// of it as kData.
+void expectAllData(const net::NetStats& s) {
+  const net::KindStats& data = s.of(net::MsgClass::kData);
+  EXPECT_GT(data.messages, 0u);
+  EXPECT_EQ(data.messages, s.messages);
+  EXPECT_EQ(data.payload_bytes, s.payload_bytes);
+  EXPECT_EQ(data.retransmissions, s.retransmissions);
+}
+
 TEST_P(MpiAppTest, NnMatchesSerial) {
   apps::NnParams p;
   p.samples = 64;
@@ -145,6 +155,33 @@ TEST_P(MpiAppTest, NnMatchesSerial) {
   auto run = apps::runNn(cfg(Protocol::kVcSd, GetParam()), p,
                          apps::NnVariant::kMpi);
   EXPECT_DOUBLE_EQ(run.checksum, apps::nnSerialChecksum(p, GetParam()));
+  expectAllData(run.result.net);
+}
+
+// NN/MPI on the shared machine takes the same fault plans as the DSM
+// runtimes: a straggler slows it down, loss makes it retransmit, and the
+// result stays exact.
+TEST(MpiFaults, NnSurvivesStragglerAndLoss) {
+  apps::NnParams p;
+  p.samples = 128;
+  p.epochs = 5;
+  const double expected = apps::nnSerialChecksum(p, 8);
+  const auto run = [&](const std::string& spec) {
+    const net::FaultPlan plan = net::parseFaultPlan(spec);
+    harness::RunConfig c = cfg(Protocol::kVcSd, 8);
+    c.faults = &plan;
+    apps::NnRun r = apps::runNn(c, p, apps::NnVariant::kMpi);
+    EXPECT_DOUBLE_EQ(r.checksum, expected) << spec;
+    return r.result;
+  };
+  const harness::RunResult clean = run("");
+  EXPECT_EQ(clean.net.retransmissions, 0u);
+  const harness::RunResult slow = run("profile:straggler");
+  EXPECT_GT(slow.seconds, clean.seconds);
+  const harness::RunResult lossy = run("profile:lossy");
+  EXPECT_GT(lossy.net.retransmissions, 0u);
+  expectAllData(lossy.net);
+  EXPECT_GT(lossy.net.of(net::MsgClass::kData).drops, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, MpiAppTest, ::testing::Values(2, 4, 8, 16),

@@ -145,6 +145,50 @@ TEST(FaultPlan, MalformedSpecsThrow) {
   EXPECT_THROW(parseFaultPlan("partition:nodes=64"), Error);
   EXPECT_THROW(parseFaultPlan("profile:nope"), Error);
   EXPECT_THROW(parseFaultPlan("@/nonexistent/plan.json"), Error);
+  // Integers never round or wrap: node ids must be whole and below the
+  // kAnyNode wildcard, counts whole and within uint64_t.
+  EXPECT_THROW(parseFaultPlan("loss:p=1,from=5000000000"), Error);
+  EXPECT_THROW(parseFaultPlan("loss:p=0.01,from=4294967295"), Error);
+  EXPECT_THROW(parseFaultPlan("slow:node=2.7,factor=6"), Error);
+  EXPECT_THROW(parseFaultPlan("loss:count=1.5"), Error);
+  EXPECT_THROW(parseFaultPlan("loss:count=-1"), Error);
+  EXPECT_THROW(parseFaultPlan("loss:count=18446744073709551616"), Error);
+  EXPECT_EQ(parseFaultPlan("loss:from=4294967294").rules[0].src, kAnyNode - 1);
+}
+
+TEST(FaultPlan, MalformedJsonPlansThrow) {
+  const std::string path = testing::TempDir() + "bad_fault_plan.json";
+  const auto parseJson = [&](const std::string& text) {
+    {
+      std::ofstream out(path);
+      out << text;
+    }
+    return parseFaultPlan("@" + path);
+  };
+  const char* const bad[] = {
+      R"([{"kind": "slow", "node": 2.7, "factor": 6}])",
+      R"([{"kind": "loss", "from": 5000000000}])",
+      R"([{"kind": "loss", "to": 4294967295}])",
+      R"([{"kind": "loss", "count": 1.5}])",
+      R"([{"kind": "loss", "count": -1}])",
+      R"([{"kind": "partition", "nodes": [1.5]}])",
+      R"([{"kind": "partition", "nodes": [-1]}])",
+      R"({"seed": -1, "rules": [{"kind": "loss"}]})",
+      R"({"seed": 0.5, "rules": [{"kind": "loss"}]})",
+  };
+  for (const char* text : bad) {
+    try {
+      parseJson(text);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("bad --faults spec", 0), 0u) << what;
+    }
+  }
+  const FaultPlan ok =
+      parseJson(R"({"seed": 3, "rules": [{"kind": "slow", "node": 2}]})");
+  EXPECT_EQ(ok.seed, 3u);
+  EXPECT_EQ(ok.rules[0].node, 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ namespace {
 
 using dsm::Protocol;
 
-vopp::ClusterOptions lrc(int nprocs) {
-  vopp::ClusterOptions o;
+harness::RunConfig lrc(int nprocs) {
+  harness::RunConfig o;
   o.protocol = Protocol::kLrcDiff;
   o.nprocs = nprocs;
   return o;

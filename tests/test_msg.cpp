@@ -8,8 +8,8 @@
 namespace vodsm::msg {
 namespace {
 
-WorldOptions opts(int n) {
-  WorldOptions o;
+harness::RunConfig opts(int n) {
+  harness::RunConfig o;
   o.nprocs = n;
   return o;
 }

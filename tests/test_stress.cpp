@@ -214,7 +214,7 @@ TEST(ParallelLedgerSweep, MatchesExpectationAndSerialRun) {
 class LossyStress : public ::testing::TestWithParam<Protocol> {};
 
 TEST_P(LossyStress, LedgerSurvivesFrameLoss) {
-  vopp::ClusterOptions o;
+  harness::RunConfig o;
   o.nprocs = 4;
   o.protocol = GetParam();
   o.net.random_loss = 0.02;

@@ -9,8 +9,8 @@ namespace {
 
 using dsm::Protocol;
 
-vopp::ClusterOptions opts(Protocol proto, int nprocs, uint64_t seed = 42) {
-  vopp::ClusterOptions o;
+harness::RunConfig opts(Protocol proto, int nprocs, uint64_t seed = 42) {
+  harness::RunConfig o;
   o.protocol = proto;
   o.nprocs = nprocs;
   o.seed = seed;
@@ -20,7 +20,7 @@ vopp::ClusterOptions opts(Protocol proto, int nprocs, uint64_t seed = 42) {
 template <typename Body>
 void expectVoppError(Protocol proto, const std::string& needle, Body body,
                      dsm::BarrierAlg barrier = dsm::BarrierAlg::kCentral) {
-  vopp::ClusterOptions o = opts(proto, 2);
+  harness::RunConfig o = opts(proto, 2);
   o.barrier = barrier;
   vopp::Cluster cluster(o);
   dsm::ViewId v1 = cluster.defineView(64);
@@ -214,6 +214,15 @@ TEST(ClusterApi, DefineViewAfterRunRejected) {
     co_await node.barrier();
   });
   EXPECT_THROW(cluster.defineView(8), Error);
+}
+
+TEST(ClusterApi, DiagnoseWithoutTraceRejected) {
+  harness::RunConfig o = opts(Protocol::kVcSd, 2);
+  o.diagnose = true;
+  EXPECT_THROW(vopp::Cluster{o}, Error);
+  obs::TraceRecorder rec;
+  o.trace = &rec;
+  EXPECT_NO_THROW(vopp::Cluster{o});
 }
 
 TEST(ClusterApi, DeadlockIsDetected) {
