@@ -45,12 +45,15 @@ inline uint16_t frameMsgType(const Bytes& frame) {
                                (std::to_integer<uint16_t>(frame[10]) << 8));
 }
 
-// The node whose sequence-number space `frame` belongs to: replies and acks
-// quote the original requester's sequence number, everything else uses the
-// sender's own. (send-side view: src is the frame's sender, dst its target.)
-inline NodeId frameSeqOwner(const Bytes& frame, NodeId src, NodeId dst) {
+// The wire correlation id of `frame` sent from src to dst. Its sequence
+// number belongs to one connection: replies and acks quote the original
+// requester's connection to the responder, every other frame its sender's
+// connection to the target.
+inline uint64_t frameCorr(const Bytes& frame, NodeId src, NodeId dst) {
   const auto k = static_cast<FrameKind>(frameKind(frame));
-  return (k == FrameKind::kReply || k == FrameKind::kAck) ? dst : src;
+  const bool quoted = k == FrameKind::kReply || k == FrameKind::kAck;
+  return obs::corrId(frameKind(frame), quoted ? dst : src, quoted ? src : dst,
+                     frameSeq(frame));
 }
 
 class Network {
@@ -178,9 +181,7 @@ class Network {
     if (trace_)
       trace_->instant(static_cast<uint32_t>(dst), obs::Cat::kDrop,
                       engine_.now(), src, frame.size(),
-                      obs::corrId(frameKind(frame),
-                                  frameSeqOwner(frame, src, dst),
-                                  frameSeq(frame)));
+                      frameCorr(frame, src, dst));
     if (auto* m = metrics_) {
       m->add(src, obs::Metric::kInflightBytes,
              -static_cast<int64_t>(frame.size()), engine_.now());
@@ -195,9 +196,7 @@ class Network {
     if (trace_)
       trace_->instant(static_cast<uint32_t>(dst), obs::Cat::kFaultInject,
                       engine_.now(), static_cast<uint64_t>(k), frame.size(),
-                      obs::corrId(frameKind(frame),
-                                  frameSeqOwner(frame, src, dst),
-                                  frameSeq(frame)));
+                      frameCorr(frame, src, dst));
   }
 
   void arriveSwitch(NodeId src, NodeId dst, Bytes frame) {

@@ -12,16 +12,21 @@
 //                caches its reply so a duplicate request is answered by a
 //                resend instead of re-execution (at-most-once processing).
 //
-// Duplicate suppression uses per-sender sequence numbers with a watermark +
-// sparse-set tracker. Self-addressed messages bypass the wire (and the
-// statistics) entirely, modeling intra-node manager access.
+// Every connection (sender, receiver) has its own sequence space: a sender
+// numbers its frames per destination, so the frames a receiver gets from
+// one peer carry consecutive numbers, and duplicate suppression is a
+// per-peer watermark that frames arriving in order just advance.
+// Self-addressed messages bypass the wire (and the statistics) entirely,
+// modeling intra-node manager access; they use the node's connection to
+// itself.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "net/network.hpp"
 #include "obs/trace.hpp"
@@ -49,25 +54,68 @@ struct RpcResult {
   sim::Time arrive = 0;
 };
 
-// Tracks which sequence numbers from one peer have been processed.
+// Tracks which sequence numbers from one peer have been processed. In
+// order, the state is one word: the watermark, the next sequence number
+// expected. Numbers that arrive ahead of it (loss, reordering,
+// retransmission) are held in a set that is allocated by the first such
+// frame and freed once the watermark catches up.
 class SeqTracker {
  public:
+  SeqTracker() = default;
+  SeqTracker(const SeqTracker&) = delete;
+  SeqTracker& operator=(const SeqTracker&) = delete;
+  ~SeqTracker() { delete ahead(); }
+
   // Returns true when `seq` is new (and marks it).
   bool markSeen(uint64_t seq) {
-    if (seq < watermark_) return false;
-    if (!sparse_.insert(seq).second) return false;
-    // Advance the contiguous watermark.
-    while (sparse_.count(watermark_)) {
-      sparse_.erase(watermark_);
-      ++watermark_;
+    if (word_ == inlineWord(seq)) {  // the next in order, nothing held
+      word_ += 2;
+      return true;
+    }
+    return markAhead(seq);
+  }
+
+  // Sequence numbers held above the watermark.
+  size_t outOfOrder() const {
+    const Ahead* a = ahead();
+    return a ? a->seqs.size() : 0;
+  }
+
+ private:
+  struct Ahead {
+    uint64_t watermark;
+    std::unordered_set<uint64_t> seqs;
+  };
+
+  // word_ is either the watermark shifted left with the low bit set, or a
+  // pointer to Ahead (whose low bit is clear: allocations are aligned).
+  static constexpr uint64_t inlineWord(uint64_t watermark) {
+    return watermark << 1 | 1;
+  }
+  Ahead* ahead() const {
+    return word_ & 1 ? nullptr
+                     : reinterpret_cast<Ahead*>(static_cast<uintptr_t>(word_));
+  }
+
+  bool markAhead(uint64_t seq) {
+    Ahead* a = ahead();
+    if (seq < (a ? a->watermark : word_ >> 1)) return false;
+    if (!a) {
+      a = new Ahead{word_ >> 1, {}};
+      word_ = reinterpret_cast<uintptr_t>(a);
+    }
+    if (!a->seqs.insert(seq).second) return false;
+    while (a->seqs.erase(a->watermark)) ++a->watermark;
+    if (a->seqs.empty()) {
+      word_ = inlineWord(a->watermark);
+      delete a;
     }
     return true;
   }
 
- private:
-  uint64_t watermark_ = 0;
-  std::unordered_set<uint64_t> sparse_;
+  uint64_t word_ = inlineWord(0);
 };
+static_assert(sizeof(SeqTracker) == 8, "in-order dedup state is one word");
 
 class Endpoint {
  public:
@@ -78,7 +126,8 @@ class Endpoint {
       : engine_(engine),
         network_(network),
         self_(self),
-        local_delivery_(local_delivery) {
+        local_delivery_(local_delivery),
+        conns_(static_cast<size_t>(network.nodeCount())) {
     network_.setDeliver(self_, [this](NodeId src, Bytes frame,
                                       sim::Time arrive) {
       onFrame(src, std::move(frame), arrive, /*via_wire=*/true);
@@ -97,45 +146,44 @@ class Endpoint {
 
   // Reliable one-way message, leaving the node no earlier than `earliest`.
   void post(NodeId dst, uint16_t type, Bytes payload, sim::Time earliest) {
-    const uint64_t seq = next_seq_++;
+    const uint64_t seq = nextSeq(dst);
     Bytes frame = encode(FrameKind::kData, seq, type, payload);
     if (dst == self_) {
       sendLocal(std::move(frame), earliest);
       return;
     }
     countSend(type, payload.size());
-    traceSend(type, payload.size(), earliest,
-              obs::corrId(static_cast<uint8_t>(FrameKind::kData), self_, seq));
-    auto [it, inserted] = pending_posts_.emplace(seq, Pending{dst, frame});
+    traceSend(frame, dst, type, payload.size(), earliest);
+    const uint64_t key = connKey(dst, seq);
+    auto [it, inserted] = pending_posts_.emplace(key, Pending{dst, frame});
     VODSM_CHECK(inserted);
     network_.send(self_, dst, std::move(frame), earliest);
-    armPostTimer(seq, it->second.epoch);
+    armPostTimer(key, it->second.epoch);
   }
 
   // RPC. The handler on `dst` must reply (promptly, well under one RTO).
   sim::Task<RpcResult> request(NodeId dst, uint16_t type, Bytes payload,
                                sim::Time earliest) {
-    const uint64_t seq = next_seq_++;
+    const uint64_t seq = nextSeq(dst);
+    const uint64_t key = connKey(dst, seq);
     Bytes frame = encode(FrameKind::kRequest, seq, type, payload);
     auto pending = std::make_unique<PendingRpc>();
     PendingRpc* p = pending.get();
-    pending_rpcs_.emplace(seq, std::move(pending));
+    pending_rpcs_.emplace(key, std::move(pending));
     if (dst == self_) {
       // Self-addressed requests are never retransmitted, so the frame can be
       // moved straight into local delivery instead of copied.
       sendLocal(std::move(frame), earliest);
     } else {
       countSend(type, payload.size());
-      traceSend(
-          type, payload.size(), earliest,
-          obs::corrId(static_cast<uint8_t>(FrameKind::kRequest), self_, seq));
+      traceSend(frame, dst, type, payload.size(), earliest);
       p->dst = dst;
       p->frame = frame;
       network_.send(self_, dst, std::move(frame), earliest);
-      armRpcTimer(seq, p->epoch);
+      armRpcTimer(key, p->epoch);
     }
     RpcResult result = co_await p->waiter;
-    pending_rpcs_.erase(seq);
+    pending_rpcs_.erase(key);
     co_return result;
   }
 
@@ -151,15 +199,16 @@ class Endpoint {
     }
     cacheReply(token.requester, token.seq, frame);
     countSend(type, payload.size());
-    traceSend(type, payload.size(), earliest,
-              obs::corrId(static_cast<uint8_t>(FrameKind::kReply),
-                          token.requester, token.seq));
+    traceSend(frame, token.requester, type, payload.size(), earliest);
     network_.send(self_, token.requester, std::move(frame), earliest);
   }
 
   // Transport counters land in this node's shard of the network's per-node
   // statistics.
   NetStats& stats() { return network_.statsFor(self_); }
+
+  // Which of `peer`'s sequence numbers this node has processed.
+  const SeqTracker& seenFrom(NodeId peer) const { return conns_[peer].seen; }
 
  private:
   struct Pending {
@@ -174,6 +223,32 @@ class Endpoint {
     uint64_t epoch = 0;
     sim::Waiter<RpcResult> waiter;
   };
+  // A requester's most recent replies, oldest overwritten first: it
+  // retransmits within ~RTO of the original, so older entries are dead.
+  struct ReplyCache {
+    static constexpr size_t kMax = 64;
+    std::vector<std::pair<uint64_t, Bytes>> frames;  // (seq, reply frame)
+    size_t oldest = 0;  // the slot the next reply overwrites once full
+  };
+  // Per-peer state of the connection to and from that peer.
+  struct Conn {
+    uint64_t next_seq = 0;  // this node's next sequence number to the peer
+    SeqTracker seen;        // the peer's sequence numbers processed here
+    std::unique_ptr<ReplyCache> replies;  // replies to the peer's requests
+  };
+
+  // Draws the next sequence number of this node's connection to `dst`.
+  uint64_t nextSeq(NodeId dst) {
+    VODSM_CHECK(dst < conns_.size());
+    return conns_[dst].next_seq++;
+  }
+
+  // Pending posts and RPCs are keyed by connection and sequence number.
+  static constexpr int kSeqBits = 40;
+  static uint64_t connKey(NodeId peer, uint64_t seq) {
+    VODSM_DCHECK(seq >> kSeqBits == 0);
+    return uint64_t{peer} << kSeqBits | seq;
+  }
 
   static Bytes encode(FrameKind kind, uint64_t seq, uint16_t type,
                       ByteSpan payload) {
@@ -194,18 +269,16 @@ class Endpoint {
     k.payload_bytes += payload_bytes;
   }
 
-  void traceSend(uint16_t type, size_t payload_bytes, sim::Time ts,
-                 uint64_t corr) {
+  void traceSend(const Bytes& frame, NodeId dst, uint16_t type,
+                 size_t payload_bytes, sim::Time ts) {
     if (trace_)
       trace_->instant(static_cast<uint32_t>(self_), obs::Cat::kSend, ts, type,
-                      payload_bytes, corr);
+                      payload_bytes, frameCorr(frame, self_, dst));
   }
 
   // A retransmission counts as another message of the frame's class (the
   // paper's message counts include retransmissions) and is attributed to
-  // that class separately so hot spots under loss are visible. `dst` is the
-  // frame's target, needed to recover the sequence-number owner for the
-  // correlation id (replies quote the requester's sequence space).
+  // that class separately so hot spots under loss are visible.
   void countRetransmit(const Bytes& frame, NodeId dst) {
     const uint16_t type = frameMsgType(frame);
     stats().retransmissions++;
@@ -216,9 +289,7 @@ class Endpoint {
     if (trace_)
       trace_->instant(static_cast<uint32_t>(self_), obs::Cat::kRetransmit,
                       engine_.now(), type, payloadSize(frame),
-                      obs::corrId(frameKind(frame),
-                                  frameSeqOwner(frame, self_, dst),
-                                  frameSeq(frame)));
+                      frameCorr(frame, self_, dst));
   }
 
   void sendLocal(Bytes frame, sim::Time earliest) {
@@ -228,25 +299,25 @@ class Endpoint {
     });
   }
 
-  void armPostTimer(uint64_t seq, uint64_t epoch) {
-    engine_.after(network_.config().rto, [this, seq, epoch] {
-      auto it = pending_posts_.find(seq);
+  void armPostTimer(uint64_t key, uint64_t epoch) {
+    engine_.after(network_.config().rto, [this, key, epoch] {
+      auto it = pending_posts_.find(key);
       if (it == pending_posts_.end() || it->second.epoch != epoch) return;
       countRetransmit(it->second.frame, it->second.dst);
       network_.send(self_, it->second.dst, Bytes(it->second.frame),
                     engine_.now());
-      armPostTimer(seq, epoch);
+      armPostTimer(key, epoch);
     });
   }
 
-  void armRpcTimer(uint64_t seq, uint64_t epoch) {
-    engine_.after(network_.config().rto, [this, seq, epoch] {
-      auto it = pending_rpcs_.find(seq);
+  void armRpcTimer(uint64_t key, uint64_t epoch) {
+    engine_.after(network_.config().rto, [this, key, epoch] {
+      auto it = pending_rpcs_.find(key);
       if (it == pending_rpcs_.end() || it->second->epoch != epoch) return;
       countRetransmit(it->second->frame, it->second->dst);
       network_.send(self_, it->second->dst, Bytes(it->second->frame),
                     engine_.now());
-      armRpcTimer(seq, epoch);
+      armRpcTimer(key, epoch);
     });
   }
 
@@ -262,11 +333,10 @@ class Endpoint {
     if (trace_ && via_wire)
       trace_->instant(static_cast<uint32_t>(self_), obs::Cat::kDeliver, arrive,
                       static_cast<uint64_t>(kind), frame.size(),
-                      obs::corrId(static_cast<uint8_t>(kind),
-                                  frameSeqOwner(frame, src, self_), seq));
+                      frameCorr(frame, src, self_));
     switch (kind) {
       case FrameKind::kAck: {
-        auto it = pending_posts_.find(seq);
+        auto it = pending_posts_.find(connKey(src, seq));
         if (it != pending_posts_.end()) {
           it->second.epoch++;
           pending_posts_.erase(it);
@@ -274,7 +344,7 @@ class Endpoint {
         return;
       }
       case FrameKind::kReply: {
-        auto it = pending_rpcs_.find(seq);
+        auto it = pending_rpcs_.find(connKey(src, seq));
         if (it == pending_rpcs_.end()) return;  // duplicate reply
         PendingRpc& p = *it->second;
         p.epoch++;
@@ -286,24 +356,21 @@ class Endpoint {
       }
       case FrameKind::kData: {
         if (via_wire) sendAck(src, seq);
-        if (!seen_[src].markSeen(seq)) return;  // duplicate
+        if (!conns_[src].seen.markSeen(seq)) return;  // duplicate
         const uint16_t type = r.u16();
         ByteSpan payload = r.blob();
         dispatch(src, type, payload, arrive, ReplyToken{});
         return;
       }
       case FrameKind::kRequest: {
-        if (!seen_[src].markSeen(seq)) {
+        if (!conns_[src].seen.markSeen(seq)) {
           // Duplicate request: resend the cached reply if we already
           // answered; otherwise the original is still being processed and
           // the requester's next timeout will retry.
-          auto cit = reply_cache_.find(src);
-          if (cit != reply_cache_.end()) {
-            auto rit = cit->second.find(seq);
-            if (rit != cit->second.end() && via_wire) {
-              countRetransmit(rit->second, src);
-              network_.send(self_, src, Bytes(rit->second), engine_.now());
-            }
+          const Bytes* cached = cachedReply(src, seq);
+          if (cached && via_wire) {
+            countRetransmit(*cached, src);
+            network_.send(self_, src, Bytes(*cached), engine_.now());
           }
           return;
         }
@@ -322,18 +389,23 @@ class Endpoint {
              token);
   }
 
-  // Keep only the most recent replies per requester: a requester
-  // retransmits within ~RTO of the original, so old entries are dead.
   void cacheReply(NodeId requester, uint64_t seq, Bytes frame) {
-    static constexpr size_t kMaxCached = 64;
-    auto& cache = reply_cache_[requester];
-    auto& order = reply_order_[requester];
-    cache[seq] = std::move(frame);
-    order.push_back(seq);
-    while (order.size() > kMaxCached) {
-      cache.erase(order.front());
-      order.pop_front();
+    std::unique_ptr<ReplyCache>& cache = conns_[requester].replies;
+    if (!cache) cache = std::make_unique<ReplyCache>();
+    if (cache->frames.size() < ReplyCache::kMax) {
+      cache->frames.emplace_back(seq, std::move(frame));
+      return;
     }
+    cache->frames[cache->oldest] = {seq, std::move(frame)};
+    cache->oldest = (cache->oldest + 1) % ReplyCache::kMax;
+  }
+
+  const Bytes* cachedReply(NodeId requester, uint64_t seq) const {
+    const ReplyCache* cache = conns_[requester].replies.get();
+    if (!cache) return nullptr;
+    for (const auto& [s, frame] : cache->frames)
+      if (s == seq) return &frame;
+    return nullptr;
   }
 
   void sendAck(NodeId src, uint64_t seq) {
@@ -344,12 +416,11 @@ class Endpoint {
     // Acks are counted outside the message statistics, but they are traced:
     // graph analysis wants every deliver to have a matching send. Type 0 is
     // reserved (protocol message types start at 1).
+    Bytes frame = w.take();
     if (trace_)
       trace_->instant(static_cast<uint32_t>(self_), obs::Cat::kSend,
-                      engine_.now(), 0, 0,
-                      obs::corrId(static_cast<uint8_t>(FrameKind::kAck), src,
-                                  seq));
-    network_.send(self_, src, w.take(), engine_.now());
+                      engine_.now(), 0, 0, frameCorr(frame, self_, src));
+    network_.send(self_, src, std::move(frame), engine_.now());
   }
 
   sim::Engine& engine_;
@@ -358,12 +429,9 @@ class Endpoint {
   sim::Time local_delivery_;
   Handler handler_;
   obs::TraceRecorder* trace_ = nullptr;
-  uint64_t next_seq_ = 0;
-  std::unordered_map<uint64_t, Pending> pending_posts_;
+  std::vector<Conn> conns_;  // indexed by peer NodeId, self included
+  std::unordered_map<uint64_t, Pending> pending_posts_;  // by connKey
   std::unordered_map<uint64_t, std::unique_ptr<PendingRpc>> pending_rpcs_;
-  std::unordered_map<NodeId, SeqTracker> seen_;
-  std::unordered_map<NodeId, std::unordered_map<uint64_t, Bytes>> reply_cache_;
-  std::unordered_map<NodeId, std::deque<uint64_t>> reply_order_;
 };
 
 }  // namespace vodsm::net

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <iomanip>
-#include <map>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "obs/passes/passes.hpp"
 #include "support/json_writer.hpp"
@@ -19,8 +20,9 @@ const Flow* FlowFold::find(uint64_t corr) const {
 }
 
 FlowFold foldFlows(const TraceRecorder& trace) {
-  // std::map keeps the flow order deterministic (by corr).
-  std::map<uint64_t, Flow> flows;
+  // Sorting (corr, event index) pairs makes each flow one run of its
+  // events in recording order, and keeps the flow order deterministic.
+  std::vector<std::pair<uint64_t, size_t>> wire;
   const std::vector<Event>& ev = trace.events();
   for (size_t i = 0; i < ev.size(); ++i) {
     const Event& e = ev[i];
@@ -28,24 +30,27 @@ FlowFold foldFlows(const TraceRecorder& trace) {
     if (e.cat != Cat::kSend && e.cat != Cat::kDeliver &&
         e.cat != Cat::kRetransmit && e.cat != Cat::kDrop)
       continue;
-    Flow& f = flows[e.corr];
-    f.corr = e.corr;
-    if (e.cat == Cat::kSend) {
+    wire.emplace_back(e.corr, i);
+  }
+  std::sort(wire.begin(), wire.end());
+  FlowFold out;
+  for (const auto& [corr, i] : wire) {
+    if (out.flows.empty() || out.flows.back().corr != corr)
+      out.flows.push_back(Flow{.corr = corr});
+    Flow& f = out.flows.back();
+    const Cat cat = ev[i].cat;
+    if (cat == Cat::kSend) {
       if (f.send < 0) f.send = static_cast<int64_t>(i);
-    } else if (e.cat == Cat::kDeliver) {
+    } else if (cat == Cat::kDeliver) {
       if (f.deliver < 0) f.deliver = static_cast<int64_t>(i);
-    } else if (e.cat == Cat::kRetransmit) {
+    } else if (cat == Cat::kRetransmit) {
       f.retransmits++;
     } else {
       f.drops++;
     }
   }
-  FlowFold out;
-  out.flows.reserve(flows.size());
-  for (const auto& [corr, f] : flows) {
+  for (const Flow& f : out.flows)
     if (f.deliver >= 0 && f.send < 0) out.delivers_without_send++;
-    out.flows.push_back(f);
-  }
   return out;
 }
 

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "sim/time.hpp"
+#include "support/check.hpp"
 
 namespace vodsm::obs {
 
@@ -81,25 +82,24 @@ inline constexpr uint32_t kEngineNode = UINT32_MAX;
 // *derived*, never carried on the wire: both sides compute it from the frame
 // header they already have — the frame kind, the node that owns the sequence
 // number (the original requester for replies and acks, the sender
-// otherwise), and the per-owner sequence number. This keeps frame sizes, and
-// therefore every simulated transmission time, identical to untraced runs.
+// otherwise), the peer at the other end of that connection, and the
+// connection's sequence number. This keeps frame sizes, and therefore every
+// simulated transmission time, identical to untraced runs.
 inline constexpr uint64_t kNoCorr = 0;
-inline constexpr uint64_t corrId(uint8_t frame_kind, uint32_t seq_owner,
-                                 uint64_t seq) {
-  // kind+1 in the top byte keeps the id nonzero; 40 bits of sequence is
-  // ~10^12 messages per owner, far beyond any run.
+inline constexpr int kCorrNodeBits = 12;  // node ids below 4096
+inline constexpr int kCorrSeqBits = 56 - 2 * kCorrNodeBits;
+inline uint64_t corrId(uint8_t frame_kind, uint32_t owner, uint32_t peer,
+                       uint64_t seq) {
+  VODSM_CHECK(owner >> kCorrNodeBits == 0 && peer >> kCorrNodeBits == 0);
+  VODSM_CHECK(seq >> kCorrSeqBits == 0);
+  // kind+1 in the top byte keeps the id nonzero; 32 bits of sequence is
+  // ~4 * 10^9 frames per connection, far beyond any run.
   return (static_cast<uint64_t>(frame_kind + 1) << 56) |
-         (static_cast<uint64_t>(seq_owner) << 40) |
-         (seq & 0xFF'FFFF'FFFFull);
+         (static_cast<uint64_t>(owner) << (56 - kCorrNodeBits)) |
+         (static_cast<uint64_t>(peer) << kCorrSeqBits) | seq;
 }
 inline constexpr uint8_t corrKind(uint64_t corr) {
   return static_cast<uint8_t>((corr >> 56) - 1);
-}
-inline constexpr uint32_t corrOwner(uint64_t corr) {
-  return static_cast<uint32_t>((corr >> 40) & 0xFFFF);
-}
-inline constexpr uint64_t corrSeq(uint64_t corr) {
-  return corr & 0xFF'FFFF'FFFFull;
 }
 
 struct Event {

@@ -28,9 +28,19 @@
 // the run, so steady-state scheduling allocates nothing), and the priority
 // queue orders plain POD records — heap sifts move small PODs instead of
 // whole closures, and popping the top needs no const_cast.
+//
+// Delay lines. Events one lane schedules with `after(dt)` for one `dt` are
+// keyed in the order they are scheduled: now() never decreases and the
+// lane's stamps strictly increase. Each such (lane, dt) series is a FIFO
+// whose head alone sits in the heap; popping the head pushes its successor.
+// The heap's top is still the global minimum key, so every event runs, in
+// the same order, as if the whole series were in the heap. The transport's
+// retransmission timers (one RTO, armed per frame, almost all dead when they
+// fire) are what this keeps out of the heap.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -66,31 +76,48 @@ class Engine {
     VODSM_CHECK_MSG(heap_.empty(), "configureLanes must precede scheduling");
     nlanes_ = nlanes > 1 ? static_cast<uint32_t>(nlanes) : 1;
     seqs_.assign(nlanes_, LaneSeq{});
+    lines_.clear();
+    lane_lines_.assign(nlanes_, {});
     if (cur_lane_ >= nlanes_) cur_lane_ = 0;
   }
 
   // Schedule `cb` at absolute time `t` (must be >= now()) in the lane that
   // is currently executing (or the LaneGuard-pinned lane during setup).
-  void at(Time t, Callback cb) { schedule(t, std::move(cb), false); }
+  void at(Time t, Callback cb) {
+    schedule(t, cur_lane_, std::move(cb), false, kNone);
+  }
 
-  // Schedule `cb` `dt` after the engine's current time.
-  void after(Time dt, Callback cb) { at(now() + dt, std::move(cb)); }
+  // Schedule `cb` `dt` after the engine's current time, in the executing
+  // lane. Same key, and so the same order, as `at(now() + dt, cb)`; the
+  // event waits in the (lane, dt) delay line until it is that line's head.
+  void after(Time dt, Callback cb) {
+    VODSM_DCHECK(dt >= 0);
+    const uint32_t line = lineFor(cur_lane_, dt);
+    Line& l = lines_[line];
+    if (!l.armed) {
+      l.armed = true;
+      schedule(now_ + dt, cur_lane_, std::move(cb), false, line);
+      return;
+    }
+    l.fifo.push_back(Entry{now_ + dt, nextStamp(cur_lane_), cur_lane_,
+                           cur_lane_, alloc(std::move(cb)), line});
+    ++real_pending_;
+  }
 
   // Schedule into another lane: the cross-node frame hop. The stamp comes
   // from the posting lane's counter.
   void atLane(uint32_t lane, Time t, Callback cb) {
-    VODSM_DCHECK(t >= now_);
     // Unconfigured engines (nlanes_ == 1) fold every lane into lane 0.
-    const uint32_t dst = lane < nlanes_ ? lane : 0;
-    push(Entry{t, nextStamp(cur_lane_), cur_lane_, dst, alloc(std::move(cb))});
-    ++real_pending_;
+    schedule(t, lane < nlanes_ ? lane : 0, std::move(cb), false, kNone);
   }
 
   // Schedule an auxiliary (observer-only) event: it draws from a separate
   // stamp space, never delays engine termination, and trailing aux events
   // past the last real event are discarded. Aux callbacks must not mutate
   // simulated state or schedule real events.
-  void auxAt(Time t, Callback cb) { schedule(t, std::move(cb), true); }
+  void auxAt(Time t, Callback cb) {
+    schedule(t, cur_lane_, std::move(cb), true, kNone);
+  }
   void auxAfter(Time dt, Callback cb) { auxAt(now() + dt, std::move(cb)); }
 
   Time now() const { return now_; }
@@ -146,7 +173,9 @@ class Engine {
     uint32_t origin;  // lane whose counter issued the stamp
     uint32_t lane;    // lane the event executes in
     uint32_t slot;
+    uint32_t line;    // delay line the entry heads, or kNone
   };
+  static_assert(sizeof(Entry) == 32, "the line index fits the padding");
   // Orders by time, then stamp, then origin lane; keys of distinct events
   // are distinct (a lane never draws a stamp twice).
   struct Later {
@@ -159,6 +188,17 @@ class Engine {
   struct LaneSeq {
     uint64_t real = 0;
     uint64_t aux = 0;
+  };
+  // One (lane, dt) series of `after` events, in key order. Its head is in
+  // the heap while `armed`; `fifo[next..]` waits behind it.
+  struct Line {
+    std::vector<Entry> fifo;
+    size_t next = 0;
+    bool armed = false;
+  };
+  struct LineRef {
+    Time dt;
+    uint32_t line;
   };
 
   uint64_t nextStamp(uint32_t lane) { return seqs_[lane].real++; }
@@ -184,10 +224,37 @@ class Engine {
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
 
-  void schedule(Time t, Callback cb, bool aux) {
+  // A lane uses one or two delays, so a linear scan finds its line.
+  uint32_t lineFor(uint32_t lane, Time dt) {
+    for (const LineRef& r : lane_lines_[lane])
+      if (r.dt == dt) return r.line;
+    const auto line = static_cast<uint32_t>(lines_.size());
+    lines_.emplace_back();
+    lane_lines_[lane].push_back(LineRef{dt, line});
+    return line;
+  }
+
+  // The line's head left the heap: its successor, if any, takes its place.
+  // The consumed prefix is dropped once it is half the buffer, so a line
+  // costs amortized O(1) per event, holds at most about twice its backlog,
+  // and is empty whenever nothing waits behind the head.
+  void advance(Line& l) {
+    if (l.next == l.fifo.size()) {
+      l.armed = false;
+      return;
+    }
+    push(l.fifo[l.next++]);
+    if (2 * l.next >= l.fifo.size()) {
+      l.fifo.erase(l.fifo.begin(),
+                   l.fifo.begin() + static_cast<std::ptrdiff_t>(l.next));
+      l.next = 0;
+    }
+  }
+
+  void schedule(Time t, uint32_t lane, Callback cb, bool aux, uint32_t line) {
     VODSM_DCHECK(t >= now_);
     push(Entry{t, aux ? nextAuxStamp(cur_lane_) : nextStamp(cur_lane_),
-               cur_lane_, cur_lane_, alloc(std::move(cb))});
+               cur_lane_, lane, alloc(std::move(cb)), line});
     if (!aux) ++real_pending_;
   }
 
@@ -198,6 +265,7 @@ class Engine {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     const Entry ev = heap_.back();
     heap_.pop_back();
+    if (ev.line != kNone) advance(lines_[ev.line]);
     VODSM_DCHECK(ev.t >= now_);
     now_ = ev.t;
     cur_lane_ = ev.lane;
@@ -231,6 +299,12 @@ class Engine {
   // the default single lane, seqs_[0].real is the classic global sequence.
   uint32_t nlanes_ = 1;
   std::vector<LaneSeq> seqs_ = std::vector<LaneSeq>(1);
+
+  // Delay lines (see the header comment), created on first use of a
+  // (lane, dt) pair; lane_lines_[lane] maps each dt to its line.
+  std::vector<Line> lines_;
+  std::vector<std::vector<LineRef>> lane_lines_ =
+      std::vector<std::vector<LineRef>>(1);
 };
 
 }  // namespace vodsm::sim

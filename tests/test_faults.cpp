@@ -373,6 +373,41 @@ TEST(FaultTransport, ReorderStillDeliversEveryPostExactlyOnce) {
             p.net.stats().frames_sent);  // reordering never loses frames
 }
 
+// Node 0 alternates posts between nodes 1 and 2 while the switch duplicates,
+// holds back or drops frames. Each connection's tracker still passes every
+// post exactly once, and holds nothing once the gaps have filled.
+TEST(FaultTransport, InterleavedPostsDeliverOnceUnderDupAndReorder) {
+  for (const char* spec :
+       {"dup:p=1", "reorder:p=0.5,delay=0.0005",
+        "dup:p=0.3;reorder:p=0.3,delay=0.0002;loss:p=0.05"}) {
+    sim::Engine e;
+    Network net(e, 3, fastRto(), 1);
+    FaultInjector inj(parseFaultPlan(spec), 1, 3);
+    net.setFaults(&inj);
+    Endpoint n0(e, net, 0), n1(e, net, 1), n2(e, net, 2);
+    constexpr uint32_t kPosts = 400;
+    std::vector<int> got(kPosts, 0);
+    auto receive = [&got](Delivery&& d, const ReplyToken&) {
+      got[Reader(d.payload).u32()]++;
+    };
+    n1.setHandler(receive);
+    n2.setHandler(receive);
+    for (uint32_t i = 0; i < kPosts; ++i) {
+      Writer w;
+      w.u32(i);
+      n0.post(1 + i % 2, 9, w.take(), sim::usec(20) * i);
+    }
+    e.run();
+    for (uint32_t i = 0; i < kPosts; ++i)
+      EXPECT_EQ(got[i], 1) << spec << ": post " << i;
+    EXPECT_GT(net.stats().frames_duplicated + net.stats().frames_reordered,
+              0u)
+        << spec;
+    EXPECT_EQ(n1.seenFrom(0).outOfOrder(), 0u) << spec;
+    EXPECT_EQ(n2.seenFrom(0).outOfOrder(), 0u) << spec;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Absent means absent: a run with no plan, an empty plan, and a plan whose
 // rules can never fire must be bit-identical (results and trace streams).

@@ -1,6 +1,8 @@
 // Unit tests for the network model and the reliable transport.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "net/network.hpp"
 #include "net/parallel.hpp"
 #include "net/transport.hpp"
@@ -98,6 +100,25 @@ TEST(SeqTracker, DetectsDuplicatesAcrossGaps) {
   EXPECT_TRUE(t.markSeen(3));
 }
 
+// In-order numbers only advance the watermark; numbers ahead of it are held
+// until the gap below them fills, and then released.
+TEST(SeqTracker, HoldsOnlyNumbersAheadOfTheWatermark) {
+  SeqTracker t;
+  for (uint64_t s = 0; s < 1000; ++s) ASSERT_TRUE(t.markSeen(s));
+  EXPECT_EQ(t.outOfOrder(), 0u);
+  EXPECT_FALSE(t.markSeen(999));
+  EXPECT_TRUE(t.markSeen(1002));
+  EXPECT_TRUE(t.markSeen(1001));
+  EXPECT_EQ(t.outOfOrder(), 2u);
+  EXPECT_FALSE(t.markSeen(1002));
+  EXPECT_TRUE(t.markSeen(1000));
+  EXPECT_EQ(t.outOfOrder(), 0u);
+  EXPECT_FALSE(t.markSeen(1001));
+  EXPECT_TRUE(t.markSeen(1003));
+  EXPECT_TRUE(t.markSeen(1005));
+  EXPECT_EQ(t.outOfOrder(), 1u);  // still held when the tracker dies
+}
+
 struct Pair {
   sim::Engine engine;
   NetConfig cfg;
@@ -173,6 +194,12 @@ TEST(Transport, SelfSendStaysLocal) {
   EXPECT_EQ(p.net.stats().frames_sent, 0u);
 }
 
+TEST(Transport, PostToUnknownNodeIsRejected) {
+  Pair p;
+  EXPECT_THROW(p.a.post(2, 9, Bytes(10), 0), Error);
+  EXPECT_EQ(p.net.stats().messages, 0u);
+}
+
 TEST(Transport, RequestAllOverlapsRoundTrips) {
   sim::Engine e;
   NetConfig cfg;
@@ -203,6 +230,37 @@ TEST(Transport, RequestAllOverlapsRoundTrips) {
                       cfg.sendOverhead(2000) + 2 * cfg.txTime(2000) +
                       cfg.wire_latency + cfg.recvOverhead(2000);
   EXPECT_LT(finished, 2 * one_rtt);
+}
+
+// Node 0 alternates posts between nodes 1 and 2. Each connection numbers
+// its own frames, so each receiver sees consecutive numbers and holds no
+// dedup state; one sequence space per sender would leave every other
+// number missing at each receiver, and each would hold ~500 entries.
+TEST(Transport, InterleavedPostsKeepNoDedupState) {
+  sim::Engine e;
+  Network net(e, 3, NetConfig{}, 1);
+  Endpoint n0(e, net, 0), n1(e, net, 1), n2(e, net, 2);
+  constexpr uint32_t kPosts = 1000;
+  std::vector<int> got(kPosts, 0);
+  auto receive = [&got](NodeId self) {
+    return [&got, self](Delivery&& d, const ReplyToken&) {
+      const uint32_t i = Reader(d.payload).u32();
+      EXPECT_EQ(1 + i % 2, self);
+      got[i]++;
+    };
+  };
+  n1.setHandler(receive(1));
+  n2.setHandler(receive(2));
+  for (uint32_t i = 0; i < kPosts; ++i) {
+    Writer w;
+    w.u32(i);
+    n0.post(1 + i % 2, 9, w.take(), sim::usec(50) * i);
+  }
+  e.run();
+  for (uint32_t i = 0; i < kPosts; ++i) EXPECT_EQ(got[i], 1) << "post " << i;
+  EXPECT_EQ(n1.seenFrom(0).outOfOrder(), 0u);
+  EXPECT_EQ(n2.seenFrom(0).outOfOrder(), 0u);
+  EXPECT_EQ(net.stats().retransmissions, 0u);
 }
 
 TEST(Transport, StatsCountPayloadBytes) {

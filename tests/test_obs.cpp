@@ -19,6 +19,7 @@
 #include "apps/sor.hpp"
 #include "harness/parallel_runner.hpp"
 #include "harness/run.hpp"
+#include "net/network.hpp"
 #include "obs/breakdown.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/diagnose.hpp"
@@ -361,6 +362,57 @@ TEST(Obs, EventGraphIsCompleteOnRealRuns) {
       }
     }
   }
+}
+
+// Correlation ids name one frame each: on a fault-free run every traced
+// send (acks included) starts its own flow, and every flow is delivered.
+TEST(Obs, EverySendHasItsOwnFlow) {
+  RunConfig c = smallConfig(dsm::Protocol::kVcSd);
+  c.nprocs = 8;
+  obs::TraceRecorder rec;
+  c.trace = &rec;
+  (void)apps::runIs(c, smallIs(), apps::IsVariant::kVopp);
+  uint64_t sends = 0;
+  for (const obs::Event& e : rec.events())
+    if (e.cat == obs::Cat::kSend) sends++;
+  const obs::FlowFold flows = obs::foldFlows(rec);
+  EXPECT_GT(sends, 0u);
+  EXPECT_EQ(flows.flows.size(), sends);
+  for (const obs::Flow& f : flows.flows) {
+    EXPECT_GE(f.send, 0);
+    EXPECT_GE(f.deliver, 0);
+  }
+}
+
+// Sequence numbers are per connection, so the peer is part of the id: one
+// owner's frames to two peers with the same number must not share a flow.
+TEST(Obs, CorrIdSeparatesConnections) {
+  auto frame = [](net::FrameKind kind, uint64_t seq) {
+    Writer w;
+    w.u8(static_cast<uint8_t>(kind));
+    w.u64(seq);
+    return w.take();
+  };
+  const Bytes data = frame(net::FrameKind::kData, 5);
+  const Bytes ack = frame(net::FrameKind::kAck, 5);
+  EXPECT_NE(net::frameCorr(data, 0, 1), net::frameCorr(data, 0, 2));
+  EXPECT_NE(net::frameCorr(data, 0, 1), net::frameCorr(data, 1, 0));
+  // An ack travels the other way but belongs to the same connection.
+  EXPECT_EQ(net::frameCorr(ack, 1, 0),
+            obs::corrId(static_cast<uint8_t>(net::FrameKind::kAck), 0, 1, 5));
+  EXPECT_NE(net::frameCorr(ack, 1, 0), net::frameCorr(data, 0, 1));
+  EXPECT_EQ(obs::corrKind(net::frameCorr(ack, 1, 0)),
+            static_cast<uint8_t>(net::FrameKind::kAck));
+}
+
+TEST(Obs, CorrIdRejectsOutOfRangeFields) {
+  constexpr uint32_t kMaxNode = (1u << obs::kCorrNodeBits) - 1;
+  constexpr uint64_t kMaxSeq = (uint64_t{1} << obs::kCorrSeqBits) - 1;
+  EXPECT_NE(obs::corrId(3, kMaxNode, kMaxNode, kMaxSeq),
+            obs::corrId(3, kMaxNode, kMaxNode - 1, kMaxSeq));
+  EXPECT_THROW(obs::corrId(0, kMaxNode + 1, 0, 0), Error);
+  EXPECT_THROW(obs::corrId(0, 0, kMaxNode + 1, 0), Error);
+  EXPECT_THROW(obs::corrId(0, 0, 0, kMaxSeq + 1), Error);
 }
 
 TEST(Obs, CriticalPathSumsToMakespanOnRealRuns) {

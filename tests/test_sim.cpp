@@ -4,6 +4,7 @@
 #include <functional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/clock.hpp"
@@ -170,6 +171,91 @@ TEST(Engine, LaneKeysFixTieOrder) {
     e.run();
     EXPECT_EQ(order, (std::vector<std::string>{"1:0", "1:1", "2:6"}));
   }
+}
+
+// A seeded random program on 4 lanes. Its callbacks schedule more events
+// with two timer delays, `at`, `atLane` and `auxAt`; the timers are armed
+// with `after(dt)` (delay lines) or with `at(now() + dt)` (the heap). Every
+// real event logs (id, now(), lane), where ids count scheduling calls and
+// lane is the lane the event was scheduled to run in.
+struct RandomProgram {
+  explicit RandomProgram(bool timers_via_after)
+      : timers_via_after(timers_via_after) {
+    e.configureLanes(4);
+    for (uint32_t lane = 0; lane < 4; ++lane) {
+      Engine::LaneGuard g(e, lane);
+      e.at(lane, event(lane));
+      timer(lane % 2 ? kShort : kLong, lane);
+    }
+  }
+
+  static constexpr Time kShort = 7;
+  static constexpr Time kLong = 300;
+
+  Callback event(uint32_t lane) {
+    const int id = next_id++;
+    return [this, id, lane] {
+      log.emplace_back(id, e.now(), lane);
+      for (uint64_t n = 1 + rng.below(2); n > 0 && budget > 0; --n, --budget) {
+        switch (rng.below(5)) {
+          case 0:
+            timer(kShort, lane);
+            break;
+          case 1:
+            timer(kLong, lane);
+            break;
+          case 2:  // small offsets make equal-time ties common
+            e.at(e.now() + static_cast<Time>(rng.below(4)), event(lane));
+            break;
+          case 3: {
+            const auto dst = static_cast<uint32_t>(rng.below(4));
+            e.atLane(dst, e.now() + static_cast<Time>(rng.below(10)),
+                     event(dst));
+            break;
+          }
+          default:
+            e.auxAt(e.now() + static_cast<Time>(rng.below(10)),
+                    [this] { aux_log.push_back(e.now()); });
+        }
+      }
+    };
+  }
+
+  void timer(Time dt, uint32_t lane) {
+    if (timers_via_after)
+      e.after(dt, event(lane));
+    else
+      e.at(e.now() + dt, event(lane));
+  }
+
+  Engine e;
+  bool timers_via_after;
+  Rng rng{2005};
+  int next_id = 0;
+  int budget = 4000;  // further events the callbacks may schedule
+  std::vector<std::tuple<int, Time, uint32_t>> log;
+  std::vector<Time> aux_log;
+};
+
+// Delay lines change where `after` events wait, never their keys: the same
+// program runs the same events at the same times in the same order, and
+// the engine reports the same pending counts along the way.
+TEST(Engine, AfterMatchesAt) {
+  RandomProgram lines(/*timers_via_after=*/true);
+  RandomProgram heap(/*timers_via_after=*/false);
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_FALSE(lines.e.runBounded(97));
+    EXPECT_FALSE(heap.e.runBounded(97));
+    EXPECT_EQ(lines.e.pending(), heap.e.pending()) << "after step " << i;
+  }
+  const uint64_t rest = lines.e.run();
+  EXPECT_EQ(rest, heap.e.run());
+  EXPECT_GT(rest, 0u);
+  EXPECT_EQ(lines.log.size(), static_cast<size_t>(lines.next_id));
+  EXPECT_EQ(lines.log, heap.log);
+  EXPECT_EQ(lines.aux_log, heap.aux_log);
+  EXPECT_EQ(lines.e.now(), heap.e.now());
+  EXPECT_FALSE(lines.aux_log.empty());
 }
 
 TEST(Engine, SchedulingInPastIsRejectedInDebug) {
