@@ -3,6 +3,9 @@
 // cost model charges for; this bench grounds the constants.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <cstring>
+
 #include "mem/diff.hpp"
 #include "sim/rng.hpp"
 
@@ -48,6 +51,39 @@ Diff diffCreateWordScan(const Bytes& current, const Bytes& twin) {
              vodsm::ByteSpan(current).subspan(start, i - start));
   }
   return d;
+}
+
+// Reference implementation of the pre-optimization overlay integrate (the
+// original Diff::integrate): both diffs painted onto a page-sized scratch,
+// maximal covered ranges read back. The run merge must match it exactly.
+Diff diffIntegrateOverlay(const Diff& older, const Diff& newer) {
+  std::array<std::byte, kPageSize> bytes{};
+  std::array<bool, kPageSize> covered{};
+  auto overlay = [&](const Diff& d) {
+    size_t pos = 0;
+    for (const Diff::Run& r : d.runs()) {
+      if (r.length > 0)
+        std::memcpy(bytes.data() + r.offset, d.data().data() + pos, r.length);
+      std::fill(covered.begin() + r.offset,
+                covered.begin() + r.offset + r.length, true);
+      pos += r.length;
+    }
+  };
+  overlay(older);
+  overlay(newer);
+  Diff out(older.page());
+  size_t i = 0;
+  while (i < kPageSize) {
+    if (!covered[i]) {
+      ++i;
+      continue;
+    }
+    size_t start = i;
+    while (i < kPageSize && covered[i]) ++i;
+    out.addRun(static_cast<uint16_t>(start),
+               vodsm::ByteSpan(bytes).subspan(start, i - start));
+  }
+  return out;
 }
 
 // Change patterns the protocols actually produce: empty (clean page at
@@ -131,19 +167,60 @@ void BM_DiffApply(benchmark::State& state) {
 }
 BENCHMARK(BM_DiffApply)->Arg(1)->Arg(10)->Arg(50)->Arg(100);
 
-void BM_DiffIntegrate(benchmark::State& state) {
-  const double density = static_cast<double>(state.range(0)) / 100.0;
+// Two successive versions' diffs of one page: IS's shape (the same
+// 256-byte block rewritten each version, as its contribution and section
+// views are), scattered words at 1/10/50% density, and a full page.
+struct IntegratePattern {
+  const char* name;
+  Diff older;
+  Diff newer;
+};
+
+IntegratePattern makeIntegratePattern(int which) {
   Bytes base = makePage(1);
-  Bytes v1 = mutate(base, density, 2);
-  Bytes v2 = mutate(v1, density, 3);
-  Diff d1 = Diff::create(0, v1, base);
-  Diff d2 = Diff::create(0, v2, v1);
+  if (which == 0) {
+    Bytes v1 = base;
+    Bytes v2 = base;
+    for (size_t i = 1024; i < 1024 + 256; ++i) {
+      v1[i] = static_cast<std::byte>(~std::to_integer<unsigned>(base[i]));
+      v2[i] = static_cast<std::byte>(std::to_integer<unsigned>(base[i]) ^ 0x5a);
+    }
+    return {"is_256B_run", Diff::create(0, v1, base), Diff::create(0, v2, v1)};
+  }
+  static constexpr const char* kNames[] = {"", "sparse1pct", "sparse10pct",
+                                           "dense50pct", "full_page"};
+  static constexpr double kDensity[] = {0, 0.01, 0.10, 0.50, 1.0};
+  Bytes v1 = mutate(base, kDensity[which], 2);
+  Bytes v2 = mutate(v1, kDensity[which], 3);
+  return {kNames[which], Diff::create(0, v1, base), Diff::create(0, v2, v1)};
+}
+
+// Old overlay vs run merge.
+void BM_DiffIntegrateOverlay(benchmark::State& state) {
+  IntegratePattern p = makeIntegratePattern(static_cast<int>(state.range(0)));
+  state.SetLabel(p.name);
   for (auto _ : state) {
-    Diff merged = Diff::integrate(d1, d2);
+    Diff merged = diffIntegrateOverlay(p.older, p.newer);
     benchmark::DoNotOptimize(merged);
   }
 }
-BENCHMARK(BM_DiffIntegrate)->Arg(1)->Arg(10)->Arg(50)->Arg(100);
+BENCHMARK(BM_DiffIntegrateOverlay)->DenseRange(0, 4);
+
+void BM_DiffIntegrate(benchmark::State& state) {
+  IntegratePattern p = makeIntegratePattern(static_cast<int>(state.range(0)));
+  state.SetLabel(p.name);
+  // The merge must not change results: same runs, same bytes.
+  if (!(Diff::integrate(p.older, p.newer) ==
+        diffIntegrateOverlay(p.older, p.newer))) {
+    state.SkipWithError("run merge diverges from overlay reference");
+    return;
+  }
+  for (auto _ : state) {
+    Diff merged = Diff::integrate(p.older, p.newer);
+    benchmark::DoNotOptimize(merged);
+  }
+}
+BENCHMARK(BM_DiffIntegrate)->DenseRange(0, 4);
 
 // Integration saves wire bytes versus shipping the chain: report the ratio.
 void BM_IntegrationCompression(benchmark::State& state) {
@@ -158,7 +235,16 @@ void BM_IntegrationCompression(benchmark::State& state) {
   }
   size_t chain_bytes = 0;
   for (const Diff& d : diffs) chain_bytes += d.wireSize();
+  Diff reference = diffs[0];
   Diff merged = diffs[0];
+  for (int i = 1; i < chain; ++i) {
+    reference = diffIntegrateOverlay(reference, diffs[static_cast<size_t>(i)]);
+    merged = Diff::integrate(merged, diffs[static_cast<size_t>(i)]);
+  }
+  if (!(merged == reference)) {
+    state.SkipWithError("run merge diverges from overlay reference");
+    return;
+  }
   for (auto _ : state) {
     merged = diffs[0];
     for (int i = 1; i < chain; ++i)

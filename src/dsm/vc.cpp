@@ -1,14 +1,15 @@
 #include "dsm/vc.hpp"
 
 #include <algorithm>
-#include <set>
+#include <limits>
 
 namespace vodsm::dsm {
 
 VcRuntime::VcRuntime(NodeCtx& ctx, bool integrated)
     : Runtime(ctx, kVcDiffReq, kVcDiffResp),
       sd_(integrated),
-      last_seen_(ctx.views.viewCount(), 0) {}
+      last_seen_(ctx.views.viewCount(), 0),
+      mgr_(ctx.views.homedViews(ctx.id)) {}
 
 void VcRuntime::onMessage(net::Delivery&& d) {
   switch (d.type) {
@@ -17,11 +18,15 @@ void VcRuntime::onMessage(net::Delivery&& d) {
       return;
     case kViewGrant: {
       ViewGrantMsg g = decode<ViewGrantMsg>(d.payload);
-      auto it = grant_waiters_.find(g.view);
+      auto it = std::find_if(
+          grant_waiters_.begin(), grant_waiters_.end(),
+          [&](const auto& w) { return w.first == g.view; });
       VODSM_CHECK_MSG(it != grant_waiters_.end(),
                       "unexpected view grant for view " << g.view);
+      sim::Waiter<ViewGrantMsg>* waiter = it->second;
+      grant_waiters_.erase(it);
       ctx_.clock.atLeast(d.arrive);
-      it->second->fulfill(std::move(g));
+      waiter->fulfill(std::move(g));
       return;
     }
     case kViewRelease:
@@ -52,16 +57,15 @@ sim::Task<void> VcRuntime::acquireView(ViewId v, bool readonly) {
   ctx_.stats.acquires++;
   const sim::Time t0 = ctx_.clock.now();
   if (auto* t = ctx_.trace) t->begin(ctx_.id, obs::Cat::kAcquireWait, t0, v);
-  auto waiter = std::make_unique<sim::Waiter<ViewGrantMsg>>();
-  auto* waiter_ptr = waiter.get();
-  VODSM_CHECK_MSG(!grant_waiters_.count(v),
+  VODSM_CHECK_MSG(std::none_of(grant_waiters_.begin(), grant_waiters_.end(),
+                               [v](const auto& w) { return w.first == v; }),
                   "concurrent acquisitions of view " << v << " on one node");
-  grant_waiters_[v] = std::move(waiter);
+  sim::Waiter<ViewGrantMsg> waiter;
+  grant_waiters_.emplace_back(v, &waiter);
   ViewAcqMsg req{v, ctx_.id, static_cast<uint8_t>(readonly ? 0 : 1),
                  last_seen_[v]};
   ctx_.endpoint.post(viewManager(v), kViewAcq, encode(req), ctx_.clock.now());
-  ViewGrantMsg g = co_await *waiter_ptr;
-  grant_waiters_.erase(v);
+  ViewGrantMsg g = co_await waiter;
 
   if (sd_) {
     // Integrated diffs arrive with the grant: apply them now; the view's
@@ -77,7 +81,10 @@ sim::Task<void> VcRuntime::acquireView(ViewId v, bool readonly) {
   }
   last_seen_[v] = g.cur_version;
   if (readonly) {
-    read_depth_[v]++;
+    if (auto it = readHold(v); it != read_depth_.end())
+      it->second++;
+    else
+      read_depth_.emplace_back(v, 1);
   } else {
     write_held_ = v;
     write_version_ = g.write_version;
@@ -90,10 +97,10 @@ sim::Task<void> VcRuntime::acquireView(ViewId v, bool readonly) {
 
 sim::Task<void> VcRuntime::releaseView(ViewId v, bool readonly) {
   if (readonly) {
-    auto it = read_depth_.find(v);
-    VODSM_CHECK_MSG(it != read_depth_.end() && it->second > 0,
+    auto it = readHold(v);
+    VODSM_CHECK_MSG(it != read_depth_.end(),
                     "release_Rview(" << v << ") not read-held");
-    it->second--;
+    if (--it->second == 0) read_depth_.erase(it);
     ViewReadReleaseMsg rel{v, ctx_.id};
     ctx_.endpoint.post(viewManager(v), kViewReadRelease, encode(rel),
                        ctx_.clock.now());
@@ -137,7 +144,7 @@ sim::Task<void> VcRuntime::releaseLock(LockId) {
 // ---------- manager side ----------
 
 void VcRuntime::onViewAcq(const ViewAcqMsg& m, sim::Time arrive) {
-  ViewMgrState& st = mgr_[m.view];
+  ViewMgrState& st = managed(m.view);
   const sim::Time when = arrive + ctx_.costs.handler_service;
   const bool want_write = m.write != 0;
   // Strict FIFO: anyone queues behind an incompatible holder or a nonempty
@@ -145,7 +152,7 @@ void VcRuntime::onViewAcq(const ViewAcqMsg& m, sim::Time arrive) {
   const bool must_wait =
       !st.queue.empty() || st.write_held || (want_write && st.readers > 0);
   if (must_wait)
-    st.queue.push_back(m);
+    st.queue.push(m);
   else
     grantNow(m, st, when);
 }
@@ -162,31 +169,26 @@ void VcRuntime::grantNow(const ViewAcqMsg& m, ViewMgrState& st,
     st.readers++;
   }
   if (sd_) {
-    // One integrated diff per page modified in (last_seen, cur].
-    std::set<mem::PageId> stale;
-    for (uint32_t ver = m.last_seen + 1; ver <= st.cur_version; ++ver)
-      for (mem::PageId p : st.history[ver - 1].second) stale.insert(p);
     VODSM_CHECK_MSG(m.last_seen == 0 || m.last_seen >= st.gc_version,
                     "view " << m.view << " GC ran past node " << m.requester
                             << "'s last seen version");
+    // One integrated diff per page modified in (last_seen, cur], in
+    // ascending page order. GC keeps every version past gc_version in the
+    // tails, and a first-time acquirer starts from the page's base: the
+    // same left fold over versions [1, gc_version] the log would give, so
+    // the shipped diff is bit-identical.
     size_t bytes = 0;
-    for (mem::PageId p : stale) {
-      const auto& log = st.diff_log[p];
-      std::optional<mem::Diff> acc;
-      // A first-time acquirer starts from the GC'd integration prefix; it
-      // is the same left fold over versions [1, gc_version] grantNow used
-      // to compute from the log, so the shipped diff is bit-identical.
-      if (m.last_seen == 0) {
-        auto bit = st.base.find(p);
-        if (bit != st.base.end()) acc = bit->second;
-      }
-      for (const auto& [ver, d] : log) {
-        if (ver <= m.last_seen) continue;
-        acc = acc ? mem::Diff::integrate(*acc, d) : d;
-      }
-      VODSM_DCHECK(acc.has_value());
-      bytes += acc->wireSize();
-      g.diffs.push_back(std::move(*acc));
+    for (const PageLog& pl : st.pages) {
+      auto next = std::partition_point(
+          pl.tail.begin(), pl.tail.end(),
+          [&](const auto& e) { return e.first <= m.last_seen; });
+      const bool from_base = m.last_seen == 0 && !pl.base.empty();
+      if (!from_base && next == pl.tail.end()) continue;
+      mem::Diff acc = from_base ? pl.base : (next++)->second;
+      for (; next != pl.tail.end(); ++next)
+        acc = mem::Diff::integrate(acc, next->second);
+      bytes += acc.wireSize();
+      g.diffs.push_back(std::move(acc));
     }
     // Integration work happens on the manager before the grant leaves.
     when += ctx_.costs.diffApply(bytes);
@@ -203,42 +205,68 @@ void VcRuntime::grantNow(const ViewAcqMsg& m, ViewMgrState& st,
     // The grant fixes what the requester will claim as last_seen next time:
     // the granted version for readers, the version it is about to write for
     // writers (releaseView sets last_seen_ = write_version_).
-    uint32_t& s = st.seen[m.requester];
-    s = std::max(s, m.write ? g.write_version : g.cur_version);
+    st.noteGranted(m.requester, m.write ? g.write_version : g.cur_version);
     sdGc(st, when);
+  }
+}
+
+void VcRuntime::ViewMgrState::noteGranted(NodeId node, uint32_t version) {
+  auto it = std::lower_bound(
+      seen.begin(), seen.end(), node,
+      [](const auto& e, NodeId n) { return e.first < n; });
+  if (it == seen.end() || it->first != node) {
+    seen.insert(it, {node, version});
+    if (seen.size() == 1 || version < seen_min) {
+      seen_min = version;
+      at_min = 1;
+    } else if (version == seen_min) {
+      ++at_min;
+    }
+    return;
+  }
+  if (version <= it->second) return;
+  const bool was_at_min = it->second == seen_min;
+  it->second = version;
+  if (!was_at_min || --at_min > 0) return;
+  seen_min = std::numeric_limits<uint32_t>::max();
+  for (const auto& [n, ver] : seen) {
+    if (ver < seen_min) {
+      seen_min = ver;
+      at_min = 0;
+    }
+    if (ver == seen_min) ++at_min;
   }
 }
 
 // Home-side diff GC. Every per-version diff at or below the minimum granted
 // version can only ever be consumed as part of the full (0, cur] prefix (a
 // node past it never asks again, and a first-time acquirer needs the whole
-// prefix), so fold it into the per-page base diff and drop it. Pure
-// bookkeeping: charges no simulated time, sends nothing.
+// prefix), so fold it into the per-page base diff and drop it. The cap at
+// cur_version matters while a writer holds the view: its entry is then
+// cur_version + 1. Pure bookkeeping: charges no simulated time, sends
+// nothing.
 void VcRuntime::sdGc(ViewMgrState& st, sim::Time when) {
-  uint32_t min_seen = st.cur_version;
-  for (const auto& [node, ver] : st.seen) min_seen = std::min(min_seen, ver);
-  if (st.seen.empty() || min_seen <= st.gc_version) return;
+  const uint32_t floor = std::min(st.cur_version, st.seen_min);
+  if (floor <= st.gc_version) return;
   int64_t delta_bytes = 0;
   int64_t delta_count = 0;
-  for (auto& [p, log] : st.diff_log) {
-    size_t k = 0;
-    auto bit = st.base.find(p);
-    while (k < log.size() && log[k].first <= min_seen) {
-      mem::Diff& d = log[k].second;
-      if (bit == st.base.end()) {
-        bit = st.base.emplace(p, std::move(d)).first;
-      } else {
-        const int64_t before = static_cast<int64_t>(bit->second.wireSize()) +
-                               static_cast<int64_t>(d.wireSize());
-        bit->second = mem::Diff::integrate(bit->second, d);
-        delta_bytes += static_cast<int64_t>(bit->second.wireSize()) - before;
-        delta_count -= 1;
+  for (PageLog& pl : st.pages) {
+    auto folded = pl.tail.begin();
+    for (; folded != pl.tail.end() && folded->first <= floor; ++folded) {
+      mem::Diff& d = folded->second;
+      if (pl.base.empty()) {
+        pl.base = std::move(d);
+        continue;
       }
-      ++k;
+      const int64_t before = static_cast<int64_t>(pl.base.wireSize()) +
+                             static_cast<int64_t>(d.wireSize());
+      pl.base = mem::Diff::integrate(pl.base, d);
+      delta_bytes += static_cast<int64_t>(pl.base.wireSize()) - before;
+      delta_count -= 1;
     }
-    log.erase(log.begin(), log.begin() + static_cast<ptrdiff_t>(k));
+    pl.tail.erase(pl.tail.begin(), folded);
   }
-  st.gc_version = min_seen;
+  st.gc_version = floor;
   if (auto* mr = ctx_.metrics; mr && (delta_bytes != 0 || delta_count != 0)) {
     mr->add(ctx_.id, obs::Metric::kDiffStoreBytes, delta_bytes, when);
     mr->add(ctx_.id, obs::Metric::kDiffStoreCount, delta_count, when);
@@ -246,52 +274,57 @@ void VcRuntime::sdGc(ViewMgrState& st, sim::Time when) {
   }
 }
 
-void VcRuntime::onViewRelease(const ViewReleaseMsg& m, sim::Time arrive) {
-  ViewMgrState& st = mgr_[m.view];
+void VcRuntime::onViewRelease(ViewReleaseMsg&& m, sim::Time arrive) {
+  ViewMgrState& st = managed(m.view);
   VODSM_CHECK_MSG(st.write_held && m.version == st.cur_version + 1,
                   "out-of-order view release");
   st.cur_version = m.version;
-  st.history.emplace_back(m.writer, m.pages);
   sim::Time when = arrive + ctx_.costs.handler_service;
   if (sd_) {
+    const ViewMap::ViewDef& def = ctx_.views.view(m.view);
+    if (st.pages.empty()) st.pages.resize(def.page_count);
     size_t bytes = 0;
-    for (const mem::Diff& d : m.diffs) {
+    for (mem::Diff& d : m.diffs) {
+      VODSM_CHECK_MSG(!d.empty() && d.page() >= def.first_page &&
+                          d.page() - def.first_page < def.page_count,
+                      "view " << m.view << " release carries a diff of page "
+                              << d.page());
       bytes += d.wireSize();
       if (auto* mr = ctx_.metrics) {
         mr->add(ctx_.id, obs::Metric::kDiffStoreBytes,
                 static_cast<int64_t>(d.wireSize()), arrive);
         mr->add(ctx_.id, obs::Metric::kDiffStoreCount, 1, arrive);
       }
-      st.diff_log[d.page()].emplace_back(m.version, d);
+      st.pages[d.page() - def.first_page].tail.emplace_back(m.version,
+                                                           std::move(d));
     }
     when += ctx_.costs.diffApply(bytes);  // home-side bookkeeping
+  } else {
+    st.history.emplace_back(m.writer, std::move(m.pages));
   }
   st.write_held = false;
-  pumpQueue(m.view, st, when);
+  pumpQueue(st, when);
 }
 
 void VcRuntime::onViewReadRelease(const ViewReadReleaseMsg& m,
                                   sim::Time arrive) {
-  ViewMgrState& st = mgr_[m.view];
+  ViewMgrState& st = managed(m.view);
   VODSM_CHECK_MSG(st.readers > 0, "read release without readers");
   st.readers--;
-  pumpQueue(m.view, st, arrive + ctx_.costs.handler_service);
+  pumpQueue(st, arrive + ctx_.costs.handler_service);
 }
 
-void VcRuntime::pumpQueue(ViewId view, ViewMgrState& st, sim::Time when) {
-  (void)view;
+void VcRuntime::pumpQueue(ViewMgrState& st, sim::Time when) {
   while (!st.queue.empty()) {
-    const ViewAcqMsg& front = st.queue.front();
-    if (front.write) {
+    const ViewAcqMsg m = st.queue.front();
+    if (m.write) {
       if (st.write_held || st.readers > 0) break;
-      ViewAcqMsg m = front;
-      st.queue.pop_front();
+      st.queue.pop();
       grantNow(m, st, when);
       break;
     }
     if (st.write_held) break;
-    ViewAcqMsg m = front;
-    st.queue.pop_front();
+    st.queue.pop();
     grantNow(m, st, when);
   }
 }

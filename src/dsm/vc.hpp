@@ -24,9 +24,9 @@
 // invalidation (see runtime.hpp).
 #pragma once
 
-#include <deque>
+#include <algorithm>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "dsm/msgs.hpp"
 #include "dsm/runtime.hpp"
@@ -53,43 +53,79 @@ class VcRuntime : public Runtime {
   void checkWriteAllowed(size_t offset, size_t len) override;
 
  private:
+  // FIFO of waiting acquisitions. A default-constructed std::deque
+  // allocates (libstdc++: a map and a 512-byte node) and most views never
+  // queue; an empty vector allocates nothing.
+  struct AcqQueue {
+    std::vector<ViewAcqMsg> items;
+    size_t head = 0;
+    bool empty() const { return head == items.size(); }
+    const ViewAcqMsg& front() const { return items[head]; }
+    void push(const ViewAcqMsg& m) { items.push_back(m); }
+    void pop() {
+      // Drop the consumed prefix once it is half the buffer.
+      if (2 * ++head >= items.size()) {
+        items.erase(items.begin(),
+                    items.begin() + static_cast<ptrdiff_t>(head));
+        head = 0;
+      }
+    }
+  };
+  // VC_sd home storage of one page. Only diffs with version > gc_version
+  // live in `tail`, ascending; older ones are folded into `base`, which is
+  // empty until the first fold (every logged diff is non-empty).
+  struct PageLog {
+    mem::Diff base;
+    std::vector<std::pair<uint32_t, mem::Diff>> tail;
+  };
   struct ViewMgrState {
     uint32_t cur_version = 0;
     bool write_held = false;
     int readers = 0;
-    std::deque<ViewAcqMsg> queue;
+    AcqQueue queue;
     // history[v-1] = (writer, pages) of version v (VC_d notice source).
     std::vector<std::pair<NodeId, std::vector<mem::PageId>>> history;
-    // VC_sd home storage: page -> (version, diff), ascending. Only the tail
-    // with version > gc_version lives here; older versions are folded into
-    // `base`.
-    std::unordered_map<mem::PageId,
-                       std::vector<std::pair<uint32_t, mem::Diff>>>
-        diff_log;
-    // VC_sd GC state: per-page left-fold of all diffs with version in
-    // [1, gc_version]. A requester claims last_seen == 0 (first acquisition,
-    // needs base + tail exactly) or last_seen >= gc_version (tail suffices);
-    // both reproduce the pre-GC integration bit for bit.
-    std::unordered_map<mem::PageId, mem::Diff> base;
+    // VC_sd: one PageLog per page of the view, by page-in-view (sized at
+    // the first release).
+    std::vector<PageLog> pages;
+    // VC_sd GC: every page's base is the left fold of versions
+    // [1, gc_version]. A requester claims last_seen == 0 (first
+    // acquisition, needs base + tail exactly) or last_seen >= gc_version
+    // (tail suffices); both reproduce the pre-GC integration bit for bit.
     uint32_t gc_version = 0;
-    // Last version granted to each node that ever acquired this view; the
-    // minimum bounds how far gc_version may advance.
-    std::unordered_map<NodeId, uint32_t> seen;
+    // Last version granted to each node that ever acquired this view,
+    // sorted by node, and the minimum of them with the number of nodes at
+    // it; min(cur_version, seen_min) bounds how far gc_version may advance.
+    std::vector<std::pair<NodeId, uint32_t>> seen;
+    uint32_t seen_min = 0;
+    uint32_t at_min = 0;
+
+    // Record `version` as granted to `node` (a node's entry never falls).
+    // The minimum is rescanned only when the last node at it moves up.
+    void noteGranted(NodeId node, uint32_t version);
   };
   NodeId viewManager(ViewId v) const {
     return ctx_.views.managerOf(v, ctx_.nprocs);
   }
+  ViewMgrState& managed(ViewId v) {
+    VODSM_CHECK_MSG(viewManager(v) == ctx_.id,
+                    "view " << v << " is not managed by node " << ctx_.id);
+    return mgr_[ctx_.views.homeSlot(v)];
+  }
 
   void onViewAcq(const ViewAcqMsg& m, sim::Time arrive);
-  void onViewRelease(const ViewReleaseMsg& m, sim::Time arrive);
+  void onViewRelease(ViewReleaseMsg&& m, sim::Time arrive);
   void onViewReadRelease(const ViewReadReleaseMsg& m, sim::Time arrive);
   void grantNow(const ViewAcqMsg& m, ViewMgrState& st, sim::Time when);
   void sdGc(ViewMgrState& st, sim::Time when);
-  void pumpQueue(ViewId view, ViewMgrState& st, sim::Time when);
+  void pumpQueue(ViewMgrState& st, sim::Time when);
 
-  bool holdsForRead(ViewId v) const {
-    auto it = read_depth_.find(v);
-    return (it != read_depth_.end() && it->second > 0) || write_held_ == v;
+  std::vector<std::pair<ViewId, int>>::iterator readHold(ViewId v) {
+    return std::find_if(read_depth_.begin(), read_depth_.end(),
+                        [v](const auto& e) { return e.first == v; });
+  }
+  bool holdsForRead(ViewId v) {
+    return write_held_ == v || readHold(v) != read_depth_.end();
   }
 
   const bool sd_;
@@ -97,14 +133,16 @@ class VcRuntime : public Runtime {
   // Node-side state.
   std::optional<ViewId> write_held_;
   uint32_t write_version_ = 0;
-  std::unordered_map<ViewId, int> read_depth_;
+  // Views read-held now, with their nesting depth (> 0).
+  std::vector<std::pair<ViewId, int>> read_depth_;
   std::vector<uint32_t> last_seen_;  // per view: last incorporated version
+  // Acquisitions awaiting their grant; each waiter lives in its
+  // acquireView frame.
+  std::vector<std::pair<ViewId, sim::Waiter<ViewGrantMsg>*>> grant_waiters_;
 
-  std::unordered_map<ViewId, std::unique_ptr<sim::Waiter<ViewGrantMsg>>>
-      grant_waiters_;
-
-  // Manager-side state.
-  std::unordered_map<ViewId, ViewMgrState> mgr_;
+  // Manager-side state of the views this node manages, by
+  // ViewMap::homeSlot.
+  std::vector<ViewMgrState> mgr_;
 };
 
 }  // namespace vodsm::dsm

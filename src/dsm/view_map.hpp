@@ -62,6 +62,25 @@ class ViewMap {
     return v % static_cast<uint32_t>(nprocs);
   }
 
+  // Number the views of each manager densely, in view order, for an
+  // `nprocs`-node cluster, so a manager can keep its per-view state in a
+  // vector: homeSlot(v) indexes it and homedViews(n) sizes node n's. Called
+  // once when the cluster starts, after the last defineView.
+  void placeHomes(int nprocs) {
+    home_slot_.resize(views_.size());
+    homed_.assign(static_cast<size_t>(nprocs), 0);
+    for (ViewId v = 0; v < views_.size(); ++v)
+      home_slot_[v] = homed_[managerOf(v, nprocs)]++;
+  }
+  uint32_t homeSlot(ViewId v) const {
+    VODSM_CHECK_MSG(v < home_slot_.size(), "view " << v << " has no home slot");
+    return home_slot_[v];
+  }
+  uint32_t homedViews(NodeId n) const {
+    VODSM_CHECK_MSG(n < homed_.size(), "node " << n << " has no homes placed");
+    return homed_[n];
+  }
+
   // Raw shared allocation for traditional (non-VOPP) programs. Natural
   // alignment only, so consecutive allocations share pages.
   size_t allocRaw(size_t bytes, size_t align = 8) {
@@ -103,6 +122,8 @@ class ViewMap {
 
   std::vector<ViewDef> views_;
   std::vector<ViewId> page_view_;  // page -> owning view, kNoView if none
+  std::vector<uint32_t> home_slot_;  // view -> index among its home's views
+  std::vector<uint32_t> homed_;      // node -> views it manages
   size_t top_ = 0;
 };
 

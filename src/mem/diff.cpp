@@ -1,6 +1,5 @@
 #include "mem/diff.hpp"
 
-#include <array>
 #include <cstring>
 
 namespace vodsm::mem {
@@ -82,37 +81,93 @@ void Diff::apply(MutByteSpan page_bytes) const {
   VODSM_DCHECK(pos == data_.size());
 }
 
+namespace {
+// Walks the union of two diffs' coverage in ascending offset order and hands
+// `piece(offset, length, bytes)` each stretch that has one source: every
+// newer run whole, and the parts of older runs no newer run covers. Both
+// run lists are ascending and non-overlapping (addRun and deserialize
+// enforce it), so one linear merge finds them.
+template <typename Piece>
+void forEachPiece(const Diff& older, const Diff& newer, Piece&& piece) {
+  const std::vector<Diff::Run>& o = older.runs();
+  const std::byte* odata = older.data().data();
+  const std::byte* ndata = newer.data().data();
+  size_t i = 0;       // current older run
+  size_t opos = 0;    // data position of older run i
+  size_t ostart = 0;  // first byte of older run i no newer run has covered
+  if (!o.empty()) ostart = o[0].offset;
+  auto oend = [&] { return static_cast<size_t>(o[i].offset) + o[i].length; };
+  auto next = [&] {
+    opos += o[i].length;
+    if (++i < o.size()) ostart = o[i].offset;
+  };
+  auto emitOlder = [&](size_t end) {
+    if (end > ostart)
+      piece(ostart, end - ostart, odata + opos + (ostart - o[i].offset));
+  };
+  size_t npos = 0;
+  for (const Diff::Run& r : newer.runs()) {
+    const size_t nstart = r.offset;
+    const size_t nend = nstart + r.length;
+    // Older bytes before this newer run.
+    while (i < o.size() && ostart < nstart) {
+      if (oend() > nstart) {
+        emitOlder(nstart);
+        ostart = nstart;
+        break;
+      }
+      emitOlder(oend());
+      next();
+    }
+    if (r.length > 0) piece(nstart, r.length, ndata + npos);
+    npos += r.length;
+    // Older bytes this newer run overwrites.
+    while (i < o.size() && ostart < nend) {
+      if (oend() > nend) {
+        ostart = nend;
+        break;
+      }
+      next();
+    }
+  }
+  while (i < o.size()) {
+    emitOlder(oend());
+    next();
+  }
+}
+}  // namespace
+
 Diff Diff::integrate(const Diff& older, const Diff& newer) {
   VODSM_CHECK(older.page_ == newer.page_);
-  // Materialize onto a page-sized scratch overlay: correctness over cleverness
-  // (a page is only 4 KB, so this is cheap and obviously right).
-  std::array<std::byte, kPageSize> bytes{};
-  std::array<bool, kPageSize> covered{};
-  auto overlay = [&](const Diff& d) {
-    size_t pos = 0;
-    for (const Run& r : d.runs_) {
-      std::memcpy(bytes.data() + r.offset, d.data_.data() + pos, r.length);
-      std::fill(covered.begin() + r.offset,
-                covered.begin() + r.offset + r.length, true);
-      pos += r.length;
-    }
-  };
-  overlay(older);
-  overlay(newer);
-
+  // Pieces that touch coalesce into one run, so the output's runs are the
+  // maximal covered ranges. A counting pass sizes the result exactly: base
+  // diffs stay resident in the VC_sd home for the rest of the run.
+  size_t run_count = 0;
+  size_t byte_count = 0;
+  size_t end = kPageSize + 1;  // no run open
+  forEachPiece(older, newer, [&](size_t off, size_t len, const std::byte*) {
+    if (off != end) ++run_count;
+    byte_count += len;
+    end = off + len;
+  });
   Diff out(older.page_);
-  size_t i = 0;
-  while (i < kPageSize) {
-    if (!covered[i]) {
-      ++i;
-      continue;
-    }
-    size_t start = i;
-    while (i < kPageSize && covered[i]) ++i;
-    out.runs_.push_back(Run{static_cast<uint16_t>(start),
-                            static_cast<uint16_t>(i - start)});
-    out.data_.insert(out.data_.end(), bytes.begin() + start, bytes.begin() + i);
-  }
+  out.runs_.resize(run_count);
+  out.data_.resize(byte_count);
+  size_t runs = 0;
+  std::byte* dst = out.data_.data();
+  end = kPageSize + 1;
+  forEachPiece(older, newer,
+               [&](size_t off, size_t len, const std::byte* bytes) {
+                 if (off == end)
+                   out.runs_[runs - 1].length = static_cast<uint16_t>(
+                       out.runs_[runs - 1].length + len);
+                 else
+                   out.runs_[runs++] = Run{static_cast<uint16_t>(off),
+                                           static_cast<uint16_t>(len)};
+                 std::memcpy(dst, bytes, len);
+                 dst += len;
+                 end = off + len;
+               });
   return out;
 }
 
@@ -130,10 +185,18 @@ void Diff::serialize(Writer& w) const {
 Diff Diff::deserialize(Reader& r) {
   Diff d(r.u32());
   const uint32_t n = r.u32();
+  VODSM_CHECK_MSG(n <= r.remaining() / 4, "corrupt diff encoding: " << n
+                                              << " runs in " << r.remaining()
+                                              << " bytes");
   d.runs_.reserve(n);
+  size_t end = 0;  // integrate's merge needs ascending, disjoint runs
   for (uint32_t i = 0; i < n; ++i) {
     uint16_t off = r.u16();
     uint16_t len = r.u16();
+    VODSM_CHECK_MSG(off >= end && static_cast<size_t>(off) + len <= kPageSize,
+                    "corrupt diff encoding: run [" << off << ", " << off + len
+                                                   << ") after byte " << end);
+    end = static_cast<size_t>(off) + len;
     d.runs_.push_back(Run{off, len});
   }
   ByteSpan data = r.blob();
@@ -146,6 +209,13 @@ Diff Diff::deserialize(Reader& r) {
 
 void Diff::addRun(uint16_t offset, ByteSpan bytes) {
   VODSM_CHECK(static_cast<size_t>(offset) + bytes.size() <= kPageSize);
+  const size_t end =
+      runs_.empty() ? 0 : static_cast<size_t>(runs_.back().offset) +
+                              runs_.back().length;
+  VODSM_CHECK_MSG(offset >= end, "diff run at " << offset
+                                                << " overlaps or precedes "
+                                                   "the run ending at "
+                                                << end);
   runs_.push_back(Run{offset, static_cast<uint16_t>(bytes.size())});
   data_.insert(data_.end(), bytes.begin(), bytes.end());
 }

@@ -16,6 +16,9 @@ namespace vodsm::mem {
 
 class Diff {
  public:
+  // A diff's runs are ascending and disjoint; create() and integrate()
+  // also make them maximal, and addRun() and deserialize() reject any
+  // run that overlaps or precedes the one before it.
   struct Run {
     uint16_t offset = 0;  // byte offset within the page
     uint16_t length = 0;  // byte count
@@ -58,7 +61,8 @@ class Diff {
   void serialize(Writer& w) const;
   static Diff deserialize(Reader& r);
 
-  // Test/build helper: add one run with explicit bytes.
+  // Test/build helper: append one run with explicit bytes, after (or
+  // touching) the last one.
   void addRun(uint16_t offset, ByteSpan bytes);
 
   bool operator==(const Diff& o) const {

@@ -73,6 +73,7 @@ void Cluster::run(const Program& program) {
   VODSM_CHECK_MSG(views_.heapBytes() > 0,
                   "no shared memory defined before run");
   const harness::RunConfig& cfg = machine_.config();
+  views_.placeHomes(cfg.nprocs);
   ctxs_.reserve(static_cast<size_t>(cfg.nprocs));
   runtimes_.reserve(static_cast<size_t>(cfg.nprocs));
   nodes_.reserve(static_cast<size_t>(cfg.nprocs));

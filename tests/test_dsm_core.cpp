@@ -2,8 +2,13 @@
 // DSM runtimes over the simulated cluster.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
 #include <numeric>
 
+#include "mem/diff.hpp"
+#include "obs/metrics.hpp"
+#include "sim/rng.hpp"
 #include "vopp/cluster.hpp"
 
 namespace vodsm {
@@ -216,6 +221,173 @@ TEST(LrcTraditional, LockProtectedCounter) {
     co_await node.barrier();
   });
   SUCCEED();
+}
+
+// The VC_sd home's diff store as (retained bytes, retained diffs, bytes
+// reclaimed by GC): the kDiffStoreBytes, kDiffStoreCount and
+// kDiffReclaimBytes series of the home node.
+using StoreState = std::array<int64_t, 3>;
+
+// Full-scan model of one view's VC_sd home store: every grant recomputes
+// the GC floor as the minimum over every node's last granted version,
+// capped at the current version, and folds each page's log up to it.
+struct SdHomeOracle {
+  uint32_t cur = 0;
+  uint32_t gc = 0;
+  std::map<dsm::NodeId, uint32_t> seen;
+  std::map<mem::PageId, mem::Diff> base;
+  std::map<mem::PageId, std::vector<std::pair<uint32_t, mem::Diff>>> log;
+  StoreState store{};
+
+  static int64_t wire(const mem::Diff& d) {
+    return static_cast<int64_t>(d.wireSize());
+  }
+  void release(const std::vector<mem::Diff>& diffs) {
+    ++cur;
+    for (const mem::Diff& d : diffs) {
+      store[0] += wire(d);
+      store[1] += 1;
+      log[d.page()].emplace_back(cur, d);
+    }
+  }
+  void grant(dsm::NodeId node, bool write) {
+    uint32_t& s = seen[node];
+    s = std::max(s, write ? cur + 1 : cur);
+    uint32_t floor = cur;
+    for (const auto& [n, ver] : seen) floor = std::min(floor, ver);
+    if (floor <= gc) return;
+    for (auto& [page, entries] : log) {
+      size_t k = 0;
+      for (; k < entries.size() && entries[k].first <= floor; ++k) {
+        mem::Diff& d = entries[k].second;
+        auto it = base.find(page);
+        if (it == base.end()) {
+          base.emplace(page, std::move(d));
+          continue;
+        }
+        mem::Diff merged = mem::Diff::integrate(it->second, d);
+        const int64_t freed = wire(it->second) + wire(d) - wire(merged);
+        store[0] -= freed;
+        store[1] -= 1;
+        store[2] += freed;
+        it->second = std::move(merged);
+      }
+      entries.erase(entries.begin(), entries.begin() + static_cast<long>(k));
+    }
+    gc = floor;
+  }
+};
+
+// The home keeps its GC floor incrementally. Drive one two-page view
+// through a solo writer (its entry sits at cur_version + 1 while it holds
+// the view), first acquisitions after GC has folded (last_seen == 0), many
+// readers with the node at the minimum advancing last, and then a seeded
+// random mix; after every grant the home's store must match the full-scan
+// oracle, and every reader must see the serial contents.
+TEST(VcSdHomeGc, MinimumMatchesFullScanOracle) {
+  constexpr int kProcs = 8;
+  constexpr dsm::NodeId kHome = 0;
+  constexpr size_t kBytes = 2 * mem::kPageSize;
+  obs::MetricsRegistry reg;
+  harness::RunConfig cfg;
+  cfg.nprocs = kProcs;
+  cfg.protocol = Protocol::kVcSd;
+  cfg.metrics = &reg;
+  vopp::Cluster cluster(cfg);
+  const dsm::ViewId view = cluster.defineView(kBytes, kHome);
+  const size_t off = cluster.viewOffset(view);
+  const mem::PageId first_page = mem::pageOf(off);
+
+  struct Step {
+    int node;
+    bool write;
+  };
+  std::vector<Step> steps = {
+      {1, true},  {1, true},  {1, true},  {2, false}, {3, false},
+      {4, false}, {5, false}, {6, false}, {7, false}, {1, true},
+      {3, false}, {4, false}, {5, false}, {6, false}, {7, false},
+      {1, false}, {2, false}, {5, true},  {0, false},
+  };
+  sim::Rng pick(7);
+  for (int i = 0; i < 80; ++i)
+    steps.push_back({static_cast<int>(pick.below(kProcs)), pick.below(3) == 0});
+
+  Bytes shadow(kBytes, std::byte{0});
+  sim::Rng data(11);
+  SdHomeOracle oracle;
+  std::vector<StoreState> home_series;
+  std::vector<StoreState> oracle_series;
+  int stale_reads = 0;
+  auto homeStore = [&] {
+    return StoreState{reg.value(kHome, obs::Metric::kDiffStoreBytes),
+                      reg.value(kHome, obs::Metric::kDiffStoreCount),
+                      reg.value(kHome, obs::Metric::kDiffReclaimBytes)};
+  };
+  // The next version's contents, cycling through the shapes the apps
+  // write: one rewritten 256-byte block (IS), scattered words, and one
+  // run that may cross the page boundary.
+  auto nextVersion = [&](size_t k) {
+    Bytes next = shadow;
+    auto fill = [&](size_t at, size_t len) {
+      for (size_t i = at; i < at + len; ++i)
+        next[i] = static_cast<std::byte>(data.below(256));
+    };
+    if (k % 3 == 0) {
+      fill(data.below(kBytes / 256) * 256, 256);
+    } else if (k % 3 == 1) {
+      for (int w = 0; w < 24; ++w) fill(data.below(kBytes / 4) * 4, 4);
+    } else {
+      const size_t len = 4 + data.below(1024);
+      fill(data.below(kBytes - len), len);
+    }
+    return next;
+  };
+
+  cluster.run([&](vopp::Node& node) -> sim::Task<void> {
+    for (size_t k = 0; k < steps.size(); ++k) {
+      const Step& st = steps[k];
+      if (st.node == node.id()) {
+        const auto id = static_cast<dsm::NodeId>(node.id());
+        if (st.write)
+          co_await node.acquireView(view);
+        else
+          co_await node.acquireRview(view);
+        oracle.grant(id, st.write);
+        home_series.push_back(homeStore());
+        oracle_series.push_back(oracle.store);
+        co_await node.touchRead(off, kBytes);
+        ByteSpan seen = node.memView(off, kBytes);
+        if (!std::equal(seen.begin(), seen.end(), shadow.begin()))
+          ++stale_reads;
+        if (st.write) {
+          Bytes next = nextVersion(k);
+          co_await node.touchWrite(off, kBytes);
+          std::copy(next.begin(), next.end(), node.mem(off, kBytes).begin());
+          std::vector<mem::Diff> diffs;
+          for (size_t p = 0; p < kBytes / mem::kPageSize; ++p) {
+            mem::Diff d = mem::Diff::create(
+                first_page + static_cast<mem::PageId>(p),
+                ByteSpan(next).subspan(p * mem::kPageSize, mem::kPageSize),
+                ByteSpan(shadow).subspan(p * mem::kPageSize, mem::kPageSize));
+            if (!d.empty()) diffs.push_back(std::move(d));
+          }
+          oracle.release(diffs);
+          shadow = std::move(next);
+          co_await node.releaseView(view);
+        } else {
+          co_await node.releaseRview(view);
+        }
+      }
+      co_await node.barrier();
+    }
+  });
+
+  EXPECT_EQ(stale_reads, 0);
+  EXPECT_EQ(home_series, oracle_series);
+  EXPECT_EQ(homeStore(), oracle.store);
+  // The schedule makes GC fold, and folds that overlap reclaim bytes.
+  EXPECT_GT(oracle.gc, 3u);
+  EXPECT_GT(oracle.store[2], 0);
 }
 
 }  // namespace

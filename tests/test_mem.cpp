@@ -2,6 +2,9 @@
 // integration, page store, vector clocks, view map.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+
 #include "dsm/view_map.hpp"
 #include "mem/diff.hpp"
 #include "mem/page_store.hpp"
@@ -125,6 +128,171 @@ TEST(Diff, IntegrationNewerWinsOnOverlap) {
   EXPECT_EQ(page[3], std::byte{2});
 }
 
+// The overlay Diff::integrate used before its run merge: both diffs painted
+// onto a page-sized scratch, maximal covered ranges read back. The merge
+// must reproduce it run for run and byte for byte.
+Diff integrateOverlay(const Diff& older, const Diff& newer) {
+  std::array<std::byte, kPageSize> bytes{};
+  std::array<bool, kPageSize> covered{};
+  auto overlay = [&](const Diff& d) {
+    size_t pos = 0;
+    for (const Diff::Run& r : d.runs()) {
+      if (r.length > 0)
+        std::memcpy(bytes.data() + r.offset, d.data().data() + pos, r.length);
+      std::fill(covered.begin() + r.offset,
+                covered.begin() + r.offset + r.length, true);
+      pos += r.length;
+    }
+  };
+  overlay(older);
+  overlay(newer);
+  Diff out(older.page());
+  size_t i = 0;
+  while (i < kPageSize) {
+    if (!covered[i]) {
+      ++i;
+      continue;
+    }
+    size_t start = i;
+    while (i < kPageSize && covered[i]) ++i;
+    out.addRun(static_cast<uint16_t>(start),
+               ByteSpan(bytes).subspan(start, i - start));
+  }
+  return out;
+}
+
+::testing::AssertionResult sameDiff(const Diff& got, const Diff& want) {
+  if (got.page() != want.page())
+    return ::testing::AssertionFailure()
+           << "page " << got.page() << " vs " << want.page();
+  if (got.runs().size() != want.runs().size())
+    return ::testing::AssertionFailure() << got.runs().size() << " runs vs "
+                                         << want.runs().size();
+  for (size_t k = 0; k < got.runs().size(); ++k) {
+    const Diff::Run& a = got.runs()[k];
+    const Diff::Run& b = want.runs()[k];
+    if (a.offset != b.offset || a.length != b.length)
+      return ::testing::AssertionFailure()
+             << "run " << k << ": [" << a.offset << "+" << a.length
+             << ") vs [" << b.offset << "+" << b.length << ")";
+  }
+  if (!std::equal(got.data().begin(), got.data().end(), want.data().begin(),
+                  want.data().end()))
+    return ::testing::AssertionFailure() << "data differs";
+  return ::testing::AssertionSuccess();
+}
+
+// Runs appended with addRun: a third of them touch the run before (so they
+// stay separate runs in the input), some are empty, a few are long.
+Diff randomRuns(sim::Rng& rng, mem::PageId page) {
+  Diff d(page);
+  size_t at = rng.below(64);
+  const int count = static_cast<int>(rng.below(24));
+  for (int k = 0; k < count && at < kPageSize; ++k) {
+    const size_t longest = rng.below(8) == 0 ? 1500 : 40;
+    size_t len = rng.below(5) == 0 ? 0 : 1 + rng.below(longest);
+    len = std::min(len, kPageSize - at);
+    Bytes bytes(len);
+    for (auto& b : bytes) b = static_cast<std::byte>(rng.below(256));
+    d.addRun(static_cast<uint16_t>(at), bytes);
+    at += len + (rng.below(3) == 0 ? 0 : rng.below(300));
+  }
+  return d;
+}
+
+// IS's shape: one 256-byte block of the page rewritten.
+Diff blockRewrite(sim::Rng& rng, mem::PageId page) {
+  Bytes bytes(256);
+  for (auto& b : bytes) b = static_cast<std::byte>(rng.below(256));
+  Diff d(page);
+  d.addRun(static_cast<uint16_t>(rng.below(kPageSize / 256) * 256), bytes);
+  return d;
+}
+
+TEST(Diff, IntegrateMatchesOverlayReference) {
+  sim::Rng rng(2024);
+  // Twin-scan diffs of successive versions: sparse, dense, full page.
+  for (double density : {0.0, 0.01, 0.1, 0.5, 1.0}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      Bytes base = randomPage(rng);
+      Bytes v1 = base;
+      mutatePage(rng, v1, density);
+      Bytes v2 = trial % 4 == 0 ? randomPage(rng) : v1;  // full-page rewrite
+      mutatePage(rng, v2, density);
+      Diff older = Diff::create(5, v1, base);
+      Diff newer = Diff::create(5, v2, v1);
+      ASSERT_TRUE(sameDiff(Diff::integrate(older, newer),
+                           integrateOverlay(older, newer)))
+          << "density " << density << " trial " << trial;
+      ASSERT_TRUE(sameDiff(Diff::integrate(newer, older),
+                           integrateOverlay(newer, older)))
+          << "density " << density << " trial " << trial << " (swapped)";
+    }
+  }
+  // addRun-built diffs, with an empty diff on either side now and then.
+  for (int trial = 0; trial < 3000; ++trial) {
+    Diff older = trial % 10 == 0 ? Diff(6) : randomRuns(rng, 6);
+    Diff newer = trial % 10 == 1 ? Diff(6) : randomRuns(rng, 6);
+    ASSERT_TRUE(sameDiff(Diff::integrate(older, newer),
+                         integrateOverlay(older, newer)))
+        << "trial " << trial;
+  }
+  // sdGc-style fold chains: a page's base folded with each later version.
+  for (int chain = 0; chain < 30; ++chain) {
+    Diff merged = blockRewrite(rng, 7);
+    Diff reference = merged;
+    for (int version = 0; version < 40; ++version) {
+      Diff d = chain % 3 == 0 ? randomRuns(rng, 7) : blockRewrite(rng, 7);
+      merged = Diff::integrate(merged, d);
+      reference = integrateOverlay(reference, d);
+      ASSERT_TRUE(sameDiff(merged, reference))
+          << "chain " << chain << " version " << version;
+    }
+  }
+}
+
+Bytes encodeDiff(const std::vector<std::pair<uint16_t, uint16_t>>& runs) {
+  Writer w;
+  w.u32(9);
+  w.u32(static_cast<uint32_t>(runs.size()));
+  size_t total = 0;
+  for (const auto& [off, len] : runs) {
+    w.u16(off);
+    w.u16(len);
+    total += len;
+  }
+  w.blob(Bytes(total, std::byte{1}));
+  return w.take();
+}
+
+Diff decodeDiff(const Bytes& encoded) {
+  Reader r(encoded);
+  return Diff::deserialize(r);
+}
+
+// integrate's merge needs every diff's runs ascending and disjoint: the
+// wire decoder and addRun both refuse anything else.
+TEST(Diff, DeserializeRejectsMalformedRuns) {
+  EXPECT_EQ(decodeDiff(encodeDiff({{0, 4}, {4, 8}, {100, 4}})).runs().size(),
+            3u);
+  EXPECT_THROW(decodeDiff(encodeDiff({{4090, 8}})), Error);  // past the page
+  EXPECT_THROW(decodeDiff(encodeDiff({{0, 8}, {4, 8}})), Error);  // overlap
+  EXPECT_THROW(decodeDiff(encodeDiff({{100, 4}, {0, 4}})), Error);  // order
+  Writer w;
+  w.u32(9);
+  w.u32(1u << 30);  // more runs than the message holds
+  EXPECT_THROW(decodeDiff(w.take()), Error);
+
+  Diff d(9);
+  const Bytes four(4, std::byte{2});
+  d.addRun(8, four);
+  d.addRun(12, four);  // touching the previous run is fine
+  EXPECT_THROW(d.addRun(14, four), Error);
+  EXPECT_THROW(d.addRun(0, four), Error);
+  EXPECT_THROW(d.addRun(kPageSize - 2, four), Error);
+  EXPECT_EQ(d.runs().size(), 2u);
+}
+
 TEST(PageStore, TwinLifecycle) {
   mem::PageStore store(4 * kPageSize);
   EXPECT_EQ(store.pageCount(), 4u);
@@ -204,6 +372,14 @@ TEST(ViewMap, HomesOverrideRoundRobin) {
   EXPECT_EQ(vm.managerOf(a, 4), 0u);
   EXPECT_EQ(vm.managerOf(b, 4), 3u);
   EXPECT_EQ(vm.managerOf(c, 4), 0u);
+  // Each manager numbers its own views densely, in view order.
+  vm.placeHomes(4);
+  EXPECT_EQ(vm.homeSlot(a), 0u);
+  EXPECT_EQ(vm.homeSlot(c), 1u);
+  EXPECT_EQ(vm.homeSlot(b), 0u);
+  EXPECT_EQ(vm.homedViews(0), 2u);
+  EXPECT_EQ(vm.homedViews(1), 0u);
+  EXPECT_EQ(vm.homedViews(3), 1u);
 }
 
 TEST(ViewMap, ContainsRange) {
