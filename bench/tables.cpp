@@ -8,6 +8,8 @@
 #include <iostream>
 #include <thread>
 
+#include <sys/resource.h>
+
 #include "bench/diff_compare.hpp"
 #include "bench/paper_params.hpp"
 #include "harness/parallel_runner.hpp"
@@ -45,6 +47,13 @@ constexpr const char* kCompilerId = "gcc " __VERSION__;
 #else
 constexpr const char* kCompilerId = "unknown";
 #endif
+
+// This process's peak resident memory so far, in MB (10^6 bytes).
+double peakRssMb() {
+  rusage u{};
+  getrusage(RUSAGE_SELF, &u);
+  return static_cast<double>(u.ru_maxrss) * 1024 / 1e6;  // ru_maxrss is KiB
+}
 
 std::string cellId(const std::string& app, const std::string& impl,
                    int procs) {
@@ -571,13 +580,14 @@ void writeTablesJson(std::ostream& os, const std::vector<TableSpec>& specs,
   os << std::setprecision(6) << std::fixed;
   os << "{\n";
   os << "  \"suite\": \"paper_tables\",\n";
-  // Host provenance: which machine/configuration produced this artifact.
+  // Host provenance: which machine/configuration produced this artifact,
+  // and the process's peak RSS by the time the sweep is written.
   // Every key here is host-dependent, so bench_diff ignores the whole
   // object (like "jobs"); the simulated fields it compares stay
   // byte-identical regardless of where the suite ran.
   os << "  \"host\": {\"cores\": " << std::thread::hardware_concurrency()
      << ", \"jobs\": " << jobs << ", \"compiler\": \"" << kCompilerId
-     << "\"},\n";
+     << "\", \"peak_rss_mb\": " << peakRssMb() << "},\n";
   os << "  \"full\": " << (o.full ? "true" : "false") << ",\n";
   os << "  \"breakdown\": " << (o.breakdown ? "true" : "false") << ",\n";
   if (!o.faults.empty()) {

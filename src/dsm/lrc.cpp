@@ -6,7 +6,8 @@ LrcRuntime::LrcRuntime(NodeCtx& ctx)
     : Runtime(ctx, kDiffReq, kDiffResp),
       vc_(static_cast<size_t>(ctx.nprocs)),
       last_barrier_vc_(static_cast<size_t>(ctx.nprocs)),
-      intervals_by_writer_(static_cast<size_t>(ctx.nprocs)) {}
+      ranks_(static_cast<size_t>(ctx.nprocs)),
+      open_(static_cast<size_t>(ctx.nprocs)) {}
 
 void LrcRuntime::onMessage(net::Delivery&& d) {
   switch (d.type) {
@@ -129,22 +130,35 @@ void LrcRuntime::sendGrant(const LockAcqMsg& req, sim::Time when) {
 std::vector<mem::Interval> LrcRuntime::intervalsNotCoveredBy(
     const mem::VClock& vc) const {
   std::vector<mem::Interval> out;
-  for (size_t w = 0; w < intervals_by_writer_.size(); ++w) {
-    const auto& ivs = intervals_by_writer_[w];
-    // ivs[i] has index i+1; send everything past vc[w].
-    for (size_t i = vc[w]; i < ivs.size(); ++i) out.push_back(ivs[i]);
+  for (size_t w = 0; w < open_.size(); ++w) {
+    if (vc[w] >= vc_[w]) continue;
+    VODSM_CHECK_MSG(vc[w] >= last_barrier_vc_[w],
+                    "interval " << vc[w] + 1 << " of node " << w
+                                << " is compacted");
+    // open_[w][i] has index last_barrier_vc_[w] + i + 1.
+    const auto& ivs = open_[w];
+    for (size_t i = vc[w] - last_barrier_vc_[w]; i < ivs.size(); ++i)
+      out.push_back(ivs[i]);
   }
   return out;
 }
 
+void LrcRuntime::addInterval(mem::Interval&& iv) {
+  VODSM_CHECK_MSG(iv.index == ranks_[iv.node].size() + 1,
+                  "non-contiguous interval knowledge for node " << iv.node);
+  // vc-sum linearizes happens-before: if a hb b, a.vc <= b.vc pointwise and
+  // strictly somewhere, so sum(a) < sum(b).
+  uint64_t sum = 0;
+  for (size_t k = 0; k < iv.vc.size(); ++k) sum += iv.vc[k];
+  ranks_[iv.node].push_back(sum);
+  vc_[iv.node] = iv.index;
+  open_[iv.node].push_back(std::move(iv));
+}
+
 bool LrcRuntime::absorbInterval(const mem::Interval& iv) {
   if (vc_[iv.node] >= iv.index) return false;  // already known
-  auto& ivs = intervals_by_writer_[iv.node];
-  VODSM_CHECK_MSG(iv.index == ivs.size() + 1,
-                  "non-contiguous interval knowledge for node " << iv.node);
-  ivs.push_back(iv);
   for (mem::PageId p : iv.pages) recordNotice(p, iv.node, iv.index);
-  vc_[iv.node] = iv.index;
+  addInterval(mem::Interval(iv));
   return true;
 }
 
@@ -164,20 +178,21 @@ void LrcRuntime::closeInterval() {
   iv.index = idx;
   iv.vc = vc_;
   iv.pages = std::move(pages);
-  VODSM_DCHECK(intervals_by_writer_[ctx_.id].size() + 1 == idx);
-  intervals_by_writer_[ctx_.id].push_back(std::move(iv));
+  addInterval(std::move(iv));
 }
 
 uint64_t LrcRuntime::applyRank(NodeId writer, uint32_t index) const {
-  // The interval's vector clock is known locally (its write notice came
-  // with the interval). vc-sum linearizes happens-before: if a hb b,
-  // a.vc <= b.vc pointwise and strictly somewhere, so sum(a) < sum(b).
+  // The interval is known locally (its write notice came with it).
   // Concurrent intervals (false sharing) touch disjoint bytes, so their
   // relative order is irrelevant.
-  const mem::Interval& iv = intervals_by_writer_[writer][index - 1];
-  uint64_t sum = 0;
-  for (size_t k = 0; k < iv.vc.size(); ++k) sum += iv.vc[k];
-  return sum;
+  return ranks_[writer][index - 1];
+}
+
+void LrcRuntime::barrierExit() {
+  // Every interval known here is covered now, and no later grant or
+  // barrier payload reaches below this clock: keep only the ranks.
+  last_barrier_vc_ = vc_;
+  for (auto& ivs : open_) ivs.clear();
 }
 
 std::vector<mem::Interval> LrcRuntime::barrierEnter() {

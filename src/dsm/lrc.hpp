@@ -7,6 +7,11 @@
 //   notices (Runtime's shared fetch), applied in vector-clock-sum order.
 // - Barriers are consistency points: the barrier payload is every interval
 //   learned since the last barrier (see runtime.hpp).
+// - Interval compaction. After a barrier every node's clock covers every
+//   interval it knows, so no interval is sent again: barrier payloads start
+//   from the last barrier, and a lock requester has passed it too. At
+//   barrier exit each node drops the intervals' clocks and page lists and
+//   keeps only their vc-sums, the diff apply order.
 #pragma once
 
 #include <deque>
@@ -34,7 +39,7 @@ class LrcRuntime : public Runtime {
  protected:
   std::vector<mem::Interval> barrierEnter() override;
   bool absorbInterval(const mem::Interval& iv) override;
-  void barrierExit() override { last_barrier_vc_ = vc_; }
+  void barrierExit() override;
   uint64_t applyRank(NodeId writer, uint32_t index) const override;
   void onMessage(net::Delivery&& d) override;
 
@@ -65,8 +70,11 @@ class LrcRuntime : public Runtime {
   void closeInterval();
   // Build and send a lock grant to `req` no earlier than `when`.
   void sendGrant(const LockAcqMsg& req, sim::Time when);
-  // All intervals this node knows that `vc` does not cover.
+  // All intervals this node knows that `vc` does not cover. `vc` must
+  // cover the last barrier wherever this node knows more than `vc`.
   std::vector<mem::Interval> intervalsNotCoveredBy(const mem::VClock& vc) const;
+  // Record a closed or learned interval, the next of its writer.
+  void addInterval(mem::Interval&& iv);
 
   LockId viewLock(ViewId v) const {
     // Views map onto a disjoint lock namespace when VOPP runs on LRC.
@@ -75,9 +83,11 @@ class LrcRuntime : public Runtime {
 
   mem::VClock vc_;
   mem::VClock last_barrier_vc_;
-  // [writer] -> intervals in ascending index order (contiguous from 1:
-  // LRC knowledge is prefix-closed per writer).
-  std::vector<std::vector<mem::Interval>> intervals_by_writer_;
+  // LRC knowledge is prefix-closed per writer: this node knows intervals
+  // 1..vc_[w] of writer w. ranks_[w][i] is the vc-sum of interval i+1;
+  // open_[w] holds intervals last_barrier_vc_[w]+1..vc_[w] whole, ascending.
+  std::vector<std::vector<uint64_t>> ranks_;
+  std::vector<std::vector<mem::Interval>> open_;
 
   std::unordered_map<LockId, LockState> locks_;
   std::unordered_map<LockId, std::unique_ptr<sim::Waiter<LockGrantMsg>>>

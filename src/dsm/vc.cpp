@@ -8,8 +8,33 @@ namespace vodsm::dsm {
 VcRuntime::VcRuntime(NodeCtx& ctx, bool integrated)
     : Runtime(ctx, kVcDiffReq, kVcDiffResp),
       sd_(integrated),
-      last_seen_(ctx.views.viewCount(), 0),
       mgr_(ctx.views.homedViews(ctx.id)) {}
+
+namespace {
+
+// The first entry at or past `key` of a vector of (key, value) pairs
+// sorted by key.
+template <typename Entries, typename Key>
+auto lowerBoundKey(Entries& entries, Key key) {
+  return std::lower_bound(
+      entries.begin(), entries.end(), key,
+      [](const auto& e, Key k) { return e.first < k; });
+}
+
+}  // namespace
+
+uint32_t VcRuntime::lastSeen(ViewId v) const {
+  auto it = lowerBoundKey(last_seen_, v);
+  return it != last_seen_.end() && it->first == v ? it->second : 0;
+}
+
+void VcRuntime::setLastSeen(ViewId v, uint32_t version) {
+  auto it = lowerBoundKey(last_seen_, v);
+  if (it != last_seen_.end() && it->first == v)
+    it->second = version;
+  else
+    last_seen_.emplace(it, v, version);
+}
 
 void VcRuntime::onMessage(net::Delivery&& d) {
   switch (d.type) {
@@ -63,7 +88,7 @@ sim::Task<void> VcRuntime::acquireView(ViewId v, bool readonly) {
   sim::Waiter<ViewGrantMsg> waiter;
   grant_waiters_.emplace_back(v, &waiter);
   ViewAcqMsg req{v, ctx_.id, static_cast<uint8_t>(readonly ? 0 : 1),
-                 last_seen_[v]};
+                 lastSeen(v)};
   ctx_.endpoint.post(viewManager(v), kViewAcq, encode(req), ctx_.clock.now());
   ViewGrantMsg g = co_await waiter;
 
@@ -79,7 +104,7 @@ sim::Task<void> VcRuntime::acquireView(ViewId v, bool readonly) {
     for (const VcNotice& n : g.notices)
       recordNotice(n.page, n.writer, n.version);
   }
-  last_seen_[v] = g.cur_version;
+  setLastSeen(v, g.cur_version);
   if (readonly) {
     if (auto it = readHold(v); it != read_depth_.end())
       it->second++;
@@ -123,7 +148,7 @@ sim::Task<void> VcRuntime::releaseView(ViewId v, bool readonly) {
       logDiff(p, write_version_, std::move(d));
     }
   });
-  last_seen_[v] = write_version_;
+  setLastSeen(v, write_version_);
   write_held_.reset();
   ctx_.endpoint.post(viewManager(v), kViewRelease, encode(rel),
                      ctx_.clock.now());
@@ -211,9 +236,7 @@ void VcRuntime::grantNow(const ViewAcqMsg& m, ViewMgrState& st,
 }
 
 void VcRuntime::ViewMgrState::noteGranted(NodeId node, uint32_t version) {
-  auto it = std::lower_bound(
-      seen.begin(), seen.end(), node,
-      [](const auto& e, NodeId n) { return e.first < n; });
+  auto it = lowerBoundKey(seen, node);
   if (it == seen.end() || it->first != node) {
     seen.insert(it, {node, version});
     if (seen.size() == 1 || version < seen_min) {

@@ -127,6 +127,9 @@ class VcRuntime : public Runtime {
   bool holdsForRead(ViewId v) {
     return write_held_ == v || readHold(v) != read_depth_.end();
   }
+  // The last version of `v` this node incorporated; 0 if it never acquired v.
+  uint32_t lastSeen(ViewId v) const;
+  void setLastSeen(ViewId v, uint32_t version);
 
   const bool sd_;
 
@@ -135,7 +138,10 @@ class VcRuntime : public Runtime {
   uint32_t write_version_ = 0;
   // Views read-held now, with their nesting depth (> 0).
   std::vector<std::pair<ViewId, int>> read_depth_;
-  std::vector<uint32_t> last_seen_;  // per view: last incorporated version
+  // (view, last incorporated version) of each view this node has acquired,
+  // sorted by view. A node acquires few of the views (an IS node about 3p
+  // of p^2+p+1), so this is sparse rather than one word per view.
+  std::vector<std::pair<ViewId, uint32_t>> last_seen_;
   // Acquisitions awaiting their grant; each waiter lives in its
   // acquireView frame.
   std::vector<std::pair<ViewId, sim::Waiter<ViewGrantMsg>*>> grant_waiters_;

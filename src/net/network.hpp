@@ -96,6 +96,19 @@ class Network {
     port(node).deliver = std::move(fn);
   }
 
+  // Called on a responder when no copy of a request it answered can reach
+  // it again, so it may free the reply it keeps for resends. Every endpoint
+  // lives in this process: the notice is a function call, not a frame, and
+  // costs no simulated time.
+  using ReleaseFn = std::function<void(NodeId requester, uint64_t seq)>;
+  void setRelease(NodeId node, ReleaseFn fn) {
+    port(node).release = std::move(fn);
+  }
+  // `requester` has the reply to its request `seq` to `responder`.
+  void releaseReply(NodeId requester, NodeId responder, uint64_t seq) {
+    if (const ReleaseFn& f = port(responder).release) f(requester, seq);
+  }
+
   // Optional event recorder for frame drops (random loss, NIC overflow).
   // Drops are charged to the would-be receiver's net track.
   void setTrace(obs::TraceRecorder* t) { trace_ = t; }
@@ -119,7 +132,16 @@ class Network {
   // point where random cable loss applies). Null means no injection: the
   // fault-free path draws no extra randomness and computes identical times,
   // so runs without a plan stay byte-identical. Caller keeps ownership.
-  void setFaults(FaultInjector* f) { faults_ = f; }
+  void setFaults(FaultInjector* f) {
+    faults_ = f;
+    may_duplicate_ = false;
+    if (f)
+      for (const FaultRule& r : f->plan().rules)
+        may_duplicate_ |= r.kind == FaultKind::kDup;
+  }
+  // True when a fault rule can deliver a frame twice. Nothing else does:
+  // loss drops frames and reordering only delays them.
+  bool mayDuplicate() const { return may_duplicate_; }
 
   // Inject a frame from src to dst no earlier than `earliest` (typically the
   // sender's local clock). The caller has already decided the frame is worth
@@ -140,6 +162,7 @@ class Network {
     sim::Time rx_busy_until = 0;
     int rx_queue_depth = 0;
     DeliverFn deliver;
+    ReleaseFn release;
   };
 
   Port& port(NodeId id) { return ports_[id]; }
@@ -296,6 +319,7 @@ class Network {
   obs::MetricsRegistry* metrics_ = nullptr;
   Classifier classify_ = nullptr;
   FaultInjector* faults_ = nullptr;
+  bool may_duplicate_ = false;
   std::vector<Port> ports_;
   std::vector<NetStats> shards_;  // per-node counters (see statsFor)
   mutable NetStats total_;        // stats() fold cache

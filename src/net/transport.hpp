@@ -12,6 +12,15 @@
 //                caches its reply so a duplicate request is answered by a
 //                resend instead of re-execution (at-most-once processing).
 //
+// Reply lifetime. The responder keeps each requester's last 64 replies in a
+// ring. A cached reply is read again only if a copy of its request arrives
+// again. When the requester gets a reply to a request it sent once, and no
+// fault rule can duplicate frames, no such copy exists: the requester tells
+// the responder through Network::releaseReply (in-process, no simulated
+// time), and the responder frees the reply's bytes. The ring keeps the
+// slot, its sequence number and its place, so which replies are evicted,
+// and so every later resend, stays the same.
+//
 // Every connection (sender, receiver) has its own sequence space: a sender
 // numbers its frames per destination, so the frames a receiver gets from
 // one peer carry consecutive numbers, and duplicate suppression is a
@@ -132,6 +141,9 @@ class Endpoint {
                                       sim::Time arrive) {
       onFrame(src, std::move(frame), arrive, /*via_wire=*/true);
     });
+    network_.setRelease(self_, [this](NodeId requester, uint64_t seq) {
+      if (Bytes* cached = findReply(requester, seq)) *cached = Bytes();
+    });
   }
 
   Endpoint(const Endpoint&) = delete;
@@ -210,6 +222,15 @@ class Endpoint {
   // Which of `peer`'s sequence numbers this node has processed.
   const SeqTracker& seenFrom(NodeId peer) const { return conns_[peer].seen; }
 
+  // Bytes of the reply frames this node still holds for resends.
+  size_t cachedReplyBytes() const {
+    size_t bytes = 0;
+    for (const Conn& c : conns_)
+      if (c.replies)
+        for (const auto& [seq, frame] : c.replies->frames) bytes += frame.size();
+    return bytes;
+  }
+
  private:
   struct Pending {
     NodeId dst = 0;
@@ -221,10 +242,12 @@ class Endpoint {
     NodeId dst = 0;
     Bytes frame;
     uint64_t epoch = 0;
+    bool resent = false;  // the request went on the wire more than once
     sim::Waiter<RpcResult> waiter;
   };
   // A requester's most recent replies, oldest overwritten first: it
-  // retransmits within ~RTO of the original, so older entries are dead.
+  // retransmits within ~RTO of the original, so older entries are dead. A
+  // released reply keeps its slot with an empty frame (see the header).
   struct ReplyCache {
     static constexpr size_t kMax = 64;
     std::vector<std::pair<uint64_t, Bytes>> frames;  // (seq, reply frame)
@@ -314,6 +337,7 @@ class Endpoint {
     engine_.after(network_.config().rto, [this, key, epoch] {
       auto it = pending_rpcs_.find(key);
       if (it == pending_rpcs_.end() || it->second->epoch != epoch) return;
+      it->second->resent = true;
       countRetransmit(it->second->frame, it->second->dst);
       network_.send(self_, it->second->dst, Bytes(it->second->frame),
                     engine_.now());
@@ -348,6 +372,8 @@ class Endpoint {
         if (it == pending_rpcs_.end()) return;  // duplicate reply
         PendingRpc& p = *it->second;
         p.epoch++;
+        if (via_wire && !p.resent && !network_.mayDuplicate())
+          network_.releaseReply(self_, src, seq);
         const uint16_t type = r.u16();
         ByteSpan payload = r.blob();
         p.waiter.fulfill(
@@ -367,8 +393,12 @@ class Endpoint {
           // Duplicate request: resend the cached reply if we already
           // answered; otherwise the original is still being processed and
           // the requester's next timeout will retry.
-          const Bytes* cached = cachedReply(src, seq);
+          const Bytes* cached = findReply(src, seq);
           if (cached && via_wire) {
+            VODSM_CHECK_MSG(!cached->empty(),
+                            "request " << seq << " from node " << src
+                                       << " arrived again after its reply "
+                                          "was released");
             countRetransmit(*cached, src);
             network_.send(self_, src, Bytes(*cached), engine_.now());
           }
@@ -400,10 +430,10 @@ class Endpoint {
     cache->oldest = (cache->oldest + 1) % ReplyCache::kMax;
   }
 
-  const Bytes* cachedReply(NodeId requester, uint64_t seq) const {
-    const ReplyCache* cache = conns_[requester].replies.get();
+  Bytes* findReply(NodeId requester, uint64_t seq) {
+    ReplyCache* cache = conns_[requester].replies.get();
     if (!cache) return nullptr;
-    for (const auto& [s, frame] : cache->frames)
+    for (auto& [s, frame] : cache->frames)
       if (s == seq) return &frame;
     return nullptr;
   }

@@ -27,7 +27,9 @@
 // Storage: callbacks live in a free-list pool of event nodes (reused across
 // the run, so steady-state scheduling allocates nothing), and the priority
 // queue orders plain POD records — heap sifts move small PODs instead of
-// whole closures, and popping the top needs no const_cast.
+// whole closures, and popping the top needs no const_cast. The pool grows
+// by fixed-size chunks that never move, so growing it neither copies the
+// nodes nor holds two arrays at once.
 //
 // Delay lines. Events one lane schedules with `after(dt)` for one `dt` are
 // keyed in the order they are scheduled: now() never decreases and the
@@ -42,6 +44,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/callback.hpp"
@@ -167,6 +170,9 @@ class Engine {
     Callback cb;
     uint32_t next_free = kNone;
   };
+  // Pool slot s lives at chunks_[s / kChunkNodes][s % kChunkNodes].
+  static constexpr uint32_t kChunkBits = 12;
+  static constexpr uint32_t kChunkNodes = uint32_t{1} << kChunkBits;
   struct Entry {
     Time t;
     uint64_t stamp;
@@ -206,16 +212,21 @@ class Engine {
     return seqs_[lane].aux++ | kAuxBit;
   }
 
+  Node& node(uint32_t slot) {
+    return chunks_[slot >> kChunkBits][slot & (kChunkNodes - 1)];
+  }
+
   uint32_t alloc(Callback cb) {
     uint32_t slot;
     if (free_head_ != kNone) {
       slot = free_head_;
-      free_head_ = pool_[slot].next_free;
-      pool_[slot].cb = std::move(cb);
+      free_head_ = node(slot).next_free;
     } else {
-      slot = static_cast<uint32_t>(pool_.size());
-      pool_.push_back(Node{std::move(cb), kNone});
+      slot = pool_size_++;
+      if ((slot & (kChunkNodes - 1)) == 0)
+        chunks_.push_back(std::make_unique<Node[]>(kChunkNodes));
     }
+    node(slot).cb = std::move(cb);
     return slot;
   }
 
@@ -278,17 +289,19 @@ class Engine {
       --real_pending_;
     }
     // Move the callback out before running it: the callback may schedule
-    // new events, which may reuse (or reallocate) this node's slot.
-    Callback cb = std::move(pool_[ev.slot].cb);
-    pool_[ev.slot].cb.reset();
-    pool_[ev.slot].next_free = free_head_;
+    // new events, which may reuse this node's slot.
+    Node& n = node(ev.slot);
+    Callback cb = std::move(n.cb);
+    n.cb.reset();
+    n.next_free = free_head_;
     free_head_ = ev.slot;
     cb();
     return aux ? 2 : 1;
   }
 
   std::vector<Entry> heap_;
-  std::vector<Node> pool_;
+  std::vector<std::unique_ptr<Node[]>> chunks_;
+  uint32_t pool_size_ = 0;  // slots handed out so far
   uint32_t free_head_ = kNone;
   Time now_ = 0;
   uint64_t real_pending_ = 0;

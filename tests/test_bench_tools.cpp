@@ -457,6 +457,25 @@ TEST(DiffCompare, HostMetadataMayAppearWithoutRegeneratingTheBaseline) {
   EXPECT_EQ(mismatches(cur, other_host), 0);
 }
 
+TEST(DiffCompare, PeakRssNeverFailsTheGate) {
+  // Host memory is recorded inside "host", so a sweep that peaks at a
+  // different RSS, or a baseline that predates the key, gates clean.
+  const std::string base =
+      R"({"suite": "t", "host": {"cores": 4, "jobs": 2}, "messages": 10})";
+  const std::string small =
+      R"({"suite": "t", "host": {"cores": 4, "jobs": 2, "peak_rss_mb": 1019.5},
+          "messages": 10})";
+  const std::string large =
+      R"({"suite": "t", "host": {"cores": 4, "jobs": 2, "peak_rss_mb": 6367.0},
+          "messages": 10})";
+  for (const auto& [a, b] : {std::pair{base, small}, std::pair{small, base},
+                             std::pair{small, large}, std::pair{large, small}}) {
+    const bench::diff::Report rep = runCompare(a, b, bench::diff::Config{});
+    EXPECT_EQ(rep.mismatches, 0);
+    EXPECT_EQ(rep.host_failures, 0);
+  }
+}
+
 TEST(DiffCompare, ThreadCountsNeverCompare) {
   EXPECT_EQ(mismatches(R"({"jobs": 1, "messages": 10})",
                        R"({"jobs": 32, "messages": 10})"),
@@ -537,6 +556,7 @@ TEST(TablesJson, FaultSpecIsEscaped) {
   bench::writeTablesJson(os, {spec}, {run}, o, 1, 0, 0);
   const Json doc = Json::parse(os.str());
   EXPECT_EQ(doc.at("faults").asString(), o.faults);
+  EXPECT_GT(doc.at("host").at("peak_rss_mb").asNumber(), 0.0);
 }
 
 // --- table_common: command-line parsing ---------------------------------

@@ -3,6 +3,9 @@
 // consistency and interval bookkeeping.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "vopp/cluster.hpp"
 
 namespace vodsm {
@@ -169,6 +172,87 @@ TEST(LrcSemantics, StatisticsCounting) {
   EXPECT_EQ(stats.acquires, 4u * kProcs);           // calls
   EXPECT_EQ(stats.barrier_waits, 4u * kProcs);      // per-node waits
   EXPECT_GT(stats.diffs_created, 0u);
+}
+
+// Lock chains between barriers under false sharing, on every barrier
+// algorithm. Each node writes its own slots of one page: an unsynchronized
+// slot that a barrier publishes, and a slot it writes under a lock. At each
+// barrier exit a node keeps only the vc-sums of the intervals the barrier
+// covers. Every read must see the serial result, and every grant must carry
+// exactly the intervals its requester has not seen: one interval (one page,
+// so one write notice) from each earlier holder since the barrier. Once the
+// last barrier is passed, every diff reply has reached its requester, so no
+// node still holds reply bytes for resends.
+TEST(LrcSemantics, GrantsAfterBarrierCompactionCarryOnlyUncoveredIntervals) {
+  constexpr int kProcs = 6;
+  constexpr int kRounds = 4;
+  for (dsm::BarrierAlg alg : {dsm::BarrierAlg::kCentral, dsm::BarrierAlg::kTree,
+                              dsm::BarrierAlg::kButterfly}) {
+    SCOPED_TRACE(static_cast<int>(alg));
+    harness::RunConfig cfg = lrc(kProcs);
+    cfg.barrier = alg;
+    vopp::Cluster cluster(cfg);
+    // Slot q is node q's unsynchronized slot, slot kProcs + q its locked one.
+    const size_t off = cluster.allocShared(2 * kProcs * 8);
+    auto slot = [off](int k) { return off + static_cast<size_t>(k) * 8; };
+    auto code = [](int q, int round, bool locked) {
+      return int64_t{q * 100 + round + (locked ? 50 : 0)};
+    };
+    int holders = 0;                      // lock holders so far this round
+    std::vector<int> held_in(kProcs, 0);  // last round each node held it
+    std::vector<std::string> errors;
+    std::vector<size_t> cached(kProcs, 1);
+    cluster.run([&](vopp::Node& node) -> sim::Task<void> {
+      const int me = node.id();
+      auto read = [&](int k) {
+        return *reinterpret_cast<const int64_t*>(
+            node.memView(slot(k), 8).data());
+      };
+      for (int r = 1; r <= kRounds; ++r) {
+        co_await node.touchWrite(slot(me), 8);
+        *reinterpret_cast<int64_t*>(node.mem(slot(me), 8).data()) =
+            code(me, r, false);
+        co_await node.barrier();
+        co_await node.touchRead(slot(0), kProcs * 8);
+        for (int q = 0; q < kProcs; ++q)
+          if (read(q) != code(q, r, false))
+            errors.push_back("unsynchronized slot " + std::to_string(q));
+
+        const uint64_t notices = node.ctx().stats.notices_recorded;
+        co_await node.acquireLock(1);
+        const int earlier = holders++;
+        if (node.ctx().stats.notices_recorded - notices !=
+            static_cast<uint64_t>(earlier))
+          errors.push_back("grant to holder " + std::to_string(earlier) +
+                           " of round " + std::to_string(r));
+        co_await node.touchRead(slot(kProcs), kProcs * 8);
+        for (int q = 0; q < kProcs; ++q) {
+          const int64_t want = held_in[q] ? code(q, held_in[q], true) : 0;
+          if (read(kProcs + q) != want)
+            errors.push_back("locked slot " + std::to_string(q));
+        }
+        co_await node.touchWrite(slot(kProcs + me), 8);
+        *reinterpret_cast<int64_t*>(node.mem(slot(kProcs + me), 8).data()) =
+            code(me, r, true);
+        held_in[me] = r;
+        if (holders == kProcs) holders = 0;
+        co_await node.releaseLock(1);
+        co_await node.barrier();
+        co_await node.touchRead(slot(kProcs), kProcs * 8);
+        for (int q = 0; q < kProcs; ++q)
+          if (read(kProcs + q) != code(q, r, true))
+            errors.push_back("locked slot " + std::to_string(q) +
+                             " after the barrier");
+      }
+      co_await node.barrier();
+      cached[me] = node.ctx().endpoint.cachedReplyBytes();
+    });
+    EXPECT_TRUE(errors.empty()) << errors.size() << " errors, first: "
+                                << (errors.empty() ? "" : errors.front());
+    EXPECT_EQ(cluster.dsmStats().barriers, 2u * kRounds + 1);
+    EXPECT_GT(cluster.dsmStats().diff_requests, 0u);
+    for (int n = 0; n < kProcs; ++n) EXPECT_EQ(cached[n], 0u) << "node " << n;
+  }
 }
 
 // Reads of never-written pages are satisfied locally (zeros, no traffic).

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "net/faults.hpp"
 #include "net/network.hpp"
 #include "net/parallel.hpp"
 #include "net/transport.hpp"
@@ -178,6 +179,101 @@ TEST(Transport, RequestReplySurvivesLoss) {
   p.engine.run();
   EXPECT_EQ(completed, 30);
   EXPECT_EQ(served, 30);  // reply cache answers duplicate requests
+}
+
+// Node 1 answers every request with a 64-byte reply.
+void serveEcho(Endpoint& server, int& served) {
+  server.setHandler([&server, &served](Delivery&& d, const ReplyToken& tok) {
+    served++;
+    server.reply(tok, static_cast<uint16_t>(d.type + 1), Bytes(64), d.arrive);
+  });
+}
+
+// Issues `n` requests from `client` to node 1, one after another.
+void requestInSequence(Endpoint& client, int n, int& completed) {
+  sim::spawn([](Endpoint& ep, int count, int& done) -> sim::Task<void> {
+    for (int i = 0; i < count; ++i) {
+      auto r = co_await ep.request(1, 5, Bytes(16), 0);
+      EXPECT_EQ(r.type, 6);
+      EXPECT_EQ(r.payload.size(), 64u);
+      done++;
+    }
+  }(client, n, completed));
+}
+
+// A request sent once, with no fault rule that duplicates frames, cannot
+// reach the server again, so its reply's bytes are released on arrival.
+TEST(Transport, LosslessRepliesAreReleased) {
+  Pair p;
+  int served = 0, completed = 0;
+  serveEcho(p.b, served);
+  requestInSequence(p.a, 20, completed);
+  p.engine.run();
+  EXPECT_EQ(completed, 20);
+  EXPECT_EQ(served, 20);
+  EXPECT_EQ(p.b.cachedReplyBytes(), 0u);
+  EXPECT_EQ(p.net.stats().retransmissions, 0u);
+}
+
+// The first reply is dropped: the client retransmits its request and the
+// server resends the cached reply without serving the request again. That
+// reply keeps its bytes (its request went out twice); the next is released.
+TEST(Transport, DroppedReplyIsResentFromTheCache) {
+  Pair p;
+  FaultInjector faults(parseFaultPlan("burst:from=1,to=0,count=1"), 1, 2);
+  p.net.setFaults(&faults);
+  int served = 0, completed = 0;
+  serveEcho(p.b, served);
+  requestInSequence(p.a, 2, completed);
+  p.engine.run();
+  EXPECT_EQ(completed, 2);
+  EXPECT_EQ(served, 2);
+  EXPECT_EQ(faults.droppedBy(0), 1u);
+  EXPECT_EQ(p.net.statsFor(0).retransmissions, 1u);  // the request
+  EXPECT_EQ(p.net.statsFor(1).retransmissions, 1u);  // the cached reply
+  EXPECT_EQ(p.net.stats().retransmissions, 2u);
+  EXPECT_EQ(p.b.cachedReplyBytes(), 64u + 15u);  // one frame, header included
+}
+
+// Under a dup rule a request can arrive twice however often it was sent:
+// the copy is answered from the cache, and no reply is released.
+TEST(Transport, DuplicatedRequestIsAnsweredFromTheCache) {
+  Pair p;
+  FaultInjector faults(parseFaultPlan("dup:from=0,to=1"), 1, 2);
+  p.net.setFaults(&faults);
+  ASSERT_TRUE(p.net.mayDuplicate());
+  int served = 0, completed = 0;
+  serveEcho(p.b, served);
+  requestInSequence(p.a, 3, completed);
+  p.engine.run();
+  EXPECT_EQ(completed, 3);
+  EXPECT_EQ(served, 3);
+  EXPECT_EQ(p.net.stats().frames_duplicated, 3u);
+  EXPECT_EQ(p.net.statsFor(0).retransmissions, 0u);
+  EXPECT_EQ(p.net.statsFor(1).retransmissions, 3u);
+  EXPECT_EQ(p.b.cachedReplyBytes(), 3 * (64u + 15u));
+}
+
+// A copy of a request whose reply was released breaks the rule above; the
+// server refuses it rather than answer with an empty frame.
+TEST(Transport, RequestAfterItsReplyWasReleasedFailsACheck) {
+  Pair p;
+  int served = 0, completed = 0;
+  serveEcho(p.b, served);
+  requestInSequence(p.a, 1, completed);
+  p.engine.run();
+  ASSERT_EQ(completed, 1);
+  ASSERT_EQ(p.b.cachedReplyBytes(), 0u);
+  // The request frame again: kind, node 0's first sequence number to node
+  // 1, type, payload.
+  Writer w;
+  w.u8(static_cast<uint8_t>(FrameKind::kRequest));
+  w.u64(0);
+  w.u16(5);
+  w.blob(Bytes(16));
+  p.net.send(0, 1, w.take(), p.engine.now());
+  EXPECT_THROW(p.engine.run(), Error);
+  EXPECT_EQ(served, 1);
 }
 
 TEST(Transport, SelfSendStaysLocal) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
@@ -256,6 +257,37 @@ TEST(Engine, AfterMatchesAt) {
   EXPECT_EQ(lines.aux_log, heap.aux_log);
   EXPECT_EQ(lines.e.now(), heap.e.now());
   EXPECT_FALSE(lines.aux_log.empty());
+}
+
+// The callback pool grows in fixed-size chunks. Thousands of events in
+// flight at once span several chunks; running part of them in between
+// frees slots that later events reuse. Events still run in (time,
+// insertion) order, and each runs its own callback with its own capture.
+TEST(Engine, PoolGrowsAcrossChunksInOrder) {
+  Engine e;
+  std::vector<std::pair<Time, int>> ran;
+  int next = 0;
+  auto schedule = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      const int id = next++;
+      const Time t = e.now() + 1 + (id * 7919) % 1000;
+      auto payload = std::make_unique<int>(id);  // a capture that must move
+      e.at(t, [&ran, &e, id, p = std::move(payload)] {
+        EXPECT_EQ(*p, id);
+        ran.emplace_back(e.now(), id);
+      });
+    }
+  };
+  schedule(10000);
+  EXPECT_FALSE(e.runBounded(3000));
+  schedule(6000);
+  EXPECT_FALSE(e.runBounded(9000));
+  schedule(5000);
+  e.run();
+  ASSERT_EQ(ran.size(), 21000u);
+  // Equal times run in scheduling order (ids rise with scheduling order).
+  for (size_t i = 1; i < ran.size(); ++i)
+    ASSERT_LT(ran[i - 1], ran[i]) << "event " << i;
 }
 
 TEST(Engine, SchedulingInPastIsRejectedInDebug) {
