@@ -24,7 +24,7 @@ void BM_OneWayLatency(benchmark::State& state) {
     b.setHandler([&](net::Delivery&& d, const net::ReplyToken&) {
       delivered = d.arrive;
     });
-    a.post(1, 1, Bytes(size), 0);
+    a.post(1, 1, net::share(Bytes(size)), 0);
     e.run();
     last_latency = delivered;
     benchmark::DoNotOptimize(delivered);
@@ -42,10 +42,10 @@ void BM_RpcRoundTrip(benchmark::State& state) {
     net::Network net(e, 2, cfg, 1);
     net::Endpoint a(e, net, 0), b(e, net, 1);
     b.setHandler([&](net::Delivery&& d, const net::ReplyToken& tok) {
-      b.reply(tok, 2, Bytes(size), d.arrive);
+      b.reply(tok, 2, net::share(Bytes(size)), d.arrive);
     });
     sim::spawn([](net::Endpoint& ep, sim::Time& out) -> sim::Task<void> {
-      auto r = co_await ep.request(1, 1, Bytes(64), 0);
+      auto r = co_await ep.request(1, 1, net::share(Bytes(64)), 0);
       out = r.arrive;
     }(a, rtt));
     e.run();
@@ -77,7 +77,7 @@ void BM_FanIn(benchmark::State& state) {
     });
     for (int i = 1; i <= senders; ++i)
       for (int m = 0; m < 4; ++m)
-        eps[static_cast<size_t>(i)]->post(0, 1, Bytes(1024), 0);
+        eps[static_cast<size_t>(i)]->post(0, 1, net::share(Bytes(1024)), 0);
     e.run();
     rexmit = net.stats().retransmissions;
     benchmark::DoNotOptimize(received);

@@ -15,6 +15,7 @@
 #include "mem/diff.hpp"
 #include "mem/write_notice.hpp"
 #include "net/stats.hpp"
+#include "net/types.hpp"
 #include "support/bytes.hpp"
 
 namespace vodsm::dsm {
@@ -270,15 +271,15 @@ void get(Reader& r, std::vector<T>& v) {
 
 }  // namespace wire
 
-// Encodes a message into a buffer of exactly its wire size. Every message
-// has at least one u32 field; saying so lets GCC 12 at -O3 see that the
-// first append fits, where it otherwise reports a false -Wstringop-overflow
-// inside vector::insert.
+// Encodes a message into a buffer of exactly its wire size, shared by every
+// frame that carries it. Every message has at least one u32 field; saying
+// so lets GCC 12 at -O3 see that the first append fits, where it otherwise
+// reports a false -Wstringop-overflow inside vector::insert.
 template <typename M>
-Bytes encode(const M& m) {
+net::Payload encode(const M& m) {
   Writer w(std::max<size_t>(wire::size(m), 4));
   wire::put(w, m);
-  return w.take();
+  return net::share(w.take());
 }
 
 template <typename M>

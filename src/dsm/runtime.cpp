@@ -19,17 +19,16 @@ Runtime::Runtime(NodeCtx& ctx, uint16_t diff_req, uint16_t diff_resp)
 void Runtime::dispatch(net::Delivery&& d, const net::ReplyToken& token) {
   switch (d.type) {
     case kBarrArrive:
-      onBarrArrive(decode<BarrArriveMsg>(d.payload), d.arrive);
+      onBarrArrive(decode<BarrArriveMsg>(*d.payload), d.arrive);
       return;
     case kBarrRelease: {
-      BarrReleaseMsg rel = decode<BarrReleaseMsg>(d.payload);
+      BarrReleaseMsg rel = decode<BarrReleaseMsg>(*d.payload);
       if (ctx_.barrier == BarrierAlg::kTree) {
         // Fan the release down to our subtree before unblocking ourselves;
-        // the payload is the complete global set, forwarded verbatim.
+        // the payload is the complete global set, forwarded as received.
         const sim::Time when = d.arrive + ctx_.costs.handler_service;
         for (int k = 0; k < treeChildCount(); ++k)
-          ctx_.endpoint.post(treeChild(k), kBarrRelease, Bytes(d.payload),
-                             when);
+          ctx_.endpoint.post(treeChild(k), kBarrRelease, d.payload, when);
       }
       auto it = barrier_waiters_.find(rel.barrier);
       VODSM_CHECK_MSG(it != barrier_waiters_.end(),
@@ -39,7 +38,7 @@ void Runtime::dispatch(net::Delivery&& d, const net::ReplyToken& token) {
       return;
     }
     case kBarrRound: {
-      BarrRoundMsg rm = decode<BarrRoundMsg>(d.payload);
+      BarrRoundMsg rm = decode<BarrRoundMsg>(*d.payload);
       const auto key = std::make_pair(rm.barrier, rm.round);
       auto it = round_waiters_.find(key);
       if (it != round_waiters_.end()) {
@@ -57,7 +56,7 @@ void Runtime::dispatch(net::Delivery&& d, const net::ReplyToken& token) {
     }
     default:
       if (d.type == diff_req_)
-        serveDiffs(decode<DiffReqMsg>(d.payload), token, d.arrive);
+        serveDiffs(decode<DiffReqMsg>(*d.payload), token, d.arrive);
       else
         onMessage(std::move(d));
   }
@@ -159,16 +158,16 @@ sim::Task<void> Runtime::readFault(mem::PageId p) {
         net::RpcCall{writer, diff_req_, encode(DiffReqMsg{p, indices})});
     writers.push_back(writer);
   }
-  std::vector<net::RpcResult> responses =
+  std::vector<net::Delivery> responses =
       co_await net::requestAll(ctx_.endpoint, std::move(calls),
                                ctx_.clock.now());
   std::vector<Fetched> collected;
   for (size_t r = 0; r < responses.size(); ++r) {
-    const net::RpcResult& resp = responses[r];
+    const net::Delivery& resp = responses[r];
     const NodeId writer = writers[r];
     ctx_.clock.atLeast(resp.arrive);
     VODSM_CHECK(resp.type == diff_resp_);
-    DiffRespMsg dr = decode<DiffRespMsg>(resp.payload);
+    DiffRespMsg dr = decode<DiffRespMsg>(*resp.payload);
     for (auto& [index, diff] : dr.diffs)
       collected.push_back(
           Fetched{applyRank(writer, index), writer, index, std::move(diff)});
@@ -270,9 +269,9 @@ void Runtime::onBarrArrive(const BarrArriveMsg& m, sim::Time arrive) {
   for (auto& [key, iv] : st.merged) rel.intervals.push_back(std::move(iv));
   // Keyed by (node, index): already sorted per writer ascending, which the
   // receivers' contiguity check requires.
-  Bytes encoded = encode(rel);
+  const net::Payload encoded = encode(rel);
   for (NodeId n = 0; n < static_cast<NodeId>(ctx_.nprocs); ++n)
-    ctx_.endpoint.post(n, kBarrRelease, Bytes(encoded), st.busy_until);
+    ctx_.endpoint.post(n, kBarrRelease, encoded, st.busy_until);
   barrier_mgr_.erase(m.barrier);
 }
 

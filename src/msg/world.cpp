@@ -37,13 +37,13 @@ void Rank::send(int dst, uint32_t tag, Bytes payload) {
   Writer w(payload.size() + 8);
   w.u32(tag);
   w.blob(payload);
-  endpoint_->post(static_cast<net::NodeId>(dst), dsm::kMsgData, w.take(),
-                  clock_.now());
+  endpoint_->post(static_cast<net::NodeId>(dst), dsm::kMsgData,
+                  net::share(w.take()), clock_.now());
 }
 
 void Rank::onDelivery(net::Delivery&& d) {
   VODSM_CHECK(d.type == dsm::kMsgData);
-  Reader r(d.payload);
+  Reader r(*d.payload);
   const uint32_t tag = r.u32();
   ByteSpan body = r.blob();
   Mailbox& box = mail_[{static_cast<int>(d.src), tag}];

@@ -5,6 +5,12 @@
 // full) -> receive software overhead -> delivery callback. Random loss is
 // applied at the switch.
 //
+// A frame is a net::Frame value: its header fields and a shared reference
+// to the payload its sender encoded. The hops, the switch's duplicate and
+// the delivery pass it by value, so no hop copies or parses bytes. Links,
+// queues and software overheads are charged Frame::size(), the size the
+// encoded datagram would have.
+//
 // All bookkeeping happens inside engine events so concurrent senders are
 // ordered by global simulated time.
 #pragma once
@@ -21,39 +27,19 @@
 #include "net/faults.hpp"
 #include "net/stats.hpp"
 #include "net/types.hpp"
-#include "support/bytes.hpp"
 #include "support/check.hpp"
 
 namespace vodsm::net {
-
-// Frame-header peeking. The layout is owned by the transport's encode()
-// (kind u8, seq u64 LE, type u16 LE, length-prefixed blob); the network
-// reads it only to attribute drops per message class and to derive wire
-// correlation ids — frames stay opaque otherwise. Pure-ack frames are
-// header-only (kind + seq) and carry no message type.
-inline uint8_t frameKind(const Bytes& frame) {
-  return std::to_integer<uint8_t>(frame[0]);
-}
-inline uint64_t frameSeq(const Bytes& frame) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i)
-    v = (v << 8) | std::to_integer<uint64_t>(frame[static_cast<size_t>(1 + i)]);
-  return v;
-}
-inline uint16_t frameMsgType(const Bytes& frame) {
-  return static_cast<uint16_t>(std::to_integer<uint16_t>(frame[9]) |
-                               (std::to_integer<uint16_t>(frame[10]) << 8));
-}
 
 // The wire correlation id of `frame` sent from src to dst. Its sequence
 // number belongs to one connection: replies and acks quote the original
 // requester's connection to the responder, every other frame its sender's
 // connection to the target.
-inline uint64_t frameCorr(const Bytes& frame, NodeId src, NodeId dst) {
-  const auto k = static_cast<FrameKind>(frameKind(frame));
-  const bool quoted = k == FrameKind::kReply || k == FrameKind::kAck;
-  return obs::corrId(frameKind(frame), quoted ? dst : src, quoted ? src : dst,
-                     frameSeq(frame));
+inline uint64_t frameCorr(const Frame& frame, NodeId src, NodeId dst) {
+  const bool quoted =
+      frame.kind == FrameKind::kReply || frame.kind == FrameKind::kAck;
+  return obs::corrId(static_cast<uint8_t>(frame.kind), quoted ? dst : src,
+                     quoted ? src : dst, frame.seq);
 }
 
 class Network {
@@ -61,13 +47,10 @@ class Network {
   // Called when a frame clears the receiver's software stack.
   // `arrive` is the time the payload is available to the node.
   using DeliverFn =
-      std::function<void(NodeId src, Bytes frame, sim::Time arrive)>;
+      std::function<void(NodeId src, Frame frame, sim::Time arrive)>;
 
   Network(sim::Engine& engine, int n_nodes, NetConfig config, uint64_t seed)
-      : engine_(engine),
-        config_(config),
-        ports_(static_cast<size_t>(n_nodes)),
-        shards_(static_cast<size_t>(n_nodes)) {
+      : engine_(engine), config_(config), ports_(static_cast<size_t>(n_nodes)) {
     VODSM_CHECK(n_nodes > 0);
     // Per-receiver loss streams: each destination forks its own stream off
     // the run seed. The committed lossy cells encode these streams, so
@@ -80,17 +63,10 @@ class Network {
   int nodeCount() const { return static_cast<int>(ports_.size()); }
   const NetConfig& config() const { return config_; }
 
-  // Counters are kept per node: sender-side counters (frames_sent,
-  // wire_bytes, transport sends) in the sender's shard, everything decided
-  // at the switch or NIC in the receiver's. stats() folds the shards into
-  // one total on demand.
-  NetStats& statsFor(NodeId node) { return shards_[node]; }
-  const NetStats& statsFor(NodeId node) const { return shards_[node]; }
-  const NetStats& stats() const {
-    total_ = NetStats{};
-    for (const NetStats& s : shards_) total_.add(s);
-    return total_;
-  }
+  // The run's counters: frame and wire counts kept here, transport counts
+  // kept by the endpoints.
+  NetStats& stats() { return stats_; }
+  const NetStats& stats() const { return stats_; }
 
   void setDeliver(NodeId node, DeliverFn fn) {
     port(node).deliver = std::move(fn);
@@ -146,7 +122,7 @@ class Network {
   // Inject a frame from src to dst no earlier than `earliest` (typically the
   // sender's local clock). The caller has already decided the frame is worth
   // counting; this layer only counts frame/wire statistics.
-  void send(NodeId src, NodeId dst, Bytes frame, sim::Time earliest) {
+  void send(NodeId src, NodeId dst, Frame frame, sim::Time earliest) {
     VODSM_CHECK(src < ports_.size() && dst < ports_.size());
     VODSM_CHECK_MSG(src != dst, "loopback frames never reach the wire");
     sim::Time start = std::max(earliest, engine_.now());
@@ -167,15 +143,15 @@ class Network {
 
   Port& port(NodeId id) { return ports_[id]; }
 
-  void startUplink(NodeId src, NodeId dst, Bytes frame) {
+  void startUplink(NodeId src, NodeId dst, Frame frame) {
     const sim::Time now = engine_.now();
     Port& p = port(src);
     const sim::Time tx = config_.txTime(frame.size());
     const sim::Time depart = std::max(now + config_.sendOverhead(frame.size()),
                                       p.uplink_busy_until);
     p.uplink_busy_until = depart + tx;
-    statsFor(src).frames_sent++;
-    statsFor(src).wire_bytes += config_.wireBytes(frame.size());
+    stats_.frames_sent++;
+    stats_.wire_bytes += config_.wireBytes(frame.size());
     if (auto* m = metrics_) {
       m->add(src, obs::Metric::kInflightBytes,
              static_cast<int64_t>(frame.size()), now);
@@ -193,14 +169,11 @@ class Network {
   // kDrop trace instant, charged to the would-be receiver. The correlation
   // id carries the frame kind, so consumers can attribute the drop to the
   // same flow as the original send.
-  void recordDrop(NodeId src, NodeId dst, const Bytes& frame) {
-    if (static_cast<FrameKind>(frameKind(frame)) == FrameKind::kAck) {
-      statsFor(dst).ack_drops++;
-    } else {
-      MsgClass c =
-          classify_ ? classify_(frameMsgType(frame)) : MsgClass::kOther;
-      statsFor(dst).of(c).drops++;
-    }
+  void recordDrop(NodeId src, NodeId dst, const Frame& frame) {
+    if (frame.kind == FrameKind::kAck)
+      stats_.ack_drops++;
+    else
+      stats_.of(classify(frame.type)).drops++;
     if (trace_)
       trace_->instant(static_cast<uint32_t>(dst), obs::Cat::kDrop,
                       engine_.now(), src, frame.size(),
@@ -215,39 +188,39 @@ class Network {
   // Fault instants share the frame's correlation id, so injected drops,
   // duplicates, and delays join the same flow as the frame in Perfetto and
   // in the run graph.
-  void traceFault(FaultKind k, NodeId src, NodeId dst, const Bytes& frame) {
+  void traceFault(FaultKind k, NodeId src, NodeId dst, const Frame& frame) {
     if (trace_)
       trace_->instant(static_cast<uint32_t>(dst), obs::Cat::kFaultInject,
                       engine_.now(), static_cast<uint64_t>(k), frame.size(),
                       frameCorr(frame, src, dst));
   }
 
-  void arriveSwitch(NodeId src, NodeId dst, Bytes frame) {
+  void arriveSwitch(NodeId src, NodeId dst, Frame frame) {
     FaultAction fault;
     if (faults_) {
       fault = faults_->onFrame(src, dst, engine_.now());
       if (fault.drop) {
-        statsFor(dst).frames_dropped_fault++;
+        stats_.frames_dropped_fault++;
         traceFault(fault.cause, src, dst, frame);
         recordDrop(src, dst, frame);
         return;
       }
     }
     if (config_.random_loss > 0 && rngs_[dst].chance(config_.random_loss)) {
-      statsFor(dst).frames_dropped_random++;
+      stats_.frames_dropped_random++;
       recordDrop(src, dst, frame);
       return;
     }
     Port& p = port(dst);
     sim::Time tx = config_.txTime(frame.size());
     if (fault.degraded) {
-      statsFor(dst).frames_degraded++;
+      stats_.frames_degraded++;
       tx = static_cast<sim::Time>(
           std::llround(static_cast<double>(tx) * fault.tx_factor));
       traceFault(FaultKind::kDegrade, src, dst, frame);
     }
     if (fault.reordered) {
-      statsFor(dst).frames_reordered++;
+      stats_.frames_reordered++;
       traceFault(FaultKind::kReorder, src, dst, frame);
     }
     // A held-back frame starts its downlink no earlier than now + delay;
@@ -261,9 +234,9 @@ class Network {
       // The switch emits a second copy that serializes right behind the
       // original and balances the books like a fresh transmission:
       // +in-flight here, -in-flight at its delivery or drop.
-      statsFor(dst).frames_duplicated++;
+      stats_.frames_duplicated++;
       traceFault(FaultKind::kDup, src, dst, frame);
-      Bytes copy = frame;
+      Frame copy = frame;
       const sim::Time start2 = p.downlink_busy_until;
       p.downlink_busy_until = start2 + tx;
       if (auto* m = metrics_) {
@@ -281,10 +254,10 @@ class Network {
     });
   }
 
-  void arriveNic(NodeId src, NodeId dst, Bytes frame) {
+  void arriveNic(NodeId src, NodeId dst, Frame frame) {
     Port& p = port(dst);
     if (p.rx_queue_depth >= config_.rx_queue_frames) {
-      statsFor(dst).frames_dropped_overflow++;
+      stats_.frames_dropped_overflow++;
       recordDrop(src, dst, frame);
       return;
     }
@@ -300,7 +273,7 @@ class Network {
     engine_.at(done, [this, src, dst, f = std::move(frame)]() mutable {
       Port& q = port(dst);
       q.rx_queue_depth--;
-      statsFor(dst).frames_delivered++;
+      stats_.frames_delivered++;
       if (auto* m = metrics_) {
         m->add(dst, obs::Metric::kRxQueueFrames, -1, engine_.now());
         m->add(dst, obs::Metric::kRxQueueBytes,
@@ -321,8 +294,7 @@ class Network {
   FaultInjector* faults_ = nullptr;
   bool may_duplicate_ = false;
   std::vector<Port> ports_;
-  std::vector<NetStats> shards_;  // per-node counters (see statsFor)
-  mutable NetStats total_;        // stats() fold cache
+  NetStats stats_;
 };
 
 }  // namespace vodsm::net

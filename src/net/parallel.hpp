@@ -17,13 +17,13 @@ namespace vodsm::net {
 struct RpcCall {
   NodeId dst = 0;
   uint16_t type = 0;
-  Bytes payload;
+  Payload payload;
 };
 
-inline sim::Task<std::vector<RpcResult>> requestAll(Endpoint& endpoint,
-                                                    std::vector<RpcCall> calls,
-                                                    sim::Time earliest) {
-  auto results = std::make_shared<std::vector<RpcResult>>(calls.size());
+inline sim::Task<std::vector<Delivery>> requestAll(Endpoint& endpoint,
+                                                   std::vector<RpcCall> calls,
+                                                   sim::Time earliest) {
+  auto results = std::make_shared<std::vector<Delivery>>(calls.size());
   sim::Countdown done(static_cast<int>(calls.size()));
   // Declared after `done`: if this frame is destroyed while suspended (an
   // abandoned run), the scope reclaims the in-flight RPC frames first,
@@ -37,7 +37,7 @@ inline sim::Task<std::vector<RpcResult>> requestAll(Endpoint& endpoint,
     sim::spawn(
         scope,
         [](Endpoint& ep, RpcCall call, sim::Time when,
-           std::shared_ptr<std::vector<RpcResult>> out,
+           std::shared_ptr<std::vector<Delivery>> out,
            size_t slot) -> sim::Task<void> {
           (*out)[slot] = co_await ep.request(call.dst, call.type,
                                              std::move(call.payload), when);

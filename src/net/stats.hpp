@@ -82,33 +82,6 @@ struct NetStats {
   const KindStats& of(MsgClass c) const {
     return kind[static_cast<size_t>(c)];
   }
-
-  void reset() { *this = NetStats{}; }
-
-  // Accumulate another counter set; used to fold the network's per-node
-  // shards into one total.
-  void add(const NetStats& o) {
-    frames_sent += o.frames_sent;
-    frames_delivered += o.frames_delivered;
-    frames_dropped_overflow += o.frames_dropped_overflow;
-    frames_dropped_random += o.frames_dropped_random;
-    wire_bytes += o.wire_bytes;
-    frames_dropped_fault += o.frames_dropped_fault;
-    frames_duplicated += o.frames_duplicated;
-    frames_reordered += o.frames_reordered;
-    frames_degraded += o.frames_degraded;
-    messages += o.messages;
-    acks += o.acks;
-    ack_drops += o.ack_drops;
-    payload_bytes += o.payload_bytes;
-    retransmissions += o.retransmissions;
-    for (int k = 0; k < kMsgClassCount; ++k) {
-      kind[k].messages += o.kind[k].messages;
-      kind[k].payload_bytes += o.kind[k].payload_bytes;
-      kind[k].retransmissions += o.kind[k].retransmissions;
-      kind[k].drops += o.kind[k].drops;
-    }
-  }
 };
 
 }  // namespace vodsm::net

@@ -12,14 +12,20 @@
 //                caches its reply so a duplicate request is answered by a
 //                resend instead of re-execution (at-most-once processing).
 //
+// One buffer per message. A sender encodes a message's payload once into a
+// net::Payload; the frame, the copy kept for retransmission, the reply
+// cache, every resend and the Delivery its handler gets all refer to that
+// buffer, and a handler may forward it (the tree barrier's release) without
+// copying.
+//
 // Reply lifetime. The responder keeps each requester's last 64 replies in a
 // ring. A cached reply is read again only if a copy of its request arrives
 // again. When the requester gets a reply to a request it sent once, and no
 // fault rule can duplicate frames, no such copy exists: the requester tells
 // the responder through Network::releaseReply (in-process, no simulated
-// time), and the responder frees the reply's bytes. The ring keeps the
-// slot, its sequence number and its place, so which replies are evicted,
-// and so every later resend, stays the same.
+// time), and the responder drops its reference to the reply's payload. The
+// ring keeps the slot, its sequence number and its place, so which replies
+// are evicted, and so every later resend, stays the same.
 //
 // Every connection (sender, receiver) has its own sequence space: a sender
 // numbers its frames per destination, so the frames a receiver gets from
@@ -44,10 +50,11 @@
 
 namespace vodsm::net {
 
+// A message as its handler receives it, and a reply as its requester does.
 struct Delivery {
   NodeId src = 0;
   uint16_t type = 0;
-  Bytes payload;
+  Payload payload;  // the buffer the sender encoded, shared
   sim::Time arrive = 0;
 };
 
@@ -55,12 +62,6 @@ struct Delivery {
 struct ReplyToken {
   NodeId requester = 0;
   uint64_t seq = 0;
-};
-
-struct RpcResult {
-  uint16_t type = 0;
-  Bytes payload;
-  sim::Time arrive = 0;
 };
 
 // Tracks which sequence numbers from one peer have been processed. In
@@ -130,19 +131,20 @@ class Endpoint {
  public:
   using Handler = std::function<void(Delivery&&, const ReplyToken&)>;
 
-  Endpoint(sim::Engine& engine, Network& network, NodeId self,
-           sim::Time local_delivery = sim::usec(2))
+  // A self-addressed message reaches its handler this long after it is sent.
+  static constexpr sim::Time kLocalDelivery = sim::usec(2);
+
+  Endpoint(sim::Engine& engine, Network& network, NodeId self)
       : engine_(engine),
         network_(network),
         self_(self),
-        local_delivery_(local_delivery),
         conns_(static_cast<size_t>(network.nodeCount())) {
-    network_.setDeliver(self_, [this](NodeId src, Bytes frame,
+    network_.setDeliver(self_, [this](NodeId src, Frame frame,
                                       sim::Time arrive) {
       onFrame(src, std::move(frame), arrive, /*via_wire=*/true);
     });
     network_.setRelease(self_, [this](NodeId requester, uint64_t seq) {
-      if (Bytes* cached = findReply(requester, seq)) *cached = Bytes();
+      if (Frame* cached = findReply(requester, seq)) cached->payload.reset();
     });
   }
 
@@ -157,16 +159,15 @@ class Endpoint {
   void setTrace(obs::TraceRecorder* t) { trace_ = t; }
 
   // Reliable one-way message, leaving the node no earlier than `earliest`.
-  void post(NodeId dst, uint16_t type, Bytes payload, sim::Time earliest) {
-    const uint64_t seq = nextSeq(dst);
-    Bytes frame = encode(FrameKind::kData, seq, type, payload);
+  void post(NodeId dst, uint16_t type, Payload payload, sim::Time earliest) {
+    Frame frame{FrameKind::kData, type, nextSeq(dst), std::move(payload)};
     if (dst == self_) {
       sendLocal(std::move(frame), earliest);
       return;
     }
-    countSend(type, payload.size());
-    traceSend(frame, dst, type, payload.size(), earliest);
-    const uint64_t key = connKey(dst, seq);
+    countSend(frame);
+    traceSend(frame, dst, earliest);
+    const uint64_t key = connKey(dst, frame.seq);
     auto [it, inserted] = pending_posts_.emplace(key, Pending{dst, frame});
     VODSM_CHECK(inserted);
     network_.send(self_, dst, std::move(frame), earliest);
@@ -174,27 +175,24 @@ class Endpoint {
   }
 
   // RPC. The handler on `dst` must reply (promptly, well under one RTO).
-  sim::Task<RpcResult> request(NodeId dst, uint16_t type, Bytes payload,
-                               sim::Time earliest) {
-    const uint64_t seq = nextSeq(dst);
-    const uint64_t key = connKey(dst, seq);
-    Bytes frame = encode(FrameKind::kRequest, seq, type, payload);
+  sim::Task<Delivery> request(NodeId dst, uint16_t type, Payload payload,
+                              sim::Time earliest) {
+    Frame frame{FrameKind::kRequest, type, nextSeq(dst), std::move(payload)};
+    const uint64_t key = connKey(dst, frame.seq);
     auto pending = std::make_unique<PendingRpc>();
     PendingRpc* p = pending.get();
     pending_rpcs_.emplace(key, std::move(pending));
     if (dst == self_) {
-      // Self-addressed requests are never retransmitted, so the frame can be
-      // moved straight into local delivery instead of copied.
       sendLocal(std::move(frame), earliest);
     } else {
-      countSend(type, payload.size());
-      traceSend(frame, dst, type, payload.size(), earliest);
+      countSend(frame);
+      traceSend(frame, dst, earliest);
       p->dst = dst;
       p->frame = frame;
       network_.send(self_, dst, std::move(frame), earliest);
       armRpcTimer(key, p->epoch);
     }
-    RpcResult result = co_await p->waiter;
+    Delivery result = co_await p->waiter;
     pending_rpcs_.erase(key);
     co_return result;
   }
@@ -202,22 +200,18 @@ class Endpoint {
   // Answer a request identified by `token`. May be called from the handler
   // or later (the requester keeps retransmitting until it sees the reply, so
   // replies should not be deferred past ~RTO).
-  void reply(const ReplyToken& token, uint16_t type, Bytes payload,
+  void reply(const ReplyToken& token, uint16_t type, Payload payload,
              sim::Time earliest) {
-    Bytes frame = encode(FrameKind::kReply, token.seq, type, payload);
+    Frame frame{FrameKind::kReply, type, token.seq, std::move(payload)};
     if (token.requester == self_) {
       sendLocal(std::move(frame), earliest);
       return;
     }
-    cacheReply(token.requester, token.seq, frame);
-    countSend(type, payload.size());
-    traceSend(frame, token.requester, type, payload.size(), earliest);
+    cacheReply(token.requester, frame);
+    countSend(frame);
+    traceSend(frame, token.requester, earliest);
     network_.send(self_, token.requester, std::move(frame), earliest);
   }
-
-  // Transport counters land in this node's shard of the network's per-node
-  // statistics.
-  NetStats& stats() { return network_.statsFor(self_); }
 
   // Which of `peer`'s sequence numbers this node has processed.
   const SeqTracker& seenFrom(NodeId peer) const { return conns_[peer].seen; }
@@ -227,30 +221,30 @@ class Endpoint {
     size_t bytes = 0;
     for (const Conn& c : conns_)
       if (c.replies)
-        for (const auto& [seq, frame] : c.replies->frames) bytes += frame.size();
+        for (const Frame& f : c.replies->frames)
+          if (f.payload) bytes += f.size();
     return bytes;
   }
 
  private:
   struct Pending {
     NodeId dst = 0;
-    Bytes frame;
+    Frame frame;
     uint64_t epoch = 0;  // bumped on completion to invalidate timers
-    bool done = false;
   };
   struct PendingRpc {
     NodeId dst = 0;
-    Bytes frame;
+    Frame frame;
     uint64_t epoch = 0;
     bool resent = false;  // the request went on the wire more than once
-    sim::Waiter<RpcResult> waiter;
+    sim::Waiter<Delivery> waiter;
   };
   // A requester's most recent replies, oldest overwritten first: it
   // retransmits within ~RTO of the original, so older entries are dead. A
-  // released reply keeps its slot with an empty frame (see the header).
+  // released reply keeps its slot without its payload (see the header).
   struct ReplyCache {
     static constexpr size_t kMax = 64;
-    std::vector<std::pair<uint64_t, Bytes>> frames;  // (seq, reply frame)
+    std::vector<Frame> frames;
     size_t oldest = 0;  // the slot the next reply overwrites once full
   };
   // Per-peer state of the connection to and from that peer.
@@ -273,50 +267,41 @@ class Endpoint {
     return uint64_t{peer} << kSeqBits | seq;
   }
 
-  static Bytes encode(FrameKind kind, uint64_t seq, uint16_t type,
-                      ByteSpan payload) {
-    Writer w(payload.size() + 16);
-    w.u8(static_cast<uint8_t>(kind));
-    w.u64(seq);
-    w.u16(type);
-    w.blob(payload);
-    return w.take();
-  }
-
-  void countSend(uint16_t type, size_t payload_bytes) {
-    NetStats& s = stats();
+  void countSend(const Frame& frame) {
+    NetStats& s = network_.stats();
+    const size_t payload_bytes = frame.payload->size();
     s.messages++;
     s.payload_bytes += payload_bytes;
-    KindStats& k = s.of(network_.classify(type));
+    KindStats& k = s.of(network_.classify(frame.type));
     k.messages++;
     k.payload_bytes += payload_bytes;
   }
 
-  void traceSend(const Bytes& frame, NodeId dst, uint16_t type,
-                 size_t payload_bytes, sim::Time ts) {
+  void traceSend(const Frame& frame, NodeId dst, sim::Time ts) {
     if (trace_)
-      trace_->instant(static_cast<uint32_t>(self_), obs::Cat::kSend, ts, type,
-                      payload_bytes, frameCorr(frame, self_, dst));
+      trace_->instant(static_cast<uint32_t>(self_), obs::Cat::kSend, ts,
+                      frame.type, frame.payload->size(),
+                      frameCorr(frame, self_, dst));
   }
 
   // A retransmission counts as another message of the frame's class (the
   // paper's message counts include retransmissions) and is attributed to
   // that class separately so hot spots under loss are visible.
-  void countRetransmit(const Bytes& frame, NodeId dst) {
-    const uint16_t type = frameMsgType(frame);
-    stats().retransmissions++;
-    stats().of(network_.classify(type)).retransmissions++;
-    countSend(type, payloadSize(frame));
+  void countRetransmit(const Frame& frame, NodeId dst) {
+    NetStats& s = network_.stats();
+    s.retransmissions++;
+    s.of(network_.classify(frame.type)).retransmissions++;
+    countSend(frame);
     // Deliberately not also a kSend instant: one event per wire action. The
     // correlation id ties the retransmission to the original send's flow.
     if (trace_)
       trace_->instant(static_cast<uint32_t>(self_), obs::Cat::kRetransmit,
-                      engine_.now(), type, payloadSize(frame),
+                      engine_.now(), frame.type, frame.payload->size(),
                       frameCorr(frame, self_, dst));
   }
 
-  void sendLocal(Bytes frame, sim::Time earliest) {
-    sim::Time at = std::max(earliest + local_delivery_, engine_.now());
+  void sendLocal(Frame frame, sim::Time earliest) {
+    sim::Time at = std::max(earliest + kLocalDelivery, engine_.now());
     engine_.at(at, [this, f = std::move(frame)]() mutable {
       onFrame(self_, std::move(f), engine_.now(), /*via_wire=*/false);
     });
@@ -327,8 +312,7 @@ class Endpoint {
       auto it = pending_posts_.find(key);
       if (it == pending_posts_.end() || it->second.epoch != epoch) return;
       countRetransmit(it->second.frame, it->second.dst);
-      network_.send(self_, it->second.dst, Bytes(it->second.frame),
-                    engine_.now());
+      network_.send(self_, it->second.dst, it->second.frame, engine_.now());
       armPostTimer(key, epoch);
     });
   }
@@ -339,28 +323,19 @@ class Endpoint {
       if (it == pending_rpcs_.end() || it->second->epoch != epoch) return;
       it->second->resent = true;
       countRetransmit(it->second->frame, it->second->dst);
-      network_.send(self_, it->second->dst, Bytes(it->second->frame),
-                    engine_.now());
+      network_.send(self_, it->second->dst, it->second->frame, engine_.now());
       armRpcTimer(key, epoch);
     });
   }
 
-  static size_t payloadSize(const Bytes& frame) {
-    // Header is kind(1) + seq(8) + type(2) + blob length(4).
-    return frame.size() - 15;
-  }
-
-  void onFrame(NodeId src, Bytes frame, sim::Time arrive, bool via_wire) {
-    Reader r(frame);
-    const auto kind = static_cast<FrameKind>(r.u8());
-    const uint64_t seq = r.u64();
+  void onFrame(NodeId src, Frame frame, sim::Time arrive, bool via_wire) {
     if (trace_ && via_wire)
       trace_->instant(static_cast<uint32_t>(self_), obs::Cat::kDeliver, arrive,
-                      static_cast<uint64_t>(kind), frame.size(),
+                      static_cast<uint64_t>(frame.kind), frame.size(),
                       frameCorr(frame, src, self_));
-    switch (kind) {
+    switch (frame.kind) {
       case FrameKind::kAck: {
-        auto it = pending_posts_.find(connKey(src, seq));
+        auto it = pending_posts_.find(connKey(src, frame.seq));
         if (it != pending_posts_.end()) {
           it->second.epoch++;
           pending_posts_.erase(it);
@@ -368,95 +343,86 @@ class Endpoint {
         return;
       }
       case FrameKind::kReply: {
-        auto it = pending_rpcs_.find(connKey(src, seq));
+        auto it = pending_rpcs_.find(connKey(src, frame.seq));
         if (it == pending_rpcs_.end()) return;  // duplicate reply
         PendingRpc& p = *it->second;
         p.epoch++;
         if (via_wire && !p.resent && !network_.mayDuplicate())
-          network_.releaseReply(self_, src, seq);
-        const uint16_t type = r.u16();
-        ByteSpan payload = r.blob();
+          network_.releaseReply(self_, src, frame.seq);
         p.waiter.fulfill(
-            RpcResult{type, Bytes(payload.begin(), payload.end()), arrive});
+            Delivery{src, frame.type, std::move(frame.payload), arrive});
         return;
       }
       case FrameKind::kData: {
-        if (via_wire) sendAck(src, seq);
-        if (!conns_[src].seen.markSeen(seq)) return;  // duplicate
-        const uint16_t type = r.u16();
-        ByteSpan payload = r.blob();
-        dispatch(src, type, payload, arrive, ReplyToken{});
+        if (via_wire) sendAck(src, frame.seq);
+        if (!conns_[src].seen.markSeen(frame.seq)) return;  // duplicate
+        dispatch(src, std::move(frame), arrive, ReplyToken{});
         return;
       }
       case FrameKind::kRequest: {
-        if (!conns_[src].seen.markSeen(seq)) {
+        if (!conns_[src].seen.markSeen(frame.seq)) {
           // Duplicate request: resend the cached reply if we already
           // answered; otherwise the original is still being processed and
           // the requester's next timeout will retry.
-          const Bytes* cached = findReply(src, seq);
+          const Frame* cached = findReply(src, frame.seq);
           if (cached && via_wire) {
-            VODSM_CHECK_MSG(!cached->empty(),
-                            "request " << seq << " from node " << src
+            VODSM_CHECK_MSG(cached->payload,
+                            "request " << frame.seq << " from node " << src
                                        << " arrived again after its reply "
                                           "was released");
             countRetransmit(*cached, src);
-            network_.send(self_, src, Bytes(*cached), engine_.now());
+            network_.send(self_, src, *cached, engine_.now());
           }
           return;
         }
-        const uint16_t type = r.u16();
-        ByteSpan payload = r.blob();
-        dispatch(src, type, payload, arrive, ReplyToken{src, seq});
+        const ReplyToken token{src, frame.seq};
+        dispatch(src, std::move(frame), arrive, token);
         return;
       }
     }
   }
 
-  void dispatch(NodeId src, uint16_t type, ByteSpan payload, sim::Time arrive,
+  void dispatch(NodeId src, Frame&& frame, sim::Time arrive,
                 const ReplyToken& token) {
     VODSM_CHECK_MSG(handler_, "no handler installed on endpoint");
-    handler_(Delivery{src, type, Bytes(payload.begin(), payload.end()), arrive},
+    handler_(Delivery{src, frame.type, std::move(frame.payload), arrive},
              token);
   }
 
-  void cacheReply(NodeId requester, uint64_t seq, Bytes frame) {
+  void cacheReply(NodeId requester, Frame frame) {
     std::unique_ptr<ReplyCache>& cache = conns_[requester].replies;
     if (!cache) cache = std::make_unique<ReplyCache>();
     if (cache->frames.size() < ReplyCache::kMax) {
-      cache->frames.emplace_back(seq, std::move(frame));
+      cache->frames.push_back(std::move(frame));
       return;
     }
-    cache->frames[cache->oldest] = {seq, std::move(frame)};
+    cache->frames[cache->oldest] = std::move(frame);
     cache->oldest = (cache->oldest + 1) % ReplyCache::kMax;
   }
 
-  Bytes* findReply(NodeId requester, uint64_t seq) {
+  Frame* findReply(NodeId requester, uint64_t seq) {
     ReplyCache* cache = conns_[requester].replies.get();
     if (!cache) return nullptr;
-    for (auto& [s, frame] : cache->frames)
-      if (s == seq) return &frame;
+    for (Frame& f : cache->frames)
+      if (f.seq == seq) return &f;
     return nullptr;
   }
 
   void sendAck(NodeId src, uint64_t seq) {
-    Writer w(16);
-    w.u8(static_cast<uint8_t>(FrameKind::kAck));
-    w.u64(seq);
-    stats().acks++;
+    network_.stats().acks++;
     // Acks are counted outside the message statistics, but they are traced:
     // graph analysis wants every deliver to have a matching send. Type 0 is
     // reserved (protocol message types start at 1).
-    Bytes frame = w.take();
+    const Frame ack{FrameKind::kAck, 0, seq, nullptr};
     if (trace_)
       trace_->instant(static_cast<uint32_t>(self_), obs::Cat::kSend,
-                      engine_.now(), 0, 0, frameCorr(frame, self_, src));
-    network_.send(self_, src, std::move(frame), engine_.now());
+                      engine_.now(), 0, 0, frameCorr(ack, self_, src));
+    network_.send(self_, src, ack, engine_.now());
   }
 
   sim::Engine& engine_;
   Network& network_;
   NodeId self_;
-  sim::Time local_delivery_;
   Handler handler_;
   obs::TraceRecorder* trace_ = nullptr;
   std::vector<Conn> conns_;  // indexed by peer NodeId, self included

@@ -3,21 +3,50 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <utility>
 
 #include "sim/time.hpp"
+#include "support/bytes.hpp"
 
 namespace vodsm::net {
 
 using NodeId = uint32_t;
 
-// Message kinds on the wire. Shared between the transport (which encodes
-// them) and the network model (which peeks at them to attribute drops).
+// Message kinds on the wire. Shared between the transport (which sends
+// them) and the network model (which reads them to attribute drops).
 enum class FrameKind : uint8_t {
   kData = 0,
   kRequest = 1,
   kReply = 2,
   kAck = 3
 };
+
+// One message's bytes, encoded once by its sender. Every frame that carries
+// the message (the original, each resend, a cached reply, a forward) and
+// the delivery its handler sees share this buffer; none copies it.
+using Payload = std::shared_ptr<const Bytes>;
+inline Payload share(Bytes bytes) {
+  return std::make_shared<const Bytes>(std::move(bytes));
+}
+
+// A transport frame. Frames never leave the process, so the header is these
+// fields rather than bytes; the wire is still charged for the header a real
+// datagram would carry: kind (1 byte), sequence number (8), message type (2)
+// and payload length (4), or only kind and sequence number for an ack.
+struct Frame {
+  FrameKind kind = FrameKind::kData;
+  uint16_t type = 0;  // protocol message type; 0 on acks
+  uint64_t seq = 0;   // the connection's sequence number
+  Payload payload;    // null on acks
+
+  size_t size() const {
+    return kind == FrameKind::kAck ? 9 : 15 + payload->size();
+  }
+};
+// The network's hops capture [this, src, dst, frame]; that fits the engine's
+// 48 inline callback bytes only while a frame takes at most 32.
+static_assert(sizeof(Frame) <= 32, "network hops must not allocate");
 
 // Models the paper's testbed: a 100 Mbps N-way switched Ethernet connecting
 // Linux PCs, with UDP-style user-level reliability. Every parameter is

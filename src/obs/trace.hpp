@@ -79,9 +79,9 @@ inline constexpr uint32_t kEngineNode = UINT32_MAX;
 // Wire correlation id: a nonzero token shared by every net-track event that
 // concerns the same transport frame (send, its retransmissions, its drops,
 // its delivery), so graph analysis can match send->deliver edges. The id is
-// *derived*, never carried on the wire: both sides compute it from the frame
-// header they already have — the frame kind, the node that owns the sequence
-// number (the original requester for replies and acks, the sender
+// *derived*, never carried on the wire: both sides compute it from the
+// frame's fields (net::Frame) — the frame kind, the node that owns the
+// sequence number (the original requester for replies and acks, the sender
 // otherwise), the peer at the other end of that connection, and the
 // connection's sequence number. This keeps frame sizes, and therefore every
 // simulated transmission time, identical to untraced runs.

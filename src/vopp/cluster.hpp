@@ -237,11 +237,6 @@ class Cluster {
   sim::Time finishTime() const { return machine_.finishTime(); }
   dsm::DsmStats dsmStats() const;
   const net::NetStats& netStats() const { return machine_.network().stats(); }
-  // One node's transport shard (deliveries count against the receiver, so
-  // shard 0 exposes e.g. the barrier manager's downlink traffic).
-  const net::NetStats& netStatsFor(int node) const {
-    return machine_.network().statsFor(static_cast<net::NodeId>(node));
-  }
   // The run's result: seconds, DSM and transport statistics, and the
   // metrics summary when metered. A traced run also folds its trace once
   // (obs::foldRun) into the breakdown, critical path, page heat and run

@@ -45,14 +45,14 @@ TEST(Smoke, TransportRequestReply) {
     EXPECT_EQ(d.type, 42);
     Writer w;
     w.u32(7);
-    b.reply(tok, 43, w.take(), d.arrive + sim::usec(5));
+    b.reply(tok, 43, net::share(w.take()), d.arrive + sim::usec(5));
   });
   bool done = false;
   sim::spawn(
       [](net::Endpoint& ep, bool& done_flag) -> sim::Task<void> {
-        auto r = co_await ep.request(1, 42, Bytes{}, 0);
+        auto r = co_await ep.request(1, 42, net::share(Bytes{}), 0);
         EXPECT_EQ(r.type, 43);
-        Reader rd(r.payload);
+        Reader rd(*r.payload);
         EXPECT_EQ(rd.u32(), 7u);
         done_flag = true;
       }(a, done));

@@ -6,6 +6,8 @@
 #include <map>
 #include <numeric>
 
+#include "dsm/msgs.hpp"
+#include "dsm/vc.hpp"
 #include "mem/diff.hpp"
 #include "obs/metrics.hpp"
 #include "sim/rng.hpp"
@@ -388,6 +390,44 @@ TEST(VcSdHomeGc, MinimumMatchesFullScanOracle) {
   // The schedule makes GC fold, and folds that overlap reclaim bytes.
   EXPECT_GT(oracle.gc, 3u);
   EXPECT_GT(oracle.store[2], 0);
+}
+
+// Under the tree barrier a node forwards the release it received to its
+// children as is: node 1's child gets the very buffer node 1's parent
+// encoded. Nodes 0 and 5 are bare endpoints standing in for node 1's parent
+// and its one child (radix 4, six nodes).
+TEST(TreeBarrier, ForwardsTheReleaseBufferItReceived) {
+  sim::Engine engine;
+  net::Network network(engine, 6, net::NetConfig{}, 1);
+  dsm::ViewMap views;
+  views.placeHomes(6);
+  dsm::NodeCtx ctx(1, 6, engine, network, views, dsm::DsmCosts{}, nullptr,
+                   nullptr, dsm::BarrierAlg::kTree);
+  dsm::VcRuntime node1(ctx, /*integrated=*/true);
+  net::Endpoint parent(engine, network, 0), child(engine, network, 5);
+  net::Payload release;
+  parent.setHandler([&](net::Delivery&& d, const net::ReplyToken&) {
+    ASSERT_EQ(d.type, dsm::kBarrArrive);
+    release = dsm::encode(dsm::BarrReleaseMsg{});  // barrier 0
+    parent.post(1, dsm::kBarrRelease, release, d.arrive);
+  });
+  const std::byte* forwarded = nullptr;
+  child.setHandler([&](net::Delivery&& d, const net::ReplyToken&) {
+    ASSERT_EQ(d.type, dsm::kBarrRelease);
+    forwarded = d.payload->data();
+  });
+  bool passed = false;
+  sim::spawn([](dsm::Runtime& rt, bool& done) -> sim::Task<void> {
+    co_await rt.barrier(0);
+    done = true;
+  }(node1, passed));
+  dsm::BarrArriveMsg arrive;  // barrier 0
+  arrive.node = 5;
+  child.post(1, dsm::kBarrArrive, dsm::encode(arrive), 0);
+  engine.run();
+  EXPECT_TRUE(passed);
+  ASSERT_TRUE(release);
+  EXPECT_EQ(forwarded, release->data());
 }
 
 }  // namespace

@@ -273,7 +273,7 @@ TEST(FaultTransport, DroppedDataFrameIsResentExactlyOnce) {
   p.net.setFaults(&inj);
   int count = 0;
   p.b.setHandler([&](Delivery&&, const ReplyToken&) { count++; });
-  p.a.post(1, 9, Bytes(100), 0);
+  p.a.post(1, 9, share(Bytes(100)), 0);
   p.engine.run();
   EXPECT_EQ(count, 1);
   EXPECT_EQ(p.net.stats().frames_dropped_fault, 1u);
@@ -290,7 +290,7 @@ TEST(FaultTransport, DroppedAckForcesResendButDeliversOnce) {
   p.net.setFaults(&inj);
   int count = 0;
   p.b.setHandler([&](Delivery&&, const ReplyToken&) { count++; });
-  p.a.post(1, 9, Bytes(100), 0);
+  p.a.post(1, 9, share(Bytes(100)), 0);
   p.engine.run();
   EXPECT_EQ(count, 1);  // the duplicate data frame is deduplicated
   EXPECT_EQ(p.net.stats().frames_dropped_fault, 1u);
@@ -308,12 +308,12 @@ TEST(FaultTransport, DroppedReplyIsServedFromReplyCache) {
   int served = 0;
   p.b.setHandler([&](Delivery&& d, const ReplyToken& tok) {
     served++;
-    p.b.reply(tok, static_cast<uint16_t>(d.type + 1), Bytes(d.payload),
+    p.b.reply(tok, static_cast<uint16_t>(d.type + 1), d.payload,
               d.arrive);
   });
   int completed = 0;
   sim::spawn([](Endpoint& ep, int& done) -> sim::Task<void> {
-    auto r = co_await ep.request(1, 5, Bytes(64), 0);
+    auto r = co_await ep.request(1, 5, share(Bytes(64)), 0);
     EXPECT_EQ(r.type, 6);
     done++;
   }(p.a, completed));
@@ -334,7 +334,7 @@ TEST(FaultTransport, PartitionWindowYieldsExactRetransmitCount) {
   p.net.setFaults(&inj);
   int count = 0;
   p.b.setHandler([&](Delivery&&, const ReplyToken&) { count++; });
-  p.a.post(1, 9, Bytes(100), 0);
+  p.a.post(1, 9, share(Bytes(100)), 0);
   p.engine.run();
   EXPECT_EQ(count, 1);
   EXPECT_EQ(p.net.stats().frames_dropped_fault, 3u);
@@ -348,7 +348,7 @@ TEST(FaultTransport, DuplicationConservesFramesAndDeliversOnce) {
   p.net.setFaults(&inj);
   int count = 0;
   p.b.setHandler([&](Delivery&&, const ReplyToken&) { count++; });
-  for (int i = 0; i < 10; ++i) p.a.post(1, 9, Bytes(20), 0);
+  for (int i = 0; i < 10; ++i) p.a.post(1, 9, share(Bytes(20)), 0);
   p.engine.run();
   EXPECT_EQ(count, 10);
   const NetStats& s = p.net.stats();
@@ -365,7 +365,7 @@ TEST(FaultTransport, ReorderStillDeliversEveryPostExactlyOnce) {
   p.net.setFaults(&inj);
   int count = 0;
   p.b.setHandler([&](Delivery&&, const ReplyToken&) { count++; });
-  for (int i = 0; i < 5; ++i) p.a.post(1, 9, Bytes(200), 0);
+  for (int i = 0; i < 5; ++i) p.a.post(1, 9, share(Bytes(200)), 0);
   p.engine.run();
   EXPECT_EQ(count, 5);
   EXPECT_GT(p.net.stats().frames_reordered, 0u);
@@ -388,14 +388,14 @@ TEST(FaultTransport, InterleavedPostsDeliverOnceUnderDupAndReorder) {
     constexpr uint32_t kPosts = 400;
     std::vector<int> got(kPosts, 0);
     auto receive = [&got](Delivery&& d, const ReplyToken&) {
-      got[Reader(d.payload).u32()]++;
+      got[Reader(*d.payload).u32()]++;
     };
     n1.setHandler(receive);
     n2.setHandler(receive);
     for (uint32_t i = 0; i < kPosts; ++i) {
       Writer w;
       w.u32(i);
-      n0.post(1 + i % 2, 9, w.take(), sim::usec(20) * i);
+      n0.post(1 + i % 2, 9, share(w.take()), sim::usec(20) * i);
     }
     e.run();
     for (uint32_t i = 0; i < kPosts; ++i)

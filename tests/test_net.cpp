@@ -7,10 +7,16 @@
 #include "net/network.hpp"
 #include "net/parallel.hpp"
 #include "net/transport.hpp"
+#include "obs/trace.hpp"
 #include "sim/task.hpp"
 
 namespace vodsm::net {
 namespace {
+
+// A data frame carrying `payload_bytes`; the network reads only its size.
+Frame dataFrame(size_t payload_bytes) {
+  return Frame{FrameKind::kData, 9, 0, share(Bytes(payload_bytes))};
+}
 
 TEST(NetConfig, WireMath) {
   NetConfig c;
@@ -30,17 +36,19 @@ TEST(Network, DeliversWithLatencyAndBandwidth) {
   sim::Engine e;
   NetConfig cfg;
   Network net(e, 2, cfg, 1);
+  const Frame sent = dataFrame(1000);
+  const size_t bytes = sent.size();
   sim::Time delivered_at = -1;
-  net.setDeliver(1, [&](NodeId src, Bytes frame, sim::Time t) {
+  net.setDeliver(1, [&](NodeId src, Frame frame, sim::Time t) {
     EXPECT_EQ(src, 0u);
-    EXPECT_EQ(frame.size(), 1000u);
+    EXPECT_EQ(frame.size(), bytes);
     delivered_at = t;
   });
-  net.send(0, 1, Bytes(1000), 0);
+  net.send(0, 1, sent, 0);
   e.run();
   // send overhead + uplink tx + latency + downlink tx + recv service.
-  sim::Time expect = cfg.sendOverhead(1000) + 2 * cfg.txTime(1000) +
-                     cfg.wire_latency + cfg.recvOverhead(1000);
+  sim::Time expect = cfg.sendOverhead(bytes) + 2 * cfg.txTime(bytes) +
+                     cfg.wire_latency + cfg.recvOverhead(bytes);
   EXPECT_EQ(delivered_at, expect);
   EXPECT_EQ(net.stats().frames_delivered, 1u);
 }
@@ -50,10 +58,10 @@ TEST(Network, UplinkSerializesBackToBackSends) {
   NetConfig cfg;
   Network net(e, 3, cfg, 1);
   std::vector<sim::Time> arrivals;
-  net.setDeliver(1, [&](NodeId, Bytes, sim::Time t) { arrivals.push_back(t); });
-  net.setDeliver(2, [&](NodeId, Bytes, sim::Time t) { arrivals.push_back(t); });
-  net.send(0, 1, Bytes(10000), 0);
-  net.send(0, 2, Bytes(10000), 0);
+  net.setDeliver(1, [&](NodeId, Frame, sim::Time t) { arrivals.push_back(t); });
+  net.setDeliver(2, [&](NodeId, Frame, sim::Time t) { arrivals.push_back(t); });
+  net.send(0, 1, dataFrame(10000), 0);
+  net.send(0, 2, dataFrame(10000), 0);
   e.run();
   ASSERT_EQ(arrivals.size(), 2u);
   // The second frame waits for the first to clear the shared uplink.
@@ -67,8 +75,8 @@ TEST(Network, RxQueueOverflowDrops) {
   cfg.recv_base = sim::msec(10);  // absurdly slow receiver
   Network net(e, 5, cfg, 1);
   int delivered = 0;
-  net.setDeliver(0, [&](NodeId, Bytes, sim::Time) { delivered++; });
-  for (NodeId src = 1; src < 5; ++src) net.send(src, 0, Bytes(10), 0);
+  net.setDeliver(0, [&](NodeId, Frame, sim::Time) { delivered++; });
+  for (NodeId src = 1; src < 5; ++src) net.send(src, 0, dataFrame(10), 0);
   e.run();
   EXPECT_EQ(delivered, 2);
   EXPECT_EQ(net.stats().frames_dropped_overflow, 2u);
@@ -80,9 +88,9 @@ TEST(Network, RandomLossDropsProportionally) {
   cfg.random_loss = 0.5;
   Network net(e, 2, cfg, 99);
   int delivered = 0;
-  net.setDeliver(1, [&](NodeId, Bytes, sim::Time) { delivered++; });
+  net.setDeliver(1, [&](NodeId, Frame, sim::Time) { delivered++; });
   for (int i = 0; i < 200; ++i)
-    net.send(0, 1, Bytes(10), sim::msec(i));
+    net.send(0, 1, dataFrame(10), sim::msec(i));
   e.run();
   EXPECT_GT(delivered, 50);
   EXPECT_LT(delivered, 150);
@@ -125,9 +133,21 @@ struct Pair {
   NetConfig cfg;
   Network net;
   Endpoint a, b;
+  obs::TraceRecorder trace;
   explicit Pair(NetConfig c = NetConfig{}, uint64_t seed = 1)
       : cfg(c), net(engine, 2, cfg, seed), a(engine, net, 0),
-        b(engine, net, 1) {}
+        b(engine, net, 1) {
+    a.setTrace(&trace);
+    b.setTrace(&trace);
+  }
+
+  // The trace instants of category `c` recorded on `node`.
+  std::vector<obs::Event> events(obs::Cat c, NodeId node) const {
+    std::vector<obs::Event> out;
+    for (const obs::Event& e : trace.events())
+      if (e.cat == c && e.node == node) out.push_back(e);
+    return out;
+  }
 };
 
 TEST(Transport, PostDeliversExactlyOnce) {
@@ -137,7 +157,7 @@ TEST(Transport, PostDeliversExactlyOnce) {
     EXPECT_EQ(d.type, 9);
     count++;
   });
-  p.a.post(1, 9, Bytes(100), 0);
+  p.a.post(1, 9, share(Bytes(100)), 0);
   p.engine.run();
   EXPECT_EQ(count, 1);
   EXPECT_EQ(p.net.stats().acks, 1u);
@@ -150,7 +170,7 @@ TEST(Transport, PostSurvivesHeavyLoss) {
   Pair p(cfg, 7);
   int count = 0;
   p.b.setHandler([&](Delivery&&, const ReplyToken&) { count++; });
-  for (int i = 0; i < 50; ++i) p.a.post(1, 9, Bytes(20), 0);
+  for (int i = 0; i < 50; ++i) p.a.post(1, 9, share(Bytes(20)), 0);
   p.engine.run();
   EXPECT_EQ(count, 50);  // exactly once despite losses and retransmissions
   EXPECT_GT(p.net.stats().retransmissions, 0u);
@@ -164,15 +184,14 @@ TEST(Transport, RequestReplySurvivesLoss) {
   int served = 0;
   p.b.setHandler([&](Delivery&& d, const ReplyToken& tok) {
     served++;
-    p.b.reply(tok, static_cast<uint16_t>(d.type + 1), Bytes(d.payload),
-              d.arrive);
+    p.b.reply(tok, static_cast<uint16_t>(d.type + 1), d.payload, d.arrive);
   });
   int completed = 0;
   for (int i = 0; i < 30; ++i) {
     sim::spawn([](Endpoint& ep, int& done) -> sim::Task<void> {
-      auto r = co_await ep.request(1, 5, Bytes(64), 0);
+      auto r = co_await ep.request(1, 5, share(Bytes(64)), 0);
       EXPECT_EQ(r.type, 6);
-      EXPECT_EQ(r.payload.size(), 64u);
+      EXPECT_EQ(r.payload->size(), 64u);
       done++;
     }(p.a, completed));
   }
@@ -185,7 +204,8 @@ TEST(Transport, RequestReplySurvivesLoss) {
 void serveEcho(Endpoint& server, int& served) {
   server.setHandler([&server, &served](Delivery&& d, const ReplyToken& tok) {
     served++;
-    server.reply(tok, static_cast<uint16_t>(d.type + 1), Bytes(64), d.arrive);
+    server.reply(tok, static_cast<uint16_t>(d.type + 1), share(Bytes(64)),
+                 d.arrive);
   });
 }
 
@@ -193,9 +213,9 @@ void serveEcho(Endpoint& server, int& served) {
 void requestInSequence(Endpoint& client, int n, int& completed) {
   sim::spawn([](Endpoint& ep, int count, int& done) -> sim::Task<void> {
     for (int i = 0; i < count; ++i) {
-      auto r = co_await ep.request(1, 5, Bytes(16), 0);
+      auto r = co_await ep.request(1, 5, share(Bytes(16)), 0);
       EXPECT_EQ(r.type, 6);
-      EXPECT_EQ(r.payload.size(), 64u);
+      EXPECT_EQ(r.payload->size(), 64u);
       done++;
     }
   }(client, n, completed));
@@ -229,8 +249,8 @@ TEST(Transport, DroppedReplyIsResentFromTheCache) {
   EXPECT_EQ(completed, 2);
   EXPECT_EQ(served, 2);
   EXPECT_EQ(faults.droppedBy(0), 1u);
-  EXPECT_EQ(p.net.statsFor(0).retransmissions, 1u);  // the request
-  EXPECT_EQ(p.net.statsFor(1).retransmissions, 1u);  // the cached reply
+  EXPECT_EQ(p.events(obs::Cat::kRetransmit, 0).size(), 1u);  // the request
+  EXPECT_EQ(p.events(obs::Cat::kRetransmit, 1).size(), 1u);  // cached reply
   EXPECT_EQ(p.net.stats().retransmissions, 2u);
   EXPECT_EQ(p.b.cachedReplyBytes(), 64u + 15u);  // one frame, header included
 }
@@ -249,8 +269,8 @@ TEST(Transport, DuplicatedRequestIsAnsweredFromTheCache) {
   EXPECT_EQ(completed, 3);
   EXPECT_EQ(served, 3);
   EXPECT_EQ(p.net.stats().frames_duplicated, 3u);
-  EXPECT_EQ(p.net.statsFor(0).retransmissions, 0u);
-  EXPECT_EQ(p.net.statsFor(1).retransmissions, 3u);
+  EXPECT_EQ(p.events(obs::Cat::kRetransmit, 0).size(), 0u);
+  EXPECT_EQ(p.events(obs::Cat::kRetransmit, 1).size(), 3u);
   EXPECT_EQ(p.b.cachedReplyBytes(), 3 * (64u + 15u));
 }
 
@@ -264,16 +284,81 @@ TEST(Transport, RequestAfterItsReplyWasReleasedFailsACheck) {
   p.engine.run();
   ASSERT_EQ(completed, 1);
   ASSERT_EQ(p.b.cachedReplyBytes(), 0u);
-  // The request frame again: kind, node 0's first sequence number to node
-  // 1, type, payload.
-  Writer w;
-  w.u8(static_cast<uint8_t>(FrameKind::kRequest));
-  w.u64(0);
-  w.u16(5);
-  w.blob(Bytes(16));
-  p.net.send(0, 1, w.take(), p.engine.now());
+  // The request frame again: node 0's first sequence number to node 1.
+  p.net.send(0, 1, Frame{FrameKind::kRequest, 5, 0, share(Bytes(16))},
+             p.engine.now());
   EXPECT_THROW(p.engine.run(), Error);
   EXPECT_EQ(served, 1);
+}
+
+// One buffer per message: a handler gets the buffer its sender encoded,
+// not a copy, on the first delivery and after a resend alike.
+TEST(Transport, PostDeliversTheSendersBuffer) {
+  for (bool drop_first : {false, true}) {
+    Pair p;
+    FaultInjector faults(parseFaultPlan("burst:from=0,to=1,count=1"), 1, 2);
+    if (drop_first) p.net.setFaults(&faults);
+    const Payload sent = share(Bytes(100));
+    const std::byte* got = nullptr;
+    p.b.setHandler(
+        [&](Delivery&& d, const ReplyToken&) { got = d.payload->data(); });
+    p.a.post(1, 9, sent, 0);
+    p.engine.run();
+    EXPECT_EQ(p.events(obs::Cat::kRetransmit, 0).size(), drop_first ? 1u : 0u);
+    EXPECT_EQ(got, sent->data()) << "drop_first=" << drop_first;
+  }
+}
+
+// A reply lost on its way is resent from the responder's cache, and the
+// requester still gets the buffer the responder encoded.
+TEST(Transport, ReplyResentFromTheCacheIsTheRespondersBuffer) {
+  Pair p;
+  FaultInjector faults(parseFaultPlan("burst:from=1,to=0,count=1"), 1, 2);
+  p.net.setFaults(&faults);
+  const Payload answer = share(Bytes(64));
+  p.b.setHandler([&](Delivery&& d, const ReplyToken& tok) {
+    p.b.reply(tok, 6, answer, d.arrive);
+  });
+  const std::byte* got = nullptr;
+  sim::spawn([](Endpoint& ep, const std::byte*& out) -> sim::Task<void> {
+    Delivery r = co_await ep.request(1, 5, share(Bytes(16)), 0);
+    out = r.payload->data();
+  }(p.a, got));
+  p.engine.run();
+  EXPECT_EQ(p.events(obs::Cat::kRetransmit, 1).size(), 1u);
+  EXPECT_EQ(got, answer->data());
+}
+
+// Every frame is charged the datagram it stands for: a 15-byte header (kind,
+// sequence number, type, payload length) plus the payload, or 9 bytes (kind
+// and sequence number) for an ack. Both the wire and the kDeliver instant
+// see that size.
+TEST(Transport, FramesAreChargedTheirEncodedSize) {
+  Pair p;
+  p.b.setHandler([&](Delivery&& d, const ReplyToken& tok) {
+    if (d.type == 5) p.b.reply(tok, 6, share(Bytes(64)), d.arrive);
+  });
+  p.a.post(1, 9, share(Bytes(100)), 0);
+  p.engine.run();
+  const uint64_t posted = p.net.stats().wire_bytes;
+  EXPECT_EQ(posted, p.cfg.wireBytes(15 + 100) + p.cfg.wireBytes(9));
+  sim::spawn([](Endpoint& ep) -> sim::Task<void> {
+    (void)co_await ep.request(1, 5, share(Bytes(16)), 0);
+  }(p.a));
+  p.engine.run();
+  EXPECT_EQ(p.net.stats().wire_bytes - posted,
+            p.cfg.wireBytes(15 + 16) + p.cfg.wireBytes(15 + 64));
+  using KindBytes = std::vector<std::pair<FrameKind, uint64_t>>;
+  auto delivered = [&p](NodeId node) {
+    KindBytes out;
+    for (const obs::Event& e : p.events(obs::Cat::kDeliver, node))
+      out.emplace_back(static_cast<FrameKind>(e.a0), e.a1);
+    return out;
+  };
+  EXPECT_EQ(delivered(1),
+            (KindBytes{{FrameKind::kData, 115}, {FrameKind::kRequest, 31}}));
+  EXPECT_EQ(delivered(0),
+            (KindBytes{{FrameKind::kAck, 9}, {FrameKind::kReply, 79}}));
 }
 
 TEST(Transport, SelfSendStaysLocal) {
@@ -283,7 +368,7 @@ TEST(Transport, SelfSendStaysLocal) {
     EXPECT_EQ(d.src, 0u);
     count++;
   });
-  p.a.post(0, 3, Bytes(10), 0);
+  p.a.post(0, 3, share(Bytes(10)), 0);
   p.engine.run();
   EXPECT_EQ(count, 1);
   EXPECT_EQ(p.net.stats().messages, 0u);  // never hit the wire
@@ -292,7 +377,7 @@ TEST(Transport, SelfSendStaysLocal) {
 
 TEST(Transport, PostToUnknownNodeIsRejected) {
   Pair p;
-  EXPECT_THROW(p.a.post(2, 9, Bytes(10), 0), Error);
+  EXPECT_THROW(p.a.post(2, 9, share(Bytes(10)), 0), Error);
   EXPECT_EQ(p.net.stats().messages, 0u);
 }
 
@@ -303,7 +388,7 @@ TEST(Transport, RequestAllOverlapsRoundTrips) {
   Endpoint a(e, net, 0), b(e, net, 1), c(e, net, 2), d(e, net, 3);
   auto serve = [](Endpoint& ep) {
     ep.setHandler([&ep](Delivery&& del, const ReplyToken& tok) {
-      ep.reply(tok, 1, Bytes(2000), del.arrive + sim::usec(10));
+      ep.reply(tok, 1, share(Bytes(2000)), del.arrive + sim::usec(10));
     });
   };
   serve(b);
@@ -313,10 +398,11 @@ TEST(Transport, RequestAllOverlapsRoundTrips) {
   sim::spawn([](Endpoint& ep, sim::Engine& eng,
                 sim::Time& done) -> sim::Task<void> {
     std::vector<RpcCall> calls;
-    for (NodeId n = 1; n <= 3; ++n) calls.push_back(RpcCall{n, 0, Bytes(50)});
+    for (NodeId n = 1; n <= 3; ++n)
+      calls.push_back(RpcCall{n, 0, share(Bytes(50))});
     auto results = co_await requestAll(ep, std::move(calls), 0);
     EXPECT_EQ(results.size(), 3u);
-    for (auto& r : results) EXPECT_EQ(r.payload.size(), 2000u);
+    for (auto& r : results) EXPECT_EQ(r.payload->size(), 2000u);
     done = eng.now();
   }(a, e, finished));
   e.run();
@@ -340,7 +426,7 @@ TEST(Transport, InterleavedPostsKeepNoDedupState) {
   std::vector<int> got(kPosts, 0);
   auto receive = [&got](NodeId self) {
     return [&got, self](Delivery&& d, const ReplyToken&) {
-      const uint32_t i = Reader(d.payload).u32();
+      const uint32_t i = Reader(*d.payload).u32();
       EXPECT_EQ(1 + i % 2, self);
       got[i]++;
     };
@@ -350,7 +436,7 @@ TEST(Transport, InterleavedPostsKeepNoDedupState) {
   for (uint32_t i = 0; i < kPosts; ++i) {
     Writer w;
     w.u32(i);
-    n0.post(1 + i % 2, 9, w.take(), sim::usec(50) * i);
+    n0.post(1 + i % 2, 9, share(w.take()), sim::usec(50) * i);
   }
   e.run();
   for (uint32_t i = 0; i < kPosts; ++i) EXPECT_EQ(got[i], 1) << "post " << i;
@@ -362,7 +448,7 @@ TEST(Transport, InterleavedPostsKeepNoDedupState) {
 TEST(Transport, StatsCountPayloadBytes) {
   Pair p;
   p.b.setHandler([](Delivery&&, const ReplyToken&) {});
-  p.a.post(1, 9, Bytes(500), 0);
+  p.a.post(1, 9, share(Bytes(500)), 0);
   p.engine.run();
   EXPECT_EQ(p.net.stats().messages, 1u);
   EXPECT_EQ(p.net.stats().payload_bytes, 500u);

@@ -387,14 +387,8 @@ TEST(Obs, EverySendHasItsOwnFlow) {
 // Sequence numbers are per connection, so the peer is part of the id: one
 // owner's frames to two peers with the same number must not share a flow.
 TEST(Obs, CorrIdSeparatesConnections) {
-  auto frame = [](net::FrameKind kind, uint64_t seq) {
-    Writer w;
-    w.u8(static_cast<uint8_t>(kind));
-    w.u64(seq);
-    return w.take();
-  };
-  const Bytes data = frame(net::FrameKind::kData, 5);
-  const Bytes ack = frame(net::FrameKind::kAck, 5);
+  const net::Frame data{net::FrameKind::kData, 9, 5, net::share(Bytes(8))};
+  const net::Frame ack{net::FrameKind::kAck, 0, 5, nullptr};
   EXPECT_NE(net::frameCorr(data, 0, 1), net::frameCorr(data, 0, 2));
   EXPECT_NE(net::frameCorr(data, 0, 1), net::frameCorr(data, 1, 0));
   // An ack travels the other way but belongs to the same connection.
