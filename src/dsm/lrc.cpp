@@ -12,18 +12,16 @@ LrcRuntime::LrcRuntime(NodeCtx& ctx)
 void LrcRuntime::onMessage(net::Delivery&& d) {
   switch (d.type) {
     case kLockAcq:
-      onLockAcq(decode<LockAcqMsg>(*d.payload), d.arrive);
+      onLockAcq(decode<LockAcqMsg>(d.payload.bytes()), d.arrive);
       return;
     case kLockAuth:
-      onLockAuth(decode<LockAcqMsg>(*d.payload), d.arrive);
+      onLockAuth(decode<LockAcqMsg>(d.payload.bytes()), d.arrive);
       return;
-    case kLockRelease: {
-      Reader r(*d.payload);
-      onLockRelease(r.u32(), d.arrive);
+    case kLockRelease:
+      onLockRelease(decode<LockReleaseMsg>(d.payload.bytes()).lock, d.arrive);
       return;
-    }
     case kLockGrant: {
-      LockGrantMsg g = decode<LockGrantMsg>(*d.payload);
+      LockGrantMsg g = decode<LockGrantMsg>(d.payload.bytes());
       auto it = grant_waiters_.find(g.lock);
       VODSM_CHECK_MSG(it != grant_waiters_.end(),
                       "unexpected lock grant for lock " << g.lock);
@@ -68,9 +66,7 @@ sim::Task<void> LrcRuntime::releaseLock(LockId l) {
   VODSM_CHECK_MSG(st.held, "releasing lock " << l << " not held");
   closeInterval();
   st.held = false;
-  Writer w;
-  w.u32(l);
-  ctx_.endpoint.post(managerOf(l), kLockRelease, net::share(w.take()),
+  ctx_.endpoint.post(managerOf(l), kLockRelease, encode(LockReleaseMsg{l}),
                      ctx_.clock.now());
   co_return;
 }

@@ -6,7 +6,6 @@
 // this file walk that list.
 #pragma once
 
-#include <algorithm>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -79,6 +78,11 @@ struct LockAcqMsg {
   NodeId requester = 0;
   mem::VClock vc;
   static auto fields(auto& m) { return std::tie(m.lock, m.requester, m.vc); }
+};
+
+struct LockReleaseMsg {
+  LockId lock = 0;
+  static auto fields(auto& m) { return std::tie(m.lock); }
 };
 
 struct LockGrantMsg {
@@ -271,15 +275,16 @@ void get(Reader& r, std::vector<T>& v) {
 
 }  // namespace wire
 
-// Encodes a message into a buffer of exactly its wire size, shared by every
-// frame that carries it. Every message has at least one u32 field; saying
-// so lets GCC 12 at -O3 see that the first append fits, where it otherwise
-// reports a false -Wstringop-overflow inside vector::insert.
+// Encodes a message into one payload block of exactly its wire size,
+// shared by every frame that carries it. The writer's cursor fills the
+// block in place.
 template <typename M>
 net::Payload encode(const M& m) {
-  Writer w(std::max<size_t>(wire::size(m), 4));
-  wire::put(w, m);
-  return net::share(w.take());
+  return net::Payload::make(wire::size(m), [&m](MutByteSpan out) {
+    Writer w(out);
+    wire::put(w, m);
+    VODSM_DCHECK(w.size() == out.size());
+  });
 }
 
 template <typename M>

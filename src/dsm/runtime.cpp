@@ -19,10 +19,10 @@ Runtime::Runtime(NodeCtx& ctx, uint16_t diff_req, uint16_t diff_resp)
 void Runtime::dispatch(net::Delivery&& d, const net::ReplyToken& token) {
   switch (d.type) {
     case kBarrArrive:
-      onBarrArrive(decode<BarrArriveMsg>(*d.payload), d.arrive);
+      onBarrArrive(decode<BarrArriveMsg>(d.payload.bytes()), d.arrive);
       return;
     case kBarrRelease: {
-      BarrReleaseMsg rel = decode<BarrReleaseMsg>(*d.payload);
+      BarrReleaseMsg rel = decode<BarrReleaseMsg>(d.payload.bytes());
       if (ctx_.barrier == BarrierAlg::kTree) {
         // Fan the release down to our subtree before unblocking ourselves;
         // the payload is the complete global set, forwarded as received.
@@ -38,7 +38,7 @@ void Runtime::dispatch(net::Delivery&& d, const net::ReplyToken& token) {
       return;
     }
     case kBarrRound: {
-      BarrRoundMsg rm = decode<BarrRoundMsg>(*d.payload);
+      BarrRoundMsg rm = decode<BarrRoundMsg>(d.payload.bytes());
       const auto key = std::make_pair(rm.barrier, rm.round);
       auto it = round_waiters_.find(key);
       if (it != round_waiters_.end()) {
@@ -56,7 +56,7 @@ void Runtime::dispatch(net::Delivery&& d, const net::ReplyToken& token) {
     }
     default:
       if (d.type == diff_req_)
-        serveDiffs(decode<DiffReqMsg>(*d.payload), token, d.arrive);
+        serveDiffs(decode<DiffReqMsg>(d.payload.bytes()), token, d.arrive);
       else
         onMessage(std::move(d));
   }
@@ -167,7 +167,7 @@ sim::Task<void> Runtime::readFault(mem::PageId p) {
     const NodeId writer = writers[r];
     ctx_.clock.atLeast(resp.arrive);
     VODSM_CHECK(resp.type == diff_resp_);
-    DiffRespMsg dr = decode<DiffRespMsg>(*resp.payload);
+    DiffRespMsg dr = decode<DiffRespMsg>(resp.payload.bytes());
     for (auto& [index, diff] : dr.diffs)
       collected.push_back(
           Fetched{applyRank(writer, index), writer, index, std::move(diff)});

@@ -39,10 +39,10 @@ void VcRuntime::setLastSeen(ViewId v, uint32_t version) {
 void VcRuntime::onMessage(net::Delivery&& d) {
   switch (d.type) {
     case kViewAcq:
-      onViewAcq(decode<ViewAcqMsg>(*d.payload), d.arrive);
+      onViewAcq(decode<ViewAcqMsg>(d.payload.bytes()), d.arrive);
       return;
     case kViewGrant: {
-      ViewGrantMsg g = decode<ViewGrantMsg>(*d.payload);
+      ViewGrantMsg g = decode<ViewGrantMsg>(d.payload.bytes());
       auto it = std::find_if(
           grant_waiters_.begin(), grant_waiters_.end(),
           [&](const auto& w) { return w.first == g.view; });
@@ -55,10 +55,11 @@ void VcRuntime::onMessage(net::Delivery&& d) {
       return;
     }
     case kViewRelease:
-      onViewRelease(decode<ViewReleaseMsg>(*d.payload), d.arrive);
+      onViewRelease(decode<ViewReleaseMsg>(d.payload.bytes()), d.arrive);
       return;
     case kViewReadRelease:
-      onViewReadRelease(decode<ViewReadReleaseMsg>(*d.payload), d.arrive);
+      onViewReadRelease(decode<ViewReadReleaseMsg>(d.payload.bytes()),
+                        d.arrive);
       return;
     default:
       VODSM_CHECK_MSG(false, "VC: unknown message type " << d.type);

@@ -32,45 +32,50 @@ Rank::Rank(World& world, int id) : world_(world), id_(id) {
 
 int Rank::size() const { return world_.nprocs(); }
 
-void Rank::send(int dst, uint32_t tag, Bytes payload) {
+void Rank::send(int dst, uint32_t tag, ByteSpan payload) {
   clock_.charge(packCost(payload.size()));
-  Writer w(payload.size() + 8);
-  w.u32(tag);
-  w.blob(payload);
+  // The tag and the body go straight into the one payload block.
+  net::Payload message =
+      net::Payload::make(payload.size() + 8, [&](MutByteSpan out) {
+        Writer w(out);
+        w.u32(tag);
+        w.blob(payload);
+      });
   endpoint_->post(static_cast<net::NodeId>(dst), dsm::kMsgData,
-                  net::share(w.take()), clock_.now());
+                  std::move(message), clock_.now());
 }
 
 void Rank::onDelivery(net::Delivery&& d) {
   VODSM_CHECK(d.type == dsm::kMsgData);
-  Reader r(*d.payload);
+  Reader r(d.payload.bytes());
   const uint32_t tag = r.u32();
-  ByteSpan body = r.blob();
+  const size_t body = d.payload.size() - r.blob().size();
   Mailbox& box = mail_[{static_cast<int>(d.src), tag}];
-  Bytes data(body.begin(), body.end());
+  Parcel parcel{std::move(d.payload), body};
   if (box.waiter) {
     auto waiter = std::move(box.waiter);
     clock_.atLeast(d.arrive);
-    waiter->fulfill(std::move(data));
+    waiter->fulfill(std::move(parcel));
   } else {
-    box.messages.push_back(std::move(data));
+    box.messages.push_back(std::move(parcel));
   }
 }
 
 sim::Task<Bytes> Rank::recv(int src, uint32_t tag) {
   Mailbox& box = mail_[{src, tag}];
+  Parcel parcel;
   if (!box.messages.empty()) {
-    Bytes out = std::move(box.messages.front());
+    parcel = std::move(box.messages.front());
     box.messages.pop_front();
-    clock_.charge(packCost(out.size()));
-    co_return out;
+  } else {
+    VODSM_CHECK_MSG(!box.waiter, "two concurrent recv() on one (src, tag)");
+    box.waiter = std::make_unique<sim::Waiter<Parcel>>();
+    parcel = co_await *box.waiter;
+    box.waiter.reset();
   }
-  VODSM_CHECK_MSG(!box.waiter, "two concurrent recv() on one (src, tag)");
-  box.waiter = std::make_unique<sim::Waiter<Bytes>>();
-  Bytes out = co_await *box.waiter;
-  box.waiter.reset();
-  clock_.charge(packCost(out.size()));
-  co_return out;
+  const ByteSpan body = parcel.payload.bytes().subspan(parcel.body);
+  clock_.charge(packCost(body.size()));
+  co_return Bytes(body.begin(), body.end());
 }
 
 namespace {

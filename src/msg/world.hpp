@@ -40,7 +40,7 @@ class Rank {
   }
 
   // Buffered, reliable, non-blocking send.
-  void send(int dst, uint32_t tag, Bytes payload);
+  void send(int dst, uint32_t tag, ByteSpan payload);
   // Blocking receive matching (src, tag).
   sim::Task<Bytes> recv(int src, uint32_t tag);
 
@@ -55,9 +55,15 @@ class Rank {
   friend class World;
   void onDelivery(net::Delivery&& d);
 
+  // A delivered message: the payload its sender encoded (tag, length,
+  // body) and where the body starts. recv copies the body out once.
+  struct Parcel {
+    net::Payload payload;
+    size_t body = 0;
+  };
   struct Mailbox {
-    std::deque<Bytes> messages;
-    std::unique_ptr<sim::Waiter<Bytes>> waiter;
+    std::deque<Parcel> messages;
+    std::unique_ptr<sim::Waiter<Parcel>> waiter;
   };
 
   World& world_;

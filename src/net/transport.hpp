@@ -34,11 +34,21 @@
 // Self-addressed messages bypass the wire (and the statistics) entirely,
 // modeling intra-node manager access; they use the node's connection to
 // itself.
+//
+// Outstanding frames live in their connection. Each connection keeps the
+// frames this node still owes the peer in a ring indexed by sequence
+// number: posts that await an ack and requests that await a reply. A slot
+// holds the payload (for resends), the type and, for a request, the
+// requester's waiter, which lives in the frame of the coroutine that made
+// the request. An ack or a reply empties its slot, so posts and requests
+// settled out of order leave holes until the oldest owed frame settles.
+// Each frame on the wire arms one retransmission timer, an engine timer
+// line entry whose argument is (peer, sequence number): it resends the
+// frame if the slot is still owed and is dead otherwise.
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -127,7 +137,68 @@ class SeqTracker {
 };
 static_assert(sizeof(SeqTracker) == 8, "in-order dedup state is one word");
 
-class Endpoint {
+// The frames one connection still owes its peer, by sequence number. The
+// ring spans the oldest owed frame to the newest; a slot settles when its
+// ack or reply arrives. It doubles when a frame would not fit (a lost frame
+// holds the oldest slot for one RTO while newer ones are sent), and it
+// never shrinks.
+class OwedFrames {
+ public:
+  struct Slot {
+    Payload payload;  // null when nothing is owed at this number
+    sim::Waiter<Delivery>* reply = nullptr;  // a request's waiter
+    uint16_t type = 0;
+    bool resent = false;  // a request that went on the wire more than once
+  };
+
+  // Owes `slot` at `seq`, which is above every number held so far.
+  void hold(uint64_t seq, Slot slot) {
+    if (count_ == 0) head_ = seq;
+    VODSM_DCHECK(seq >= head_);
+    if (seq - head_ >= slots_.size()) grow(seq - head_ + 1);
+    ++count_;
+    slots_[seq & (slots_.size() - 1)] = std::move(slot);
+  }
+
+  // The slot still owed at `seq`, or null.
+  Slot* find(uint64_t seq) {
+    if (count_ == 0 || seq < head_ || seq - head_ >= slots_.size())
+      return nullptr;
+    Slot& s = slots_[seq & (slots_.size() - 1)];
+    return s.payload ? &s : nullptr;
+  }
+
+  // Empties the owed slot at `seq`.
+  void settle(uint64_t seq) {
+    const size_t mask = slots_.size() - 1;
+    slots_[seq & mask] = Slot{};
+    if (--count_ > 0 && seq == head_)
+      while (!slots_[head_ & mask].payload) ++head_;
+  }
+
+  size_t size() const { return count_; }
+
+ private:
+  static constexpr size_t kFirstCapacity = 8;
+
+  // Room for `span` numbers from head_. Every owed number lies within the
+  // old capacity of head_.
+  void grow(uint64_t span) {
+    size_t cap = slots_.empty() ? kFirstCapacity : 2 * slots_.size();
+    while (cap < span) cap *= 2;
+    std::vector<Slot> next(cap);
+    if (count_ > 0)
+      for (uint64_t s = head_; s < head_ + slots_.size(); ++s)
+        next[s & (cap - 1)] = std::move(slots_[s & (slots_.size() - 1)]);
+    slots_ = std::move(next);
+  }
+
+  std::vector<Slot> slots_;  // a power of two, or empty
+  uint64_t head_ = 0;        // the oldest owed number, while count_ > 0
+  size_t count_ = 0;         // slots owed
+};
+
+class Endpoint final : private sim::TimerOwner {
  public:
   using Handler = std::function<void(Delivery&&, const ReplyToken&)>;
 
@@ -160,41 +231,33 @@ class Endpoint {
 
   // Reliable one-way message, leaving the node no earlier than `earliest`.
   void post(NodeId dst, uint16_t type, Payload payload, sim::Time earliest) {
-    Frame frame{FrameKind::kData, type, nextSeq(dst), std::move(payload)};
+    Conn& c = conn(dst);
+    Frame frame{FrameKind::kData, type, c.next_seq++, std::move(payload)};
     if (dst == self_) {
       sendLocal(std::move(frame), earliest);
       return;
     }
     countSend(frame);
     traceSend(frame, dst, earliest);
-    const uint64_t key = connKey(dst, frame.seq);
-    auto [it, inserted] = pending_posts_.emplace(key, Pending{dst, frame});
-    VODSM_CHECK(inserted);
-    network_.send(self_, dst, std::move(frame), earliest);
-    armPostTimer(key, it->second.epoch);
+    c.owed.hold(frame.seq, {frame.payload, nullptr, type});
+    sendOwed(dst, std::move(frame), earliest);
   }
 
   // RPC. The handler on `dst` must reply (promptly, well under one RTO).
   sim::Task<Delivery> request(NodeId dst, uint16_t type, Payload payload,
                               sim::Time earliest) {
-    Frame frame{FrameKind::kRequest, type, nextSeq(dst), std::move(payload)};
-    const uint64_t key = connKey(dst, frame.seq);
-    auto pending = std::make_unique<PendingRpc>();
-    PendingRpc* p = pending.get();
-    pending_rpcs_.emplace(key, std::move(pending));
+    Conn& c = conn(dst);
+    Frame frame{FrameKind::kRequest, type, c.next_seq++, std::move(payload)};
+    sim::Waiter<Delivery> reply;
+    c.owed.hold(frame.seq, {frame.payload, &reply, type});
     if (dst == self_) {
       sendLocal(std::move(frame), earliest);
     } else {
       countSend(frame);
       traceSend(frame, dst, earliest);
-      p->dst = dst;
-      p->frame = frame;
-      network_.send(self_, dst, std::move(frame), earliest);
-      armRpcTimer(key, p->epoch);
+      sendOwed(dst, std::move(frame), earliest);
     }
-    Delivery result = co_await p->waiter;
-    pending_rpcs_.erase(key);
-    co_return result;
+    co_return co_await reply;
   }
 
   // Answer a request identified by `token`. May be called from the handler
@@ -216,6 +279,10 @@ class Endpoint {
   // Which of `peer`'s sequence numbers this node has processed.
   const SeqTracker& seenFrom(NodeId peer) const { return conns_[peer].seen; }
 
+  // Frames this node still owes `peer`: posts not yet acked, requests not
+  // yet answered.
+  size_t owedTo(NodeId peer) const { return conns_[peer].owed.size(); }
+
   // Bytes of the reply frames this node still holds for resends.
   size_t cachedReplyBytes() const {
     size_t bytes = 0;
@@ -227,18 +294,6 @@ class Endpoint {
   }
 
  private:
-  struct Pending {
-    NodeId dst = 0;
-    Frame frame;
-    uint64_t epoch = 0;  // bumped on completion to invalidate timers
-  };
-  struct PendingRpc {
-    NodeId dst = 0;
-    Frame frame;
-    uint64_t epoch = 0;
-    bool resent = false;  // the request went on the wire more than once
-    sim::Waiter<Delivery> waiter;
-  };
   // A requester's most recent replies, oldest overwritten first: it
   // retransmits within ~RTO of the original, so older entries are dead. A
   // released reply keeps its slot without its payload (see the header).
@@ -252,24 +307,45 @@ class Endpoint {
     uint64_t next_seq = 0;  // this node's next sequence number to the peer
     SeqTracker seen;        // the peer's sequence numbers processed here
     std::unique_ptr<ReplyCache> replies;  // replies to the peer's requests
+    OwedFrames owed;        // frames this node still owes the peer
   };
 
-  // Draws the next sequence number of this node's connection to `dst`.
-  uint64_t nextSeq(NodeId dst) {
-    VODSM_CHECK(dst < conns_.size());
-    return conns_[dst].next_seq++;
+  Conn& conn(NodeId peer) {
+    VODSM_CHECK(peer < conns_.size());
+    return conns_[peer];
   }
 
-  // Pending posts and RPCs are keyed by connection and sequence number.
+  // A retransmission timer's argument: the connection and the sequence
+  // number of the frame it guards.
   static constexpr int kSeqBits = 40;
-  static uint64_t connKey(NodeId peer, uint64_t seq) {
+  static uint64_t timerArg(NodeId peer, uint64_t seq) {
     VODSM_DCHECK(seq >> kSeqBits == 0);
     return uint64_t{peer} << kSeqBits | seq;
   }
 
+  // Puts an owed frame on the wire and arms its retransmission timer.
+  void sendOwed(NodeId dst, Frame frame, sim::Time earliest) {
+    const uint64_t seq = frame.seq;
+    network_.send(self_, dst, std::move(frame), earliest);
+    engine_.arm(network_.config().rto, *this, timerArg(dst, seq));
+  }
+
+  // A retransmission timer fired: resend its frame if it is still owed.
+  void onTimer(uint64_t arg) override {
+    const auto peer = static_cast<NodeId>(arg >> kSeqBits);
+    const uint64_t seq = arg & ((uint64_t{1} << kSeqBits) - 1);
+    OwedFrames::Slot* slot = conns_[peer].owed.find(seq);
+    if (!slot) return;  // acked or answered
+    if (slot->reply) slot->resent = true;
+    const Frame frame{slot->reply ? FrameKind::kRequest : FrameKind::kData,
+                      slot->type, seq, slot->payload};
+    countRetransmit(frame, peer);
+    sendOwed(peer, frame, engine_.now());
+  }
+
   void countSend(const Frame& frame) {
     NetStats& s = network_.stats();
-    const size_t payload_bytes = frame.payload->size();
+    const size_t payload_bytes = frame.payload.size();
     s.messages++;
     s.payload_bytes += payload_bytes;
     KindStats& k = s.of(network_.classify(frame.type));
@@ -280,7 +356,7 @@ class Endpoint {
   void traceSend(const Frame& frame, NodeId dst, sim::Time ts) {
     if (trace_)
       trace_->instant(static_cast<uint32_t>(self_), obs::Cat::kSend, ts,
-                      frame.type, frame.payload->size(),
+                      frame.type, frame.payload.size(),
                       frameCorr(frame, self_, dst));
   }
 
@@ -296,7 +372,7 @@ class Endpoint {
     // correlation id ties the retransmission to the original send's flow.
     if (trace_)
       trace_->instant(static_cast<uint32_t>(self_), obs::Cat::kRetransmit,
-                      engine_.now(), frame.type, frame.payload->size(),
+                      engine_.now(), frame.type, frame.payload.size(),
                       frameCorr(frame, self_, dst));
   }
 
@@ -307,27 +383,6 @@ class Endpoint {
     });
   }
 
-  void armPostTimer(uint64_t key, uint64_t epoch) {
-    engine_.after(network_.config().rto, [this, key, epoch] {
-      auto it = pending_posts_.find(key);
-      if (it == pending_posts_.end() || it->second.epoch != epoch) return;
-      countRetransmit(it->second.frame, it->second.dst);
-      network_.send(self_, it->second.dst, it->second.frame, engine_.now());
-      armPostTimer(key, epoch);
-    });
-  }
-
-  void armRpcTimer(uint64_t key, uint64_t epoch) {
-    engine_.after(network_.config().rto, [this, key, epoch] {
-      auto it = pending_rpcs_.find(key);
-      if (it == pending_rpcs_.end() || it->second->epoch != epoch) return;
-      it->second->resent = true;
-      countRetransmit(it->second->frame, it->second->dst);
-      network_.send(self_, it->second->dst, it->second->frame, engine_.now());
-      armRpcTimer(key, epoch);
-    });
-  }
-
   void onFrame(NodeId src, Frame frame, sim::Time arrive, bool via_wire) {
     if (trace_ && via_wire)
       trace_->instant(static_cast<uint32_t>(self_), obs::Cat::kDeliver, arrive,
@@ -335,21 +390,20 @@ class Endpoint {
                       frameCorr(frame, src, self_));
     switch (frame.kind) {
       case FrameKind::kAck: {
-        auto it = pending_posts_.find(connKey(src, frame.seq));
-        if (it != pending_posts_.end()) {
-          it->second.epoch++;
-          pending_posts_.erase(it);
-        }
+        OwedFrames& owed = conns_[src].owed;
+        if (owed.find(frame.seq)) owed.settle(frame.seq);
         return;
       }
       case FrameKind::kReply: {
-        auto it = pending_rpcs_.find(connKey(src, frame.seq));
-        if (it == pending_rpcs_.end()) return;  // duplicate reply
-        PendingRpc& p = *it->second;
-        p.epoch++;
-        if (via_wire && !p.resent && !network_.mayDuplicate())
+        OwedFrames& owed = conns_[src].owed;
+        OwedFrames::Slot* slot = owed.find(frame.seq);
+        if (!slot) return;  // duplicate reply
+        sim::Waiter<Delivery>* reply = slot->reply;
+        const bool resent = slot->resent;
+        owed.settle(frame.seq);
+        if (via_wire && !resent && !network_.mayDuplicate())
           network_.releaseReply(self_, src, frame.seq);
-        p.waiter.fulfill(
+        reply->fulfill(
             Delivery{src, frame.type, std::move(frame.payload), arrive});
         return;
       }
@@ -426,8 +480,6 @@ class Endpoint {
   Handler handler_;
   obs::TraceRecorder* trace_ = nullptr;
   std::vector<Conn> conns_;  // indexed by peer NodeId, self included
-  std::unordered_map<uint64_t, Pending> pending_posts_;  // by connKey
-  std::unordered_map<uint64_t, std::unique_ptr<PendingRpc>> pending_rpcs_;
 };
 
 }  // namespace vodsm::net

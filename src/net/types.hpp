@@ -1,13 +1,22 @@
-// Shared identifiers and configuration for the simulated cluster network.
+// Shared identifiers and configuration for the simulated cluster network:
+// node ids, frame kinds, the message payload, the transport frame and the
+// testbed's network parameters.
+//
+// A message in flight is one heap block (its Payload) plus fixed-size
+// records that refer to it: a 24-byte Frame in each network hop's event,
+// a 24-byte slot in its connection's ring of owed frames, and a 24-byte
+// entry in a retransmission timer line.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <new>
 #include <utility>
 
 #include "sim/time.hpp"
 #include "support/bytes.hpp"
+#include "support/check.hpp"
 
 namespace vodsm::net {
 
@@ -25,9 +34,62 @@ enum class FrameKind : uint8_t {
 // One message's bytes, encoded once by its sender. Every frame that carries
 // the message (the original, each resend, a cached reply, a forward) and
 // the delivery its handler sees share this buffer; none copies it.
-using Payload = std::shared_ptr<const Bytes>;
-inline Payload share(Bytes bytes) {
-  return std::make_shared<const Bytes>(std::move(bytes));
+//
+// A payload is one heap block: a reference count, the size, then the bytes.
+// The count is a plain integer because a cell runs on one thread and no
+// payload crosses cells. Null is "no payload" (an ack); an empty message
+// is a block of size 0.
+class Payload {
+ public:
+  Payload() = default;
+  Payload(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
+  Payload(const Payload& o) noexcept : b_(o.b_) {
+    if (b_) ++b_->refs;
+  }
+  Payload(Payload&& o) noexcept : b_(std::exchange(o.b_, nullptr)) {}
+  Payload& operator=(Payload o) noexcept {
+    std::swap(b_, o.b_);
+    return *this;
+  }
+  ~Payload() { reset(); }
+
+  // A payload of `n` bytes, which `fill(MutByteSpan)` writes before anyone
+  // else can see them.
+  template <typename F>
+  static Payload make(size_t n, F&& fill) {
+    VODSM_CHECK(n <= UINT32_MAX);
+    Payload p;
+    p.b_ = ::new (::operator new(sizeof(Block) + n))
+        Block{1, static_cast<uint32_t>(n)};
+    fill(MutByteSpan(p.b_->bytes(), n));
+    return p;
+  }
+
+  explicit operator bool() const { return b_ != nullptr; }
+  size_t size() const { return b_->size; }
+  const std::byte* data() const { return b_->bytes(); }
+  ByteSpan bytes() const { return {data(), size()}; }
+
+  void reset() {
+    if (b_ && --b_->refs == 0) ::operator delete(b_);
+    b_ = nullptr;
+  }
+
+ private:
+  struct Block {
+    uint32_t refs;
+    uint32_t size;
+    std::byte* bytes() { return reinterpret_cast<std::byte*>(this + 1); }
+  };
+
+  Block* b_ = nullptr;
+};
+
+// A payload holding a copy of `bytes`.
+inline Payload share(ByteSpan bytes) {
+  return Payload::make(bytes.size(), [bytes](MutByteSpan out) {
+    std::copy(bytes.begin(), bytes.end(), out.begin());
+  });
 }
 
 // A transport frame. Frames never leave the process, so the header is these
@@ -41,12 +103,12 @@ struct Frame {
   Payload payload;    // null on acks
 
   size_t size() const {
-    return kind == FrameKind::kAck ? 9 : 15 + payload->size();
+    return kind == FrameKind::kAck ? 9 : 15 + payload.size();
   }
 };
-// The network's hops capture [this, src, dst, frame]; that fits the engine's
-// 48 inline callback bytes only while a frame takes at most 32.
-static_assert(sizeof(Frame) <= 32, "network hops must not allocate");
+// The network's hops capture [this, src, dst, frame] in the engine's 48
+// inline callback bytes.
+static_assert(sizeof(Frame) == 24, "a frame is three words");
 
 // Models the paper's testbed: a 100 Mbps N-way switched Ethernet connecting
 // Linux PCs, with UDP-style user-level reliability. Every parameter is

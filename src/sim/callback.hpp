@@ -18,7 +18,7 @@ namespace vodsm::sim {
 class Callback {
  public:
   // Fits the largest capture the sim/net layers schedule (this + two ids +
-  // one 32-byte net::Frame); raising it only trades event-node size for heap
+  // one 24-byte net::Frame); raising it only trades event-node size for heap
   // hits.
   static constexpr size_t kInlineBytes = 48;
 
@@ -29,16 +29,7 @@ class Callback {
                 !std::is_same_v<std::decay_t<F>, Callback> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   Callback(F&& f) {  // NOLINT(google-explicit-constructor)
-    using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      vt_ = &inlineVTable<Fn>;
-    } else {
-      *reinterpret_cast<Fn**>(buf_) = new Fn(std::forward<F>(f));
-      vt_ = &heapVTable<Fn>;
-    }
+    construct(std::forward<F>(f));
   }
 
   Callback(Callback&& o) noexcept { moveFrom(o); }
@@ -61,6 +52,18 @@ class Callback {
     if (vt_) {
       vt_->destroy(buf_);
       vt_ = nullptr;
+    }
+  }
+
+  // Replace the held callable with `f`, constructed in place (the engine
+  // builds each event's callback directly in its pool node this way).
+  template <typename F>
+  void emplace(F&& f) {
+    if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
+      *this = std::forward<F>(f);
+    } else {
+      reset();
+      construct(std::forward<F>(f));
     }
   }
 
@@ -89,6 +92,21 @@ class Callback {
       },
       [](void* p) { delete *static_cast<Fn**>(p); },
   };
+
+  template <typename F>
+  void construct(F&& f) {
+    using Fn = std::decay_t<F>;
+    static_assert(std::is_invocable_r_v<void, Fn&>);
+    if constexpr (sizeof(Fn) <= kInlineBytes &&
+                  alignof(Fn) <= alignof(std::max_align_t) &&
+                  std::is_nothrow_move_constructible_v<Fn>) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+      vt_ = &inlineVTable<Fn>;
+    } else {
+      *reinterpret_cast<Fn**>(buf_) = new Fn(std::forward<F>(f));
+      vt_ = &heapVTable<Fn>;
+    }
+  }
 
   void moveFrom(Callback& o) noexcept {
     vt_ = o.vt_;

@@ -10,7 +10,7 @@
 // behaves exactly like a plain (time, seq) engine.
 //
 // Lanes. `configureLanes(n)` gives each simulated node its own lane, i.e.
-// its own stamp counter. `at`/`after` schedule into the lane that is
+// its own stamp counter. `at` and `arm` schedule into the lane that is
 // executing (or the LaneGuard-pinned lane during setup); `atLane` posts
 // into another lane and models a cross-node network frame. Lanes never
 // change which events run, only how equal-time events tie-break. That tie
@@ -27,18 +27,24 @@
 // Storage: callbacks live in a free-list pool of event nodes (reused across
 // the run, so steady-state scheduling allocates nothing), and the priority
 // queue orders plain POD records — heap sifts move small PODs instead of
-// whole closures, and popping the top needs no const_cast. The pool grows
-// by fixed-size chunks that never move, so growing it neither copies the
-// nodes nor holds two arrays at once.
+// whole closures, and popping the top needs no const_cast. `at`, `atLane`
+// and `auxAt` construct each callback in its node, and the event runs it
+// there; the node returns to the free list only after the callback
+// returns. The pool grows by fixed-size chunks that never move, so growing
+// it neither copies the nodes nor holds two arrays at once.
 //
-// Delay lines. Events one lane schedules with `after(dt)` for one `dt` are
-// keyed in the order they are scheduled: now() never decreases and the
-// lane's stamps strictly increase. Each such (lane, dt) series is a FIFO
-// whose head alone sits in the heap; popping the head pushes its successor.
-// The heap's top is still the global minimum key, so every event runs, in
-// the same order, as if the whole series were in the heap. The transport's
-// retransmission timers (one RTO, armed per frame, almost all dead when they
-// fire) are what this keeps out of the heap.
+// Timer lines. A timer is armed with `arm(dt, owner, arg)` and runs
+// `owner.onTimer(arg)` as an ordinary real event, keyed exactly as
+// `at(now() + dt)` would key it: its stamp is drawn when it is armed. The
+// timers one lane arms for one (dt, owner) are keyed in the order they are
+// armed: now() never decreases and the lane's stamps strictly increase. So
+// each such series is a FIFO line of 24-byte {time, stamp, arg} entries
+// whose head alone sits in the heap; popping the head pushes its
+// successor. The heap's top is still the global minimum key, so every
+// timer runs, in the same order, as if the whole series were in the heap,
+// and a timer holds no pool node. The transport's retransmission timers
+// (one RTO, armed per frame, almost all dead when they fire) are what this
+// keeps out of the heap and the pool.
 #pragma once
 
 #include <algorithm>
@@ -52,6 +58,15 @@
 #include "support/check.hpp"
 
 namespace vodsm::sim {
+
+// Receives the events of the timer lines it arms (see the header comment).
+class TimerOwner {
+ public:
+  virtual void onTimer(uint64_t arg) = 0;
+
+ protected:
+  ~TimerOwner() = default;
+};
 
 class Engine {
  public:
@@ -84,44 +99,51 @@ class Engine {
     if (cur_lane_ >= nlanes_) cur_lane_ = 0;
   }
 
-  // Schedule `cb` at absolute time `t` (must be >= now()) in the lane that
+  // Schedule `f` at absolute time `t` (must be >= now()) in the lane that
   // is currently executing (or the LaneGuard-pinned lane during setup).
-  void at(Time t, Callback cb) {
-    schedule(t, cur_lane_, std::move(cb), false, kNone);
-  }
-
-  // Schedule `cb` `dt` after the engine's current time, in the executing
-  // lane. Same key, and so the same order, as `at(now() + dt, cb)`; the
-  // event waits in the (lane, dt) delay line until it is that line's head.
-  void after(Time dt, Callback cb) {
-    VODSM_DCHECK(dt >= 0);
-    const uint32_t line = lineFor(cur_lane_, dt);
-    Line& l = lines_[line];
-    if (!l.armed) {
-      l.armed = true;
-      schedule(now_ + dt, cur_lane_, std::move(cb), false, line);
-      return;
-    }
-    l.fifo.push_back(Entry{now_ + dt, nextStamp(cur_lane_), cur_lane_,
-                           cur_lane_, alloc(std::move(cb)), line});
-    ++real_pending_;
+  template <typename F>
+  void at(Time t, F&& f) {
+    schedule(t, cur_lane_, false, std::forward<F>(f));
   }
 
   // Schedule into another lane: the cross-node frame hop. The stamp comes
   // from the posting lane's counter.
-  void atLane(uint32_t lane, Time t, Callback cb) {
+  template <typename F>
+  void atLane(uint32_t lane, Time t, F&& f) {
     // Unconfigured engines (nlanes_ == 1) fold every lane into lane 0.
-    schedule(t, lane < nlanes_ ? lane : 0, std::move(cb), false, kNone);
+    schedule(t, lane < nlanes_ ? lane : 0, false, std::forward<F>(f));
+  }
+
+  // Arm a timer: `owner.onTimer(arg)` runs `dt` after the engine's current
+  // time, in the executing lane. Same key, and so the same order, as
+  // `at(now() + dt, ...)`; the timer waits in its (lane, dt, owner) line
+  // until it is that line's head. The owner must outlive its pending
+  // timers.
+  void arm(Time dt, TimerOwner& owner, uint64_t arg) {
+    VODSM_DCHECK(dt >= 0);
+    const uint32_t id = lineFor(cur_lane_, dt, owner);
+    Line& l = lines_[id];
+    const Timer timer{now_ + dt, nextStamp(cur_lane_), arg};
+    l.fifo.push_back(timer);
+    ++real_pending_;
+    if (!l.armed) {
+      l.armed = true;
+      push(Entry{timer.t, timer.stamp, cur_lane_, cur_lane_, kNone, id});
+    }
   }
 
   // Schedule an auxiliary (observer-only) event: it draws from a separate
   // stamp space, never delays engine termination, and trailing aux events
   // past the last real event are discarded. Aux callbacks must not mutate
   // simulated state or schedule real events.
-  void auxAt(Time t, Callback cb) {
-    schedule(t, cur_lane_, std::move(cb), true, kNone);
+  template <typename F>
+  void auxAt(Time t, F&& f) {
+    schedule(t, cur_lane_, true, std::forward<F>(f));
   }
-  void auxAfter(Time dt, Callback cb) { auxAt(now() + dt, std::move(cb)); }
+  template <typename F>
+  void auxAfter(Time dt, F&& f) {
+    auxAt(now() + dt, std::forward<F>(f));
+  }
 
   Time now() const { return now_; }
 
@@ -173,13 +195,15 @@ class Engine {
   // Pool slot s lives at chunks_[s / kChunkNodes][s % kChunkNodes].
   static constexpr uint32_t kChunkBits = 12;
   static constexpr uint32_t kChunkNodes = uint32_t{1} << kChunkBits;
+  // A heap record: a pool node's callback (`slot`), or the head of timer
+  // line `line`.
   struct Entry {
     Time t;
     uint64_t stamp;
     uint32_t origin;  // lane whose counter issued the stamp
     uint32_t lane;    // lane the event executes in
-    uint32_t slot;
-    uint32_t line;    // delay line the entry heads, or kNone
+    uint32_t slot;    // kNone for a timer line's head
+    uint32_t line;    // kNone for a callback
   };
   static_assert(sizeof(Entry) == 32, "the line index fits the padding");
   // Orders by time, then stamp, then origin lane; keys of distinct events
@@ -195,15 +219,25 @@ class Engine {
     uint64_t real = 0;
     uint64_t aux = 0;
   };
-  // One (lane, dt) series of `after` events, in key order. Its head is in
-  // the heap while `armed`; `fifo[next..]` waits behind it.
+  // One armed timer. Its lane is its line's.
+  struct Timer {
+    Time t;
+    uint64_t stamp;
+    uint64_t arg;
+  };
+  static_assert(sizeof(Timer) == 24, "a pending timer is three words");
+  // One (lane, dt, owner) series of timers, in key order. `fifo[next]` is
+  // in the heap while `armed`; `fifo[next + 1..]` waits behind it.
   struct Line {
-    std::vector<Entry> fifo;
+    std::vector<Timer> fifo;
     size_t next = 0;
+    TimerOwner* owner;
+    uint32_t lane;
     bool armed = false;
   };
   struct LineRef {
     Time dt;
+    TimerOwner* owner;
     uint32_t line;
   };
 
@@ -216,17 +250,15 @@ class Engine {
     return chunks_[slot >> kChunkBits][slot & (kChunkNodes - 1)];
   }
 
-  uint32_t alloc(Callback cb) {
-    uint32_t slot;
+  uint32_t alloc() {
     if (free_head_ != kNone) {
-      slot = free_head_;
+      const uint32_t slot = free_head_;
       free_head_ = node(slot).next_free;
-    } else {
-      slot = pool_size_++;
-      if ((slot & (kChunkNodes - 1)) == 0)
-        chunks_.push_back(std::make_unique<Node[]>(kChunkNodes));
+      return slot;
     }
-    node(slot).cb = std::move(cb);
+    const uint32_t slot = pool_size_++;
+    if ((slot & (kChunkNodes - 1)) == 0)
+      chunks_.push_back(std::make_unique<Node[]>(kChunkNodes));
     return slot;
   }
 
@@ -235,37 +267,47 @@ class Engine {
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
 
-  // A lane uses one or two delays, so a linear scan finds its line.
-  uint32_t lineFor(uint32_t lane, Time dt) {
+  // A lane arms timers for one or two (dt, owner) pairs, so a linear scan
+  // finds its line.
+  uint32_t lineFor(uint32_t lane, Time dt, TimerOwner& owner) {
     for (const LineRef& r : lane_lines_[lane])
-      if (r.dt == dt) return r.line;
-    const auto line = static_cast<uint32_t>(lines_.size());
-    lines_.emplace_back();
-    lane_lines_[lane].push_back(LineRef{dt, line});
-    return line;
+      if (r.dt == dt && r.owner == &owner) return r.line;
+    const auto id = static_cast<uint32_t>(lines_.size());
+    lines_.push_back(Line{{}, 0, &owner, lane, false});
+    lane_lines_[lane].push_back(LineRef{dt, &owner, id});
+    return id;
   }
 
-  // The line's head left the heap: its successor, if any, takes its place.
-  // The consumed prefix is dropped once it is half the buffer, so a line
-  // costs amortized O(1) per event, holds at most about twice its backlog,
-  // and is empty whenever nothing waits behind the head.
-  void advance(Line& l) {
+  // The line's head left the heap: returns its argument, and its successor,
+  // if any, takes its place. The consumed prefix is dropped once it is half
+  // the buffer, so a line costs amortized O(1) per timer, holds at most
+  // about twice its backlog, and is empty whenever nothing is pending.
+  uint64_t popLine(uint32_t id) {
+    Line& l = lines_[id];
+    const uint64_t arg = l.fifo[l.next++].arg;
     if (l.next == l.fifo.size()) {
+      l.fifo.clear();
+      l.next = 0;
       l.armed = false;
-      return;
+      return arg;
     }
-    push(l.fifo[l.next++]);
+    const Timer& head = l.fifo[l.next];
+    push(Entry{head.t, head.stamp, l.lane, l.lane, kNone, id});
     if (2 * l.next >= l.fifo.size()) {
       l.fifo.erase(l.fifo.begin(),
                    l.fifo.begin() + static_cast<std::ptrdiff_t>(l.next));
       l.next = 0;
     }
+    return arg;
   }
 
-  void schedule(Time t, uint32_t lane, Callback cb, bool aux, uint32_t line) {
+  template <typename F>
+  void schedule(Time t, uint32_t lane, bool aux, F&& f) {
     VODSM_DCHECK(t >= now_);
+    const uint32_t slot = alloc();
+    node(slot).cb.emplace(std::forward<F>(f));
     push(Entry{t, aux ? nextAuxStamp(cur_lane_) : nextStamp(cur_lane_),
-               cur_lane_, lane, alloc(std::move(cb)), line});
+               cur_lane_, lane, slot, kNone});
     if (!aux) ++real_pending_;
   }
 
@@ -276,7 +318,6 @@ class Engine {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     const Entry ev = heap_.back();
     heap_.pop_back();
-    if (ev.line != kNone) advance(lines_[ev.line]);
     VODSM_DCHECK(ev.t >= now_);
     now_ = ev.t;
     cur_lane_ = ev.lane;
@@ -288,14 +329,19 @@ class Engine {
       s.real = std::max(s.real, ev.stamp + 1);
       --real_pending_;
     }
-    // Move the callback out before running it: the callback may schedule
-    // new events, which may reuse this node's slot.
+    if (ev.line != kNone) {
+      // The owner may arm timers on new lines, which moves lines_.
+      TimerOwner* owner = lines_[ev.line].owner;
+      owner->onTimer(popLine(ev.line));
+      return 1;
+    }
+    // The node stays taken while its callback runs (chunks never move), so
+    // the events it schedules cannot reuse it.
     Node& n = node(ev.slot);
-    Callback cb = std::move(n.cb);
+    n.cb();
     n.cb.reset();
     n.next_free = free_head_;
     free_head_ = ev.slot;
-    cb();
     return aux ? 2 : 1;
   }
 
@@ -313,8 +359,8 @@ class Engine {
   uint32_t nlanes_ = 1;
   std::vector<LaneSeq> seqs_ = std::vector<LaneSeq>(1);
 
-  // Delay lines (see the header comment), created on first use of a
-  // (lane, dt) pair; lane_lines_[lane] maps each dt to its line.
+  // Timer lines (see the header comment), created on first use of a
+  // (lane, dt, owner); lane_lines_[lane] maps each (dt, owner) to its line.
   std::vector<Line> lines_;
   std::vector<std::vector<LineRef>> lane_lines_ =
       std::vector<std::vector<LineRef>>(1);

@@ -2,9 +2,10 @@
 //
 // All wire formats in the DSM and msg layers are built from these two
 // primitives: Writer appends fixed-width little-endian integers and raw byte
-// ranges; Reader consumes them with bounds checking.
+// ranges through a cursor; Reader consumes them with bounds checking.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -19,11 +20,21 @@ using Bytes = std::vector<std::byte>;
 using ByteSpan = std::span<const std::byte>;
 using MutByteSpan = std::span<std::byte>;
 
-// Appends primitive values to a growable byte buffer.
+// Appends primitive values through a cursor. A Writer either owns a
+// growable buffer (default or `reserve` constructor; `take()` returns it)
+// or writes into a caller's span that must hold everything written (the
+// encoder sizes each message first and writes into its payload block).
 class Writer {
  public:
   Writer() = default;
-  explicit Writer(size_t reserve) { buf_.reserve(reserve); }
+  explicit Writer(size_t reserve) { grow(reserve); }
+  explicit Writer(MutByteSpan out)
+      : begin_(out.data()),
+        pos_(out.data()),
+        end_(out.data() + out.size()),
+        owns_(false) {}
+  Writer(const Writer&) = delete;
+  Writer& operator=(const Writer&) = delete;
 
   void u8(uint8_t v) { appendRaw(&v, 1); }
   void u16(uint16_t v) { appendLe(v); }
@@ -35,11 +46,15 @@ class Writer {
     std::memcpy(&bits, &v, sizeof(bits));
     appendLe(bits);
   }
-  void bytes(ByteSpan b) { appendRaw(b.data(), b.size()); }
+  void bytes(ByteSpan b) {
+    if (!b.empty()) appendRaw(b.data(), b.size());
+  }
 
   // Pre-size for `n` further bytes so hot serialization paths (diff-heavy
   // messages) append without intermediate reallocations.
-  void reserveMore(size_t n) { buf_.reserve(buf_.size() + n); }
+  void reserveMore(size_t n) {
+    if (n > static_cast<size_t>(end_ - pos_)) grow(n);
+  }
 
   // Length-prefixed byte range.
   void blob(ByteSpan b) {
@@ -47,9 +62,16 @@ class Writer {
     bytes(b);
   }
 
-  size_t size() const { return buf_.size(); }
-  Bytes take() { return std::move(buf_); }
-  ByteSpan view() const { return buf_; }
+  size_t size() const { return static_cast<size_t>(pos_ - begin_); }
+  // The owned buffer, trimmed to what was written; the writer is empty
+  // afterwards.
+  Bytes take() {
+    VODSM_CHECK(owns_);
+    buf_.resize(size());
+    begin_ = pos_ = end_ = nullptr;
+    return std::move(buf_);
+  }
+  ByteSpan view() const { return ByteSpan(begin_, size()); }
 
  private:
   template <typename T>
@@ -59,11 +81,27 @@ class Writer {
     appendRaw(&v, sizeof(T));
   }
   void appendRaw(const void* p, size_t n) {
-    const auto* b = static_cast<const std::byte*>(p);
-    buf_.insert(buf_.end(), b, b + n);
+    if (n > static_cast<size_t>(end_ - pos_)) grow(n);
+    std::memcpy(pos_, p, n);
+    pos_ += n;
+  }
+  // Room for `n` more bytes in the owned buffer, at least doubling it.
+  void grow(size_t n) {
+    VODSM_CHECK_MSG(owns_, "message overruns its buffer by "
+                               << n - static_cast<size_t>(end_ - pos_)
+                               << " bytes");
+    const size_t used = size();
+    buf_.resize(std::max(used + n, 2 * buf_.size()));
+    begin_ = buf_.data();
+    pos_ = begin_ + used;
+    end_ = begin_ + buf_.size();
   }
 
-  Bytes buf_;
+  Bytes buf_;  // the owned buffer; its size is the capacity
+  std::byte* begin_ = nullptr;
+  std::byte* pos_ = nullptr;
+  std::byte* end_ = nullptr;
+  bool owns_ = true;
 };
 
 // Consumes primitive values from a byte range, with bounds checks.

@@ -2,7 +2,13 @@
 //
 // VODSM_CHECK   — invariant that must hold regardless of build type; throws
 //                 vodsm::Error so API misuse is testable.
+// VODSM_CHECK_MSG — the same, with a message streamed from `msg`.
 // VODSM_DCHECK  — debug-only assertion for internal invariants.
+//
+// A failing check builds its message in a cold, out-of-line function. The
+// stream lives there, not at the check: GCC keeps every block-scope local
+// of a coroutine in the coroutine's frame, so a stream declared at each
+// check would make every protocol coroutine's frame kilobytes larger.
 #pragma once
 
 #include <sstream>
@@ -27,23 +33,38 @@ namespace detail {
   throw Error(os.str());
 }
 
+[[noreturn, gnu::cold, gnu::noinline]] inline void failCheck(const char* expr,
+                                                          const char* file,
+                                                          int line) {
+  failCheck(expr, file, line, std::string());
+}
+
+// `write(os)` streams the message.
+template <typename Write>
+[[noreturn, gnu::cold, gnu::noinline]] void failCheckWith(const char* expr,
+                                                          const char* file,
+                                                          int line,
+                                                          const Write& write) {
+  std::ostringstream os;
+  write(os);
+  failCheck(expr, file, line, os.str());
+}
+
 }  // namespace detail
 }  // namespace vodsm
 
 #define VODSM_CHECK(expr)                                             \
   do {                                                                \
     if (!(expr))                                                      \
-      ::vodsm::detail::failCheck(#expr, __FILE__, __LINE__, "");      \
+      ::vodsm::detail::failCheck(#expr, __FILE__, __LINE__);          \
   } while (0)
 
 #define VODSM_CHECK_MSG(expr, msg)                                    \
   do {                                                                \
-    if (!(expr)) {                                                    \
-      std::ostringstream vodsm_os_;                                   \
-      vodsm_os_ << msg;                                               \
-      ::vodsm::detail::failCheck(#expr, __FILE__, __LINE__,           \
-                                 vodsm_os_.str());                    \
-    }                                                                 \
+    if (!(expr))                                                      \
+      ::vodsm::detail::failCheckWith(                                 \
+          #expr, __FILE__, __LINE__,                                  \
+          [&](std::ostream& vodsm_os_) { vodsm_os_ << msg; });        \
   } while (0)
 
 #ifdef NDEBUG

@@ -52,7 +52,7 @@ TEST(Smoke, TransportRequestReply) {
       [](net::Endpoint& ep, bool& done_flag) -> sim::Task<void> {
         auto r = co_await ep.request(1, 42, net::share(Bytes{}), 0);
         EXPECT_EQ(r.type, 43);
-        Reader rd(*r.payload);
+        Reader rd(r.payload.bytes());
         EXPECT_EQ(rd.u32(), 7u);
         done_flag = true;
       }(a, done));

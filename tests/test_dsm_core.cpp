@@ -414,7 +414,7 @@ TEST(TreeBarrier, ForwardsTheReleaseBufferItReceived) {
   const std::byte* forwarded = nullptr;
   child.setHandler([&](net::Delivery&& d, const net::ReplyToken&) {
     ASSERT_EQ(d.type, dsm::kBarrRelease);
-    forwarded = d.payload->data();
+    forwarded = d.payload.data();
   });
   bool passed = false;
   sim::spawn([](dsm::Runtime& rt, bool& done) -> sim::Task<void> {
@@ -427,7 +427,7 @@ TEST(TreeBarrier, ForwardsTheReleaseBufferItReceived) {
   engine.run();
   EXPECT_TRUE(passed);
   ASSERT_TRUE(release);
-  EXPECT_EQ(forwarded, release->data());
+  EXPECT_EQ(forwarded, release.data());
 }
 
 }  // namespace

@@ -388,7 +388,7 @@ TEST(FaultTransport, InterleavedPostsDeliverOnceUnderDupAndReorder) {
     constexpr uint32_t kPosts = 400;
     std::vector<int> got(kPosts, 0);
     auto receive = [&got](Delivery&& d, const ReplyToken&) {
-      got[Reader(*d.payload).u32()]++;
+      got[Reader(d.payload.bytes()).u32()]++;
     };
     n1.setHandler(receive);
     n2.setHandler(receive);

@@ -2,6 +2,7 @@
 // integration, page store, vector clocks, view map.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 
@@ -305,6 +306,76 @@ TEST(PageStore, TwinLifecycle) {
   EXPECT_EQ(d.runs()[0].offset, 0u);
   store.dropTwin(0);
   EXPECT_FALSE(store.hasTwin(0));
+}
+
+// A page's state is one byte: the access state and a has-twin bit. Access
+// changes keep the twin, and twin changes keep the access.
+TEST(PageStore, AccessAndTwinShareOneByte) {
+  mem::PageStore store(3 * kPageSize);
+  for (mem::PageId p = 0; p < 3; ++p) {
+    EXPECT_EQ(store.access(p), mem::Access::kNone);
+    EXPECT_FALSE(store.hasTwin(p));
+  }
+  store.setAccess(1, mem::Access::kRead);
+  store.makeTwin(1);
+  EXPECT_EQ(store.access(1), mem::Access::kRead);
+  store.setAccess(1, mem::Access::kWrite);
+  EXPECT_TRUE(store.hasTwin(1));
+  EXPECT_EQ(store.access(1), mem::Access::kWrite);
+  store.setAccess(1, mem::Access::kNone);
+  EXPECT_TRUE(store.hasTwin(1));
+  store.setAccess(1, mem::Access::kRead);
+  store.dropTwin(1);
+  EXPECT_FALSE(store.hasTwin(1));
+  EXPECT_EQ(store.access(1), mem::Access::kRead);
+  store.dropTwin(1);  // no twin: a no-op
+  EXPECT_FALSE(store.hasTwin(1));
+  // The neighbours never moved.
+  EXPECT_EQ(store.access(0), mem::Access::kNone);
+  EXPECT_EQ(store.access(2), mem::Access::kNone);
+  EXPECT_FALSE(store.hasTwin(0));
+  EXPECT_FALSE(store.hasTwin(2));
+}
+
+// Twins live in a side table keyed by page. Many twins at once, dropped
+// and remade in a scrambled order, each keep their own page's snapshot.
+TEST(PageStore, ManyTwinsKeepTheirSnapshots) {
+  constexpr mem::PageId kPages = 600;
+  mem::PageStore store(kPages * kPageSize);
+  auto stamp = [&store](mem::PageId p, uint8_t round) {
+    std::fill_n(store.page(p).begin(), 16,
+                static_cast<std::byte>((p * 7 + round) & 0xff));
+  };
+  auto twinHolds = [&store](mem::PageId p, uint8_t round) {
+    const ByteSpan t = store.twin(p);
+    return std::all_of(t.begin(), t.begin() + 16, [&](std::byte b) {
+      return b == static_cast<std::byte>((p * 7 + round) & 0xff);
+    });
+  };
+  std::vector<uint8_t> round(kPages, 0);
+  for (mem::PageId p = 0; p < kPages; ++p) {
+    stamp(p, 0);
+    store.makeTwin(p);
+    store.setAccess(p, mem::Access::kWrite);
+  }
+  sim::Rng rng(23);
+  for (int step = 0; step < 3000; ++step) {
+    const auto p = static_cast<mem::PageId>(rng.below(kPages));
+    if (store.hasTwin(p)) {
+      ASSERT_TRUE(twinHolds(p, round[p])) << "page " << p;
+      store.dropTwin(p);
+    } else {
+      stamp(p, ++round[p]);
+      store.makeTwin(p);
+    }
+    EXPECT_EQ(store.access(p), mem::Access::kWrite);
+  }
+  for (mem::PageId p = 0; p < kPages; ++p) {
+    if (!store.hasTwin(p)) continue;
+    ASSERT_TRUE(twinHolds(p, round[p])) << "page " << p;
+    // The page still equals its twin, so its diff is empty.
+    EXPECT_TRUE(store.diffAgainstTwin(p).empty()) << "page " << p;
+  }
 }
 
 TEST(PageStore, SizeRoundsToPages) {

@@ -1,6 +1,9 @@
 // Unit tests for the network model and the reliable transport.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "net/faults.hpp"
@@ -9,6 +12,32 @@
 #include "net/transport.hpp"
 #include "obs/trace.hpp"
 #include "sim/task.hpp"
+
+// Global operator new, replaced to count calls while `g_count_news` is set
+// (Transport.LosslessPostMakesOneAllocation). The replacements stay out of
+// line: inlined into a caller, GCC pairs the builtin `new` with the `free`
+// below and warns about a mismatch.
+namespace {
+bool g_count_news = false;
+size_t g_news = 0;
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  if (g_count_news) ++g_news;
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new[](std::size_t n) {
+  return ::operator new(n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace vodsm::net {
 namespace {
@@ -191,7 +220,7 @@ TEST(Transport, RequestReplySurvivesLoss) {
     sim::spawn([](Endpoint& ep, int& done) -> sim::Task<void> {
       auto r = co_await ep.request(1, 5, share(Bytes(64)), 0);
       EXPECT_EQ(r.type, 6);
-      EXPECT_EQ(r.payload->size(), 64u);
+      EXPECT_EQ(r.payload.size(), 64u);
       done++;
     }(p.a, completed));
   }
@@ -215,7 +244,7 @@ void requestInSequence(Endpoint& client, int n, int& completed) {
     for (int i = 0; i < count; ++i) {
       auto r = co_await ep.request(1, 5, share(Bytes(16)), 0);
       EXPECT_EQ(r.type, 6);
-      EXPECT_EQ(r.payload->size(), 64u);
+      EXPECT_EQ(r.payload.size(), 64u);
       done++;
     }
   }(client, n, completed));
@@ -301,11 +330,11 @@ TEST(Transport, PostDeliversTheSendersBuffer) {
     const Payload sent = share(Bytes(100));
     const std::byte* got = nullptr;
     p.b.setHandler(
-        [&](Delivery&& d, const ReplyToken&) { got = d.payload->data(); });
+        [&](Delivery&& d, const ReplyToken&) { got = d.payload.data(); });
     p.a.post(1, 9, sent, 0);
     p.engine.run();
     EXPECT_EQ(p.events(obs::Cat::kRetransmit, 0).size(), drop_first ? 1u : 0u);
-    EXPECT_EQ(got, sent->data()) << "drop_first=" << drop_first;
+    EXPECT_EQ(got, sent.data()) << "drop_first=" << drop_first;
   }
 }
 
@@ -322,11 +351,11 @@ TEST(Transport, ReplyResentFromTheCacheIsTheRespondersBuffer) {
   const std::byte* got = nullptr;
   sim::spawn([](Endpoint& ep, const std::byte*& out) -> sim::Task<void> {
     Delivery r = co_await ep.request(1, 5, share(Bytes(16)), 0);
-    out = r.payload->data();
+    out = r.payload.data();
   }(p.a, got));
   p.engine.run();
   EXPECT_EQ(p.events(obs::Cat::kRetransmit, 1).size(), 1u);
-  EXPECT_EQ(got, answer->data());
+  EXPECT_EQ(got, answer.data());
 }
 
 // Every frame is charged the datagram it stands for: a 15-byte header (kind,
@@ -402,7 +431,7 @@ TEST(Transport, RequestAllOverlapsRoundTrips) {
       calls.push_back(RpcCall{n, 0, share(Bytes(50))});
     auto results = co_await requestAll(ep, std::move(calls), 0);
     EXPECT_EQ(results.size(), 3u);
-    for (auto& r : results) EXPECT_EQ(r.payload->size(), 2000u);
+    for (auto& r : results) EXPECT_EQ(r.payload.size(), 2000u);
     done = eng.now();
   }(a, e, finished));
   e.run();
@@ -426,7 +455,7 @@ TEST(Transport, InterleavedPostsKeepNoDedupState) {
   std::vector<int> got(kPosts, 0);
   auto receive = [&got](NodeId self) {
     return [&got, self](Delivery&& d, const ReplyToken&) {
-      const uint32_t i = Reader(*d.payload).u32();
+      const uint32_t i = Reader(d.payload.bytes()).u32();
       EXPECT_EQ(1 + i % 2, self);
       got[i]++;
     };
@@ -443,6 +472,156 @@ TEST(Transport, InterleavedPostsKeepNoDedupState) {
   EXPECT_EQ(n1.seenFrom(0).outOfOrder(), 0u);
   EXPECT_EQ(n2.seenFrom(0).outOfOrder(), 0u);
   EXPECT_EQ(net.stats().retransmissions, 0u);
+}
+
+// Acks that arrive out of order settle their own frames: the ring keeps
+// the frames still owed, holes and all. Node 1's acks are dropped, and
+// resent by hand in a scrambled order well inside one RTO.
+TEST(Transport, AcksSettleOutOfOrder) {
+  Pair p;
+  FaultInjector faults(parseFaultPlan("burst:from=1,to=0,count=5"), 1, 2);
+  p.net.setFaults(&faults);
+  int got = 0;
+  p.b.setHandler([&](Delivery&&, const ReplyToken&) { got++; });
+  for (int i = 0; i < 5; ++i) p.a.post(1, 9, share(Bytes(10)), 0);
+  std::vector<size_t> owed;
+  const uint64_t order[] = {3, 1, 4, 0, 2};
+  for (int k = 0; k < 5; ++k) {
+    const sim::Time t = sim::msec(10 * (k + 1));
+    p.engine.at(t, [&p, seq = order[k]] {
+      p.net.send(1, 0, Frame{FrameKind::kAck, 0, seq, nullptr},
+                 p.engine.now());
+    });
+    p.engine.at(t + sim::msec(5), [&] { owed.push_back(p.a.owedTo(1)); });
+  }
+  p.engine.run();
+  EXPECT_EQ(got, 5);
+  EXPECT_EQ(faults.droppedBy(0), 5u);
+  EXPECT_EQ(owed, (std::vector<size_t>{4, 3, 2, 1, 0}));
+  EXPECT_EQ(p.net.stats().retransmissions, 0u);
+}
+
+// A lost ack: the sender resends after one RTO, the receiver drops the
+// duplicate but acks it, and that ack settles the frame.
+TEST(Transport, LostAckIsSettledByTheDuplicatesAck) {
+  Pair p;
+  FaultInjector faults(parseFaultPlan("burst:from=1,to=0,count=1"), 1, 2);
+  p.net.setFaults(&faults);
+  int got = 0;
+  p.b.setHandler([&](Delivery&&, const ReplyToken&) { got++; });
+  p.a.post(1, 9, share(Bytes(10)), 0);
+  p.engine.run();
+  EXPECT_EQ(got, 1);
+  EXPECT_EQ(p.net.stats().retransmissions, 1u);
+  EXPECT_EQ(p.net.stats().acks, 2u);
+  EXPECT_EQ(p.events(obs::Cat::kRetransmit, 0).size(), 1u);
+  EXPECT_EQ(p.a.owedTo(1), 0u);
+  // The resend's timer still ran, dead, one RTO after the resend.
+  EXPECT_EQ(p.engine.now(), 2 * p.cfg.rto);
+}
+
+// Posts and requests share one connection's sequence numbers. Node 1 acks
+// posts at once and answers requests 5 ms later, so the posts settle
+// between requests that are still owed.
+TEST(Transport, PostsAndRequestsInterleaveOnOneConnection) {
+  Pair p;
+  int posts = 0;
+  p.b.setHandler([&](Delivery&& d, const ReplyToken& tok) {
+    if (d.type == 5)
+      p.b.reply(tok, 6, share(Bytes(8)), d.arrive + sim::msec(5));
+    else
+      posts++;
+  });
+  int replies = 0;
+  for (int i = 0; i < 6; ++i) {
+    p.a.post(1, 9, share(Bytes(10)), 0);
+    sim::spawn([](Endpoint& ep, int& done) -> sim::Task<void> {
+      Delivery r = co_await ep.request(1, 5, share(Bytes(10)), 0);
+      EXPECT_EQ(r.type, 6);
+      done++;
+    }(p.a, replies));
+  }
+  EXPECT_EQ(p.a.owedTo(1), 12u);
+  size_t owed_mid = 0;
+  p.engine.at(sim::msec(3), [&] { owed_mid = p.a.owedTo(1); });
+  p.engine.run();
+  EXPECT_EQ(owed_mid, 6u);  // every other number: the requests
+  EXPECT_EQ(posts, 6);
+  EXPECT_EQ(replies, 6);
+  EXPECT_EQ(p.a.owedTo(1), 0u);
+  EXPECT_EQ(p.net.stats().retransmissions, 0u);
+}
+
+// A partition holds every frame sent across it owed for one RTO, far more
+// than the ring's first capacity; it grows, and every frame is resent and
+// delivered once after the partition heals.
+TEST(Transport, PartitionGrowsTheRing) {
+  Pair p;
+  FaultInjector faults(parseFaultPlan("partition:nodes=1,t0=0,t1=0.5"), 1, 2);
+  p.net.setFaults(&faults);
+  std::vector<int> got(100, 0);
+  p.b.setHandler([&](Delivery&& d, const ReplyToken&) {
+    got[Reader(d.payload.bytes()).u32()]++;
+  });
+  for (uint32_t i = 0; i < 100; ++i) {
+    Writer w;
+    w.u32(i);
+    p.a.post(1, 9, share(w.take()), sim::usec(100) * i);
+  }
+  size_t owed_mid = 0;
+  p.engine.at(sim::msec(500), [&] { owed_mid = p.a.owedTo(1); });
+  p.engine.run();
+  EXPECT_EQ(owed_mid, 100u);
+  for (uint32_t i = 0; i < 100; ++i) EXPECT_EQ(got[i], 1) << "post " << i;
+  EXPECT_EQ(p.net.stats().retransmissions, 100u);
+  EXPECT_EQ(p.a.owedTo(1), 0u);
+}
+
+// A request's timer outlives its reply and fires dead: nothing is resent,
+// but the timer is still an event, and the run ends at it.
+TEST(Transport, RpcTimerAfterItsReplyIsDead) {
+  Pair p;
+  int served = 0, completed = 0;
+  serveEcho(p.b, served);
+  requestInSequence(p.a, 1, completed);
+  p.engine.run();
+  EXPECT_EQ(completed, 1);
+  EXPECT_EQ(p.net.stats().retransmissions, 0u);
+  EXPECT_EQ(p.a.owedTo(1), 0u);
+  EXPECT_EQ(p.engine.now(), p.cfg.rto);
+}
+
+// A payload of `n` bytes, built in its block: one allocation.
+Payload filled(size_t n) {
+  return Payload::make(n, [](MutByteSpan out) {
+    std::fill(out.begin(), out.end(), std::byte{7});
+  });
+}
+
+// Once the engine's pool and heap, the timer line and the ring have grown
+// to the load, a lossless post makes exactly one heap allocation: its
+// payload block. The frame, its hops, the kept copy for a resend, the
+// timer, the ack and the delivery allocate nothing.
+TEST(Transport, LosslessPostMakesOneAllocation) {
+  Pair p;
+  p.a.setTrace(nullptr);
+  p.b.setTrace(nullptr);
+  int got = 0;
+  p.b.setHandler([&got](Delivery&&, const ReplyToken&) { got++; });
+  constexpr int kMessages = 200;
+  auto postAll = [&p] {
+    for (int i = 0; i < kMessages; ++i)
+      p.a.post(1, 9, filled(32), p.engine.now());
+    p.engine.run();
+  };
+  postAll();  // warm up
+  g_news = 0;
+  g_count_news = true;
+  postAll();
+  g_count_news = false;
+  EXPECT_EQ(got, 2 * kMessages);
+  EXPECT_EQ(g_news, static_cast<size_t>(kMessages));
+  EXPECT_EQ(p.net.stats().retransmissions, 0u);
 }
 
 TEST(Transport, StatsCountPayloadBytes) {

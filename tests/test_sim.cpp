@@ -39,7 +39,7 @@ TEST(Engine, CallbacksCanScheduleMore) {
   Engine e;
   int fired = 0;
   std::function<void()> chain = [&] {
-    if (++fired < 5) e.after(10, chain);
+    if (++fired < 5) e.at(e.now() + 10, chain);
   };
   e.at(0, chain);
   e.run();
@@ -174,14 +174,49 @@ TEST(Engine, LaneKeysFixTieOrder) {
   }
 }
 
-// A seeded random program on 4 lanes. Its callbacks schedule more events
-// with two timer delays, `at`, `atLane` and `auxAt`; the timers are armed
-// with `after(dt)` (delay lines) or with `at(now() + dt)` (the heap). Every
-// real event logs (id, now(), lane), where ids count scheduling calls and
-// lane is the lane the event was scheduled to run in.
+// Timers armed on two owners' lines in one lane, and timers and events of
+// two lanes at one time, run in (stamp, origin) order like any event.
+TEST(Engine, TimerLinesTieBreakLikeEvents) {
+  struct Owner : TimerOwner {
+    Owner(std::vector<std::string>& log, const char* name)
+        : log(log), name(name) {}
+    void onTimer(uint64_t arg) override {
+      log.push_back(name + std::string(":") + std::to_string(arg));
+    }
+    std::vector<std::string>& log;
+    const char* name;
+  };
+  std::vector<std::string> order;
+  Owner a(order, "a"), b(order, "b");
+  Engine e;
+  e.configureLanes(2);
+  {
+    Engine::LaneGuard g(e, 1);
+    e.arm(10, a, 0);  // lane 1, stamp 0
+    e.arm(10, b, 1);  // lane 1, stamp 1
+    e.at(10, [&order] { order.emplace_back("event"); });  // stamp 2
+    e.arm(10, a, 2);  // lane 1, stamp 3: behind stamp 0 on a's line
+  }
+  {
+    Engine::LaneGuard g(e, 0);
+    e.arm(10, b, 3);  // lane 0, stamp 0
+    e.arm(10, a, 4);  // lane 0, stamp 1
+  }
+  EXPECT_EQ(e.pending(), 6u);
+  EXPECT_EQ(e.run(), 6u);
+  EXPECT_EQ(order, (std::vector<std::string>{"b:3", "a:0", "a:4", "b:1",
+                                             "event", "a:2"}));
+  EXPECT_EQ(e.now(), 10);
+}
+
+// A seeded random program on 4 lanes. Its events schedule more events with
+// two timer delays, `at`, `atLane` and `auxAt`; the timers are armed on
+// timer lines (two owners per lane, so four lines) or scheduled with
+// `at(now() + dt)` on the heap. Every real event logs (id, now(), lane),
+// where ids count scheduling calls and lane is the lane the event was
+// scheduled to run in.
 struct RandomProgram {
-  explicit RandomProgram(bool timers_via_after)
-      : timers_via_after(timers_via_after) {
+  explicit RandomProgram(bool timer_lines) : timer_lines(timer_lines) {
     e.configureLanes(4);
     for (uint32_t lane = 0; lane < 4; ++lane) {
       Engine::LaneGuard g(e, lane);
@@ -193,44 +228,59 @@ struct RandomProgram {
   static constexpr Time kShort = 7;
   static constexpr Time kLong = 300;
 
+  // A timer's argument is (id, lane).
+  struct Owner : TimerOwner {
+    explicit Owner(RandomProgram& p) : p(p) {}
+    void onTimer(uint64_t arg) override {
+      p.run(static_cast<int>(arg >> 32), static_cast<uint32_t>(arg));
+    }
+    RandomProgram& p;
+  };
+
   Callback event(uint32_t lane) {
     const int id = next_id++;
-    return [this, id, lane] {
-      log.emplace_back(id, e.now(), lane);
-      for (uint64_t n = 1 + rng.below(2); n > 0 && budget > 0; --n, --budget) {
-        switch (rng.below(5)) {
-          case 0:
-            timer(kShort, lane);
-            break;
-          case 1:
-            timer(kLong, lane);
-            break;
-          case 2:  // small offsets make equal-time ties common
-            e.at(e.now() + static_cast<Time>(rng.below(4)), event(lane));
-            break;
-          case 3: {
-            const auto dst = static_cast<uint32_t>(rng.below(4));
-            e.atLane(dst, e.now() + static_cast<Time>(rng.below(10)),
-                     event(dst));
-            break;
-          }
-          default:
-            e.auxAt(e.now() + static_cast<Time>(rng.below(10)),
-                    [this] { aux_log.push_back(e.now()); });
+    return [this, id, lane] { run(id, lane); };
+  }
+
+  void run(int id, uint32_t lane) {
+    log.emplace_back(id, e.now(), lane);
+    for (uint64_t n = 1 + rng.below(2); n > 0 && budget > 0; --n, --budget) {
+      switch (rng.below(5)) {
+        case 0:
+          timer(kShort, lane);
+          break;
+        case 1:
+          timer(kLong, lane);
+          break;
+        case 2:  // small offsets make equal-time ties common
+          e.at(e.now() + static_cast<Time>(rng.below(4)), event(lane));
+          break;
+        case 3: {
+          const auto dst = static_cast<uint32_t>(rng.below(4));
+          e.atLane(dst, e.now() + static_cast<Time>(rng.below(10)),
+                   event(dst));
+          break;
         }
+        default:
+          e.auxAt(e.now() + static_cast<Time>(rng.below(10)),
+                  [this] { aux_log.push_back(e.now()); });
       }
-    };
+    }
   }
 
   void timer(Time dt, uint32_t lane) {
-    if (timers_via_after)
-      e.after(dt, event(lane));
-    else
+    if (!timer_lines) {
       e.at(e.now() + dt, event(lane));
+      return;
+    }
+    const int id = next_id++;
+    e.arm(dt, owners[static_cast<size_t>(id) % 2],
+          uint64_t{static_cast<uint32_t>(id)} << 32 | lane);
   }
 
   Engine e;
-  bool timers_via_after;
+  bool timer_lines;
+  Owner owners[2] = {Owner(*this), Owner(*this)};
   Rng rng{2005};
   int next_id = 0;
   int budget = 4000;  // further events the callbacks may schedule
@@ -238,12 +288,12 @@ struct RandomProgram {
   std::vector<Time> aux_log;
 };
 
-// Delay lines change where `after` events wait, never their keys: the same
-// program runs the same events at the same times in the same order, and
-// the engine reports the same pending counts along the way.
-TEST(Engine, AfterMatchesAt) {
-  RandomProgram lines(/*timers_via_after=*/true);
-  RandomProgram heap(/*timers_via_after=*/false);
+// Timer lines change where timers wait, never their keys: the same program
+// runs the same events at the same times in the same order, and the engine
+// reports the same pending counts along the way.
+TEST(Engine, TimerLinesMatchAt) {
+  RandomProgram lines(/*timer_lines=*/true);
+  RandomProgram heap(/*timer_lines=*/false);
   for (int i = 0; i < 20; ++i) {
     EXPECT_FALSE(lines.e.runBounded(97));
     EXPECT_FALSE(heap.e.runBounded(97));
@@ -257,6 +307,22 @@ TEST(Engine, AfterMatchesAt) {
   EXPECT_EQ(lines.aux_log, heap.aux_log);
   EXPECT_EQ(lines.e.now(), heap.e.now());
   EXPECT_FALSE(lines.aux_log.empty());
+}
+
+// A callback runs in its pool node, and the node is freed only after the
+// callback returns: an event it schedules gets another node, so the
+// running capture is intact when the callback reads it afterwards.
+TEST(Engine, CallbackRunsInItsNode) {
+  Engine e;
+  std::vector<std::string> seen;
+  e.at(1, [&e, &seen, tag = std::string("first event's capture")] {
+    e.at(1, [&seen] { seen.emplace_back("second"); });
+    e.at(2, [&seen] { seen.emplace_back("third"); });
+    seen.push_back(tag);
+  });
+  EXPECT_EQ(e.run(), 3u);
+  EXPECT_EQ(seen, (std::vector<std::string>{"first event's capture", "second",
+                                            "third"}));
 }
 
 // The callback pool grows in fixed-size chunks. Thousands of events in

@@ -2,6 +2,9 @@
 // concurrency, determinism, merge_views, per-protocol invariants.
 #include <gtest/gtest.h>
 
+#include <regex>
+#include <string>
+
 #include "vopp/cluster.hpp"
 
 namespace vodsm {
@@ -35,6 +38,44 @@ void expectVoppError(Protocol proto, const std::string& needle, Body body,
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
         << "actual: " << e.what();
   }
+}
+
+// A failed check's message is built out of line (support/check.hpp), with
+// the same text: the expression, where it failed, and the streamed detail.
+TEST(CheckMessage, FullTextIsKept) {
+  const int want = 4, have = 1;
+  int line = 0;
+  std::string text;
+  try {
+    line = __LINE__ + 1;
+    VODSM_CHECK_MSG(have >= want, "want " << want << ", have " << have);
+  } catch (const Error& e) {
+    text = e.what();
+  }
+  EXPECT_EQ(text, std::string("check failed: have >= want at ") + __FILE__ +
+                      ":" + std::to_string(line) + ": want 4, have 1");
+}
+
+// The same inside a protocol coroutine: a nested acquire's full message.
+TEST(CheckMessage, CoroutineCheckKeepsItsText) {
+  vopp::Cluster cluster(opts(Protocol::kVcSd, 2));
+  const dsm::ViewId a = cluster.defineView(64);
+  const dsm::ViewId b = cluster.defineView(64);
+  std::string text;
+  try {
+    cluster.run([&](vopp::Node& node) -> sim::Task<void> {
+      if (node.id() != 0) co_return;
+      co_await node.acquireView(a);
+      co_await node.acquireView(b);
+    });
+  } catch (const Error& e) {
+    text = e.what();
+  }
+  EXPECT_TRUE(std::regex_match(
+      text, std::regex("check failed: !write_held_\\.has_value\\(\\) at "
+                       ".*vc\\.cpp:[0-9]+: acquire_view\\(1\\) nested "
+                       "inside acquire_view\\(0\\)")))
+      << text;
 }
 
 class VcApiTest : public ::testing::TestWithParam<Protocol> {};
