@@ -9,7 +9,8 @@
 // pays for view coherence where MPI's allreduce pipelines the same bytes
 // with no control messages, and (b) the barrier episodes that VOPP needs to
 // order view reuse, which MPI's matched sends make implicit.
-#include "bench/helpers.hpp"
+#include "bench/paper_params.hpp"
+#include "bench/table_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace vodsm;

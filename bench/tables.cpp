@@ -514,10 +514,6 @@ std::vector<SpecRun> runSpecs(const std::vector<TableSpec>& specs, int jobs) {
   return runs;
 }
 
-std::string profileFileName(const std::string& cell_id) {
-  return diff::cellProfileFileName(cell_id);
-}
-
 int writeCellProfiles(const std::string& dir,
                       const std::vector<TableSpec>& specs,
                       const std::vector<SpecRun>& runs, std::ostream& log) {
@@ -530,7 +526,7 @@ int writeCellProfiles(const std::string& dir,
       obs::RunProfile p = r.profile;
       p.label = specs[s].cells[i].id;
       const std::filesystem::path path =
-          std::filesystem::path(dir) / profileFileName(p.label);
+          std::filesystem::path(dir) / diff::cellProfileFileName(p.label);
       std::ofstream f(path);
       VODSM_CHECK_MSG(f.good(), "cannot write " + path.string());
       obs::writeRunProfileJson(f, p);
@@ -553,7 +549,7 @@ int compareCellProfiles(const std::string& baseline_dir,
       if (!r.profile.enabled()) continue;
       const std::string& id = specs[s].cells[i].id;
       const std::filesystem::path path =
-          std::filesystem::path(baseline_dir) / profileFileName(id);
+          std::filesystem::path(baseline_dir) / diff::cellProfileFileName(id);
       if (!std::filesystem::exists(path)) {
         log << "compare: no baseline profile for " << id << " ("
             << path.string() << ")\n";

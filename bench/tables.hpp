@@ -74,10 +74,6 @@ struct SpecRun {
 // next table's. One SpecRun per spec, each carrying the sweep's wall time.
 std::vector<SpecRun> runSpecs(const std::vector<TableSpec>& specs, int jobs);
 
-// Profile file name for a cell id: '/' becomes '_' and ".profile.json" is
-// appended ("IS/LRC_d/16p" -> "IS_LRC_d_16p.profile.json").
-std::string profileFileName(const std::string& cell_id);
-
 // Writes each profiled cell's persisted run profile (obs::RunProfile JSON,
 // labelled with the cell id) into `dir`, creating it if needed. Cells
 // without a profile — the unmetered MPI reference runs — are skipped.

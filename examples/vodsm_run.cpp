@@ -65,8 +65,8 @@ namespace {
       "  --memstats      print peak/mean counter-gauge summary (twin/diff\n"
       "                  bytes, queue depths, link utilization)\n"
       "  --faults=SPEC   inject deterministic faults; SPEC is\n"
-      "                  kind:k=v,...;kind:... (kinds: loss burst dup\n"
-      "                  reorder degrade partition slow), @plan.json, or\n"
+      "                  [seed:N;]kind:k=v,...;kind:... (kinds: loss burst\n"
+      "                  dup reorder degrade partition slow) or\n"
       "                  profile:NAME (lossy bursty degraded partition\n"
       "                  straggler flaky mixed)\n"
       "  --metrics-csv=FILE   write the sampled per-node metric time series\n"

@@ -32,8 +32,9 @@ class Machine {
   // (once per machine). clock(i) is node i's clock: it gets the node's
   // straggler scaler before the first spawn and dates the node's finish.
   // Traced runs record each node's program span and the engine run; metered
-  // runs sample for the run's duration. Rethrows the first node's error, and
-  // throws on deadlock (a node still suspended when the engine drains).
+  // runs sample on the engine's clock until it drains. Rethrows the first
+  // node's error, and throws on deadlock (a node still suspended when the
+  // engine drains).
   void run(sim::TaskScope& scope,
            const std::function<sim::Task<void>(size_t)>& program,
            const std::function<sim::Clock&(size_t)>& clock);

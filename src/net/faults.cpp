@@ -1,11 +1,8 @@
 #include "net/faults.hpp"
 
 #include <cmath>
-#include <fstream>
-#include <sstream>
 
 #include "support/check.hpp"
-#include "support/json.hpp"
 
 namespace vodsm::net {
 
@@ -126,33 +123,25 @@ uint64_t parseNodeSet(const std::string& tok) {
   return set;
 }
 
-// Keys whose values are whole numbers: node ids and drop budgets. The CLI
-// parses them as integers and the JSON path rejects fractional values, so
-// neither path rounds or wraps them through a double.
-bool isIntegerKey(const std::string& key) {
-  return key == "from" || key == "to" || key == "node" || key == "count";
-}
-
-// Shared by the CLI and JSON paths; `tok` is the value's original text (for
-// error messages).
-void applyIntegerKey(FaultRule& r, const std::string& key, uint64_t val,
-                     const std::string& tok) {
-  if (key == "count") {
-    r.budget = val;
+void applyKey(FaultRule& r, const std::string& key, const std::string& tok) {
+  if (key == "nodes") {
+    r.node_set = parseNodeSet(tok);
     return;
   }
-  if (val >= kAnyNode) specFail("node id out of range", tok);
-  const auto id = static_cast<NodeId>(val);
-  if (key == "from")
-    r.src = id;
-  else if (key == "to")
-    r.dst = id;
-  else
-    r.node = id;
-}
-
-void applyRealKey(FaultRule& r, const std::string& key, double val,
-                  const std::string& tok) {
+  // Node ids and drop budgets are whole numbers: parsed as integers, they
+  // never round or wrap through a double.
+  if (key == "count") {
+    r.budget = parseUint(tok);
+    return;
+  }
+  if (key == "from" || key == "to" || key == "node") {
+    const uint64_t val = parseUint(tok);
+    if (val >= kAnyNode) specFail("node id out of range", tok);
+    (key == "from" ? r.src : key == "to" ? r.dst : r.node) =
+        static_cast<NodeId>(val);
+    return;
+  }
+  const double val = parseDouble(tok);
   if (key == "p") {
     r.p = val;
     if (r.p < 0 || r.p > 1) specFail("probability outside [0,1]", tok);
@@ -178,15 +167,6 @@ void applyRealKey(FaultRule& r, const std::string& key, double val,
   } else {
     specFail("unknown key", key);
   }
-}
-
-void applyKey(FaultRule& r, const std::string& key, const std::string& val) {
-  if (key == "nodes")
-    r.node_set = parseNodeSet(val);
-  else if (isIntegerKey(key))
-    applyIntegerKey(r, key, parseUint(val), val);
-  else
-    applyRealKey(r, key, parseDouble(val), val);
 }
 
 void validateRule(const FaultRule& r) {
@@ -245,82 +225,9 @@ void appendSegment(FaultPlan& plan, const std::string& seg, int depth) {
   plan.rules.push_back(r);
 }
 
-// ---------------------------------------------------------------------------
-// JSON plans: either {"seed": N, "rules": [...]} or a bare rule array.
-// Rule objects use the same keys as the CLI spec plus "kind"; "nodes" is a
-// JSON array of node ids.
-
-// A JSON number that must be a whole, non-negative integer (JSON has only
-// doubles); `what` names the field in the error.
-uint64_t jsonUint(const support::Json& j, const std::string& what) {
-  const double d = j.asNumber();
-  // 2^64 is the first double past uint64_t's range.
-  if (!(d >= 0) || d != std::floor(d) || d >= 18446744073709551616.0)
-    specFail("not a non-negative integer", what);
-  return static_cast<uint64_t>(d);
-}
-
-FaultRule ruleFromJson(const support::Json& j) {
-  FaultRule r;
-  r.kind = kindFromName(j.at("kind").asString());
-  for (const auto& [key, val] : j.members()) {
-    if (key == "kind") continue;
-    if (key == "nodes") {
-      uint64_t set = 0;
-      for (const support::Json& id : val.items()) {
-        const uint64_t n = jsonUint(id, "nodes");
-        if (n >= 64)
-          specFail("node id out of range (max 63)", std::to_string(n));
-        set |= 1ULL << n;
-      }
-      r.node_set = set;
-    } else if (isIntegerKey(key)) {
-      applyIntegerKey(r, key, jsonUint(val, key), key);
-    } else {
-      applyRealKey(r, key, val.asNumber(), key);
-    }
-  }
-  return r;
-}
-
-FaultPlan planFromJson(const support::Json& doc) {
-  FaultPlan plan;
-  const support::Json* rules = &doc;
-  if (doc.isObject()) {
-    if (const support::Json* s = doc.find("seed"))
-      plan.seed = jsonUint(*s, "seed");
-    rules = &doc.at("rules");
-  }
-  for (const support::Json& j : rules->items()) {
-    FaultRule r = ruleFromJson(j);
-    if (r.kind == FaultKind::kSlow && r.node_set != 0) {
-      for (NodeId id = 0; id < 64; ++id)
-        if (inSet(r.node_set, id)) {
-          FaultRule one = r;
-          one.node = id;
-          one.node_set = 0;
-          validateRule(one);
-          plan.rules.push_back(one);
-        }
-      continue;
-    }
-    validateRule(r);
-    plan.rules.push_back(r);
-  }
-  return plan;
-}
-
 }  // namespace
 
 FaultPlan parseFaultPlan(const std::string& spec) {
-  if (!spec.empty() && spec[0] == '@') {
-    const std::string path = spec.substr(1);
-    std::ifstream in(path, std::ios::binary);
-    VODSM_CHECK_MSG(in.good(), "cannot read fault plan file: " << path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    return planFromJson(support::Json::parse(text.str()));
-  }
   FaultPlan plan;
   appendSpec(plan, spec, 0);
   return plan;

@@ -18,9 +18,9 @@
 //  * Sim-clock-driven. Windows, periods, and delays are simulated time;
 //    nothing depends on host time or host scheduling.
 //
-// Plans are composed from a compact CLI spec (`--faults=...`), a JSON file
-// (`--faults=@plan.json`), or a named chaos profile (`--faults=profile:NAME`)
-// — see parseFaultPlan() in faults.cpp for the grammar.
+// Plans are composed from a compact CLI spec (`--faults=...`) or a named
+// chaos profile (`--faults=profile:NAME`) — see parseFaultPlan() in
+// faults.cpp for the grammar.
 #pragma once
 
 #include <cstdint>
@@ -90,7 +90,7 @@ struct FaultPlan {
   bool empty() const { return rules.empty(); }
 };
 
-// Parses a plan spec: `kind:key=val,key=val;kind:...`, `@file.json`, or
+// Parses a plan spec: `seed:N;kind:key=val,key=val;kind:...` or
 // `profile:NAME` (profiles may also appear as segments). Throws vodsm::Error
 // on malformed input. See faults.cpp for the full grammar and key table.
 FaultPlan parseFaultPlan(const std::string& spec);

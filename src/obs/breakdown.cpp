@@ -1,73 +1,42 @@
 #include "obs/breakdown.hpp"
 
 #include <string>
-#include <unordered_map>
 
 #include "support/check.hpp"
 #include "support/table.hpp"
 
 namespace vodsm::obs {
 
-namespace {
-
-// Spans of one category never self-nest on a node, so one open-begin slot
-// per (node, category) is enough to match ends to begins.
-uint64_t slotKey(uint32_t node, Cat c) {
-  return (static_cast<uint64_t>(node) << 8) | static_cast<uint64_t>(c);
-}
-
-sim::Time* bucketOf(BucketSet& b, Cat c) {
-  switch (c) {
-    case Cat::kBarrierWait: return &b.barrier_wait;
-    case Cat::kAcquireWait: return &b.acquire_wait;
-    case Cat::kFault:
-    case Cat::kDiffCreate: return &b.fault_diff;
-    default: return nullptr;
-  }
-}
-
-}  // namespace
-
-Breakdown foldBreakdown(const TraceRecorder& trace, int nprocs,
-                        sim::Time finish) {
+Breakdown foldBreakdown(const EventGraph& graph, sim::Time finish) {
+  VODSM_CHECK_MSG(graph.unmatched_spans == 0,
+                  "trace has " << graph.unmatched_spans
+                               << " unmatched span begins or ends");
   Breakdown out;
   out.run_time = finish;
-  out.nodes.resize(static_cast<size_t>(nprocs));
-  std::vector<sim::Time> node_end(static_cast<size_t>(nprocs), finish);
-  std::unordered_map<uint64_t, sim::Time> open;
-
-  for (const Event& e : trace.events()) {
-    if (e.node == kEngineNode || e.node >= static_cast<uint32_t>(nprocs))
-      continue;
-    if (e.cat == Cat::kProgram) {
-      if (e.phase == Phase::kEnd) node_end[e.node] = e.ts;
-      continue;
+  out.nodes.resize(graph.nodes.size());
+  for (size_t n = 0; n < graph.nodes.size(); ++n) {
+    const NodeTimeline& tl = graph.nodes[n];
+    BucketSet& b = out.nodes[n];
+    for (const Wait& w : tl.waits) {
+      VODSM_CHECK_MSG(w.end >= w.begin, "trace span ends before it begins");
+      (w.cat == Cat::kBarrierWait ? b.barrier_wait : b.acquire_wait) +=
+          w.end - w.begin;
     }
-    BucketSet& b = out.nodes[e.node];
-    sim::Time* bucket = bucketOf(b, e.cat);
-    if (!bucket) continue;
-    if (e.phase == Phase::kBegin) {
-      open[slotKey(e.node, e.cat)] = e.ts;
-    } else if (e.phase == Phase::kEnd) {
-      auto it = open.find(slotKey(e.node, e.cat));
-      VODSM_CHECK_MSG(it != open.end(), "trace span end without begin (node "
-                                            << e.node << ")");
-      VODSM_CHECK_MSG(e.ts >= it->second, "trace span ends before it begins");
-      *bucket += e.ts - it->second;
-      open.erase(it);
+    for (const LocalSpan& s : tl.spans) {
+      VODSM_CHECK_MSG(s.end >= s.begin, "trace span ends before it begins");
+      b.fault_diff += s.end - s.begin;
     }
-  }
-  VODSM_CHECK_MSG(open.empty(), "trace has " << open.size()
-                                             << " unterminated spans");
-
-  for (int n = 0; n < nprocs; ++n) {
-    BucketSet& b = out.nodes[static_cast<size_t>(n)];
-    const sim::Time end = node_end[static_cast<size_t>(n)];
+    const sim::Time end = tl.program_end >= 0 ? tl.program_end : finish;
     b.idle = finish - end;
     b.compute = end - b.barrier_wait - b.acquire_wait - b.fault_diff;
     out.aggregate.add(b);
   }
   return out;
+}
+
+Breakdown foldBreakdown(const TraceRecorder& trace, int nprocs,
+                        sim::Time finish) {
+  return foldBreakdown(buildEventGraph(trace, nprocs), finish);
 }
 
 namespace {

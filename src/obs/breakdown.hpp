@@ -1,7 +1,7 @@
 // Time-breakdown accounting over a recorded trace.
 //
-// Folds the spans of a TraceRecorder into five per-node buckets that
-// partition the run's simulated time exactly:
+// Folds the spans an EventGraph paired per node (obs/graph.hpp) into five
+// per-node buckets that partition the run's simulated time exactly:
 //
 //   compute      — local work the program charged (everything not below)
 //   barrier_wait — inside barrier_wait spans (arrive sent -> released)
@@ -21,6 +21,7 @@
 #include <ostream>
 #include <vector>
 
+#include "obs/graph.hpp"
 #include "obs/trace.hpp"
 #include "sim/time.hpp"
 
@@ -53,9 +54,14 @@ struct Breakdown {
   bool enabled() const { return !nodes.empty(); }
 };
 
-// Folds `trace` into per-node buckets. `finish` is the run's finish time
-// (the slowest node's clock); nodes missing a program-end span (e.g. the
-// engine drained early) are treated as active until `finish`.
+// Folds the graph's wait and service spans into per-node buckets: waits by
+// category, page faults and diff creation into fault_diff. `finish` is the
+// run's finish time (the slowest node's clock); nodes missing a program-end
+// span (e.g. the engine drained early) are treated as active until
+// `finish`. Throws if the graph holds an unmatched span or a span that ends
+// before it begins.
+Breakdown foldBreakdown(const EventGraph& graph, sim::Time finish);
+// Builds the event graph of `trace`, then folds it.
 Breakdown foldBreakdown(const TraceRecorder& trace, int nprocs,
                         sim::Time finish);
 

@@ -186,8 +186,9 @@ void printFindings(std::ostream& os, const std::vector<Finding>& findings);
 void printDiagnosis(std::ostream& os, const Diagnosis& d,
                     const std::string& title);
 
-// Machine-readable report. Hand-written fixed-precision JSON (the support
-// Json class is a parser, not a writer); parses back via support/json.hpp.
+// Machine-readable report: hand-written JSON with six fixed decimals, in a
+// layout older than support::JsonWriter's and kept byte-stable; parses back
+// via support/json.hpp.
 void writeDiagnosisJson(std::ostream& os, const Diagnosis& d);
 
 }  // namespace vodsm::obs

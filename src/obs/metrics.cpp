@@ -31,17 +31,19 @@ double MetricsSummary::meanLinkUtilization() const {
                  static_cast<double>(finish));
 }
 
-void MetricsRegistry::startSampling(sim::Engine& engine) {
+void MetricsRegistry::startSampling(const sim::Engine& engine) {
   if (interval_ <= 0) return;
-  engine.auxAfter(interval_, [this, &engine] { sampleTick(engine); });
+  engine_ = &engine;
+  next_tick_ = engine.now() + interval_;
 }
 
-void MetricsRegistry::sampleTick(sim::Engine& engine) {
-  snapshot(engine.now(), /*force=*/false);
-  // Reschedule unconditionally: ticks are aux events, so they never keep
-  // the run alive — the engine drains at exactly the event it would have
-  // drained at unmetered and discards the one trailing tick left enqueued.
-  engine.auxAfter(interval_, [this, &engine] { sampleTick(engine); });
+// The engine is past the next tick, and nothing changed since every event
+// at a time <= that tick ran: record the tick. The ticks after it, up to
+// the engine's time, have nothing new to record.
+void MetricsRegistry::catchUp() {
+  snapshot(next_tick_, /*force=*/false);
+  const sim::Time behind = engine_->now() - next_tick_;
+  next_tick_ += (behind + interval_ - 1) / interval_ * interval_;
 }
 
 void MetricsRegistry::snapshot(sim::Time ts, bool force) {
@@ -61,6 +63,8 @@ void MetricsRegistry::snapshot(sim::Time ts, bool force) {
 void MetricsRegistry::closeRun(int nprocs, sim::Time finish) {
   if (closed_) return;
   closed_ = true;
+  if (engine_ && engine_->now() > next_tick_) catchUp();
+  engine_ = nullptr;
   nprocs_ = nprocs;
   // Lossy runs can carry metric updates past the last program clock (dead
   // retransmission timers fire after every node finished); never truncate

@@ -8,10 +8,9 @@
 //
 //  * Zero effect on simulated results. Instrumentation sites only *read*
 //    values the run already computed (deltas and timestamps it had in hand);
-//    recording never charges simulated time. The fixed-interval sampler runs
-//    as engine events, but its callbacks are read-only with respect to all
-//    simulated state (clocks, RNG, queues), so a metered run is bit-identical
-//    to an unmetered one.
+//    recording never charges simulated time. The fixed-interval sampler only
+//    reads the engine's clock and schedules no events, so a metered run is
+//    bit-identical to an unmetered one.
 //  * Near-zero overhead when disabled: every site guards on a runtime-checked
 //    registry pointer (`if (auto* m = ctx.metrics) ...`).
 //  * No formatting on the hot path. add() updates a small per-(node, metric)
@@ -26,6 +25,17 @@
 //    every live series into a long-format time-series row when its value
 //    changed since the last tick. Consumers: --metrics-csv and the Perfetto
 //    counter tracks.
+//
+// Sampler ticks fall at start + k * interval (k >= 1), where start is the
+// engine time at startSampling. The tick at T records the values left by
+// every event at a time <= T, and only for series that changed since their
+// last row or never had one. A tick is taken only if some event runs after
+// it, i.e. T is earlier than the engine's last event (dead retransmission
+// timers count). So only the first tick after a change can record
+// anything, and the ticks are taken lazily: add() and closeRun() read the
+// engine's clock, and when it is past the next tick they record that tick
+// before they apply their change. closeRun() then records every live series
+// at the finish time.
 //
 // Timestamps come from whatever clock the instrumented layer already uses:
 // node-local clocks for dsm/vopp sites, engine time for network sites. A
@@ -146,7 +156,7 @@ struct MetricsSummary {
 class MetricsRegistry {
  public:
   // interval == 0 keeps on-change accounting (peaks, finals, means) but
-  // schedules no sampler events and records no time series.
+  // records no time series.
   explicit MetricsRegistry(sim::Time sample_interval = 0)
       : interval_(sample_interval) {}
 
@@ -155,6 +165,7 @@ class MetricsRegistry {
   // Apply a delta to one series. `ts` is the simulated time the change
   // happened at, in whatever clock domain the caller's layer runs on.
   void add(uint32_t node, Metric m, int64_t delta, sim::Time ts) {
+    if (engine_ && engine_->now() > next_tick_) catchUp();
     if (node >= nodes_.size()) nodes_.resize(static_cast<size_t>(node) + 1);
     Series& s = nodes_[node][static_cast<size_t>(m)];
     if (ts > s.last_ts) {
@@ -175,14 +186,14 @@ class MetricsRegistry {
     return nodes_[node][static_cast<size_t>(m)].value;
   }
 
-  // Begin the fixed-interval sampler (no-op when interval == 0). The tick
-  // callback snapshots changed series and reschedules itself only while the
-  // engine has real work pending, so it never keeps the run alive on its
-  // own and the engine drains exactly as it would unmetered.
-  void startSampling(sim::Engine& engine);
+  // Begin the fixed-interval sampler (no-op when interval == 0): its ticks
+  // follow `engine`'s clock until closeRun (see the header comment), so the
+  // engine must outlive every add() before then.
+  void startSampling(const sim::Engine& engine);
 
-  // Called once after the engine drains: extends every integral to the
-  // finish time and appends a final time-series row per live series.
+  // Called once after the engine drains: takes the last tick due, extends
+  // every integral to the finish time and appends a final time-series row
+  // per live series.
   void closeRun(int nprocs, sim::Time finish);
 
   const std::vector<MetricSample>& samples() const { return samples_; }
@@ -202,10 +213,13 @@ class MetricsRegistry {
     bool touched = false;
   };
 
-  void sampleTick(sim::Engine& engine);
+  void catchUp();
   void snapshot(sim::Time ts, bool force);
 
   sim::Time interval_;
+  // The sampled engine and its next tick; null when not sampling.
+  const sim::Engine* engine_ = nullptr;
+  sim::Time next_tick_ = 0;
   std::vector<std::array<Series, kMetricCount>> nodes_;
   std::vector<MetricSample> samples_;
   int nprocs_ = 0;

@@ -103,7 +103,7 @@ RunFolds foldRun(const TraceRecorder& trace, int nprocs, sim::Time finish) {
   f.nprocs = nprocs;
   f.finish = finish;
   f.graph = buildEventGraph(trace, nprocs);
-  f.breakdown = foldBreakdown(trace, nprocs, finish);
+  f.breakdown = foldBreakdown(f.graph, finish);
   f.critpath = computeCriticalPath(f.graph, finish);
   f.pageheat = foldPageHeat(trace);
   return f;

@@ -135,8 +135,8 @@ struct RunFolds {
   PageHeat pageheat;
 };
 
-// Runs buildEventGraph, foldBreakdown, computeCriticalPath and
-// foldPageHeat once each.
+// Builds the event graph once, folds the breakdown and the critical path
+// from it, and runs foldPageHeat.
 RunFolds foldRun(const TraceRecorder& trace, int nprocs, sim::Time finish);
 
 // Assembles the fold-derived parts of a profile (buckets, critical path,

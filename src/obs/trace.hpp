@@ -18,10 +18,12 @@
 //    export time.
 //
 // Consumers: obs/perfetto.hpp renders the event list as Chrome trace-event
-// JSON (one process per node, one thread per track); obs/breakdown.hpp
-// folds the spans into per-node time buckets; obs/graph.hpp reconstructs
-// the run DAG (send->deliver via correlation ids, grant/fold wakeup edges)
-// for obs/critical_path.hpp; obs/page_heat.hpp folds page-indexed instants
+// JSON (one process per node, one thread per track); obs/graph.hpp
+// reconstructs the run DAG (per-node spans, grant/fold wakeup edges), from
+// which obs/breakdown.hpp folds per-node time buckets and
+// obs/critical_path.hpp walks the critical path; obs::foldFlows
+// (obs/diagnose.hpp) gathers each frame's send, retransmissions, drops and
+// delivery by correlation id; obs/page_heat.hpp folds page-indexed instants
 // into a contention table.
 #pragma once
 
@@ -78,7 +80,7 @@ inline constexpr uint32_t kEngineNode = UINT32_MAX;
 
 // Wire correlation id: a nonzero token shared by every net-track event that
 // concerns the same transport frame (send, its retransmissions, its drops,
-// its delivery), so graph analysis can match send->deliver edges. The id is
+// its delivery), so obs::foldFlows can gather each frame's flow. The id is
 // *derived*, never carried on the wire: both sides compute it from the
 // frame's fields (net::Frame) — the frame kind, the node that owns the
 // sequence number (the original requester for replies and acks, the sender

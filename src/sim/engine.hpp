@@ -18,23 +18,17 @@
 // BENCH_scaling.json, bench/profiles* and the chaos suite encode, so the
 // layout is fixed: a different key would drift every committed result.
 //
-// Aux events. Samplers and other pure observers schedule via `auxAt`:
-// aux events draw stamps from a separate per-lane counter (never consuming
-// real stamps, so metered and unmetered runs stay bit-identical) and do not
-// keep the engine alive — run() stops once all real events drained,
-// discarding any trailing aux events.
-//
 // Storage: callbacks live in a free-list pool of event nodes (reused across
 // the run, so steady-state scheduling allocates nothing), and the priority
 // queue orders plain POD records — heap sifts move small PODs instead of
-// whole closures, and popping the top needs no const_cast. `at`, `atLane`
-// and `auxAt` construct each callback in its node, and the event runs it
+// whole closures, and popping the top needs no const_cast. `at` and
+// `atLane` construct each callback in its node, and the event runs it
 // there; the node returns to the free list only after the callback
 // returns. The pool grows by fixed-size chunks that never move, so growing
 // it neither copies the nodes nor holds two arrays at once.
 //
 // Timer lines. A timer is armed with `arm(dt, owner, arg)` and runs
-// `owner.onTimer(arg)` as an ordinary real event, keyed exactly as
+// `owner.onTimer(arg)` as an ordinary event, keyed exactly as
 // `at(now() + dt)` would key it: its stamp is drawn when it is armed. The
 // timers one lane arms for one (dt, owner) are keyed in the order they are
 // armed: now() never decreases and the lane's stamps strictly increase. So
@@ -93,7 +87,7 @@ class Engine {
   void configureLanes(int nlanes) {
     VODSM_CHECK_MSG(heap_.empty(), "configureLanes must precede scheduling");
     nlanes_ = nlanes > 1 ? static_cast<uint32_t>(nlanes) : 1;
-    seqs_.assign(nlanes_, LaneSeq{});
+    seqs_.assign(nlanes_, 0);
     lines_.clear();
     lane_lines_.assign(nlanes_, {});
     if (cur_lane_ >= nlanes_) cur_lane_ = 0;
@@ -103,7 +97,7 @@ class Engine {
   // is currently executing (or the LaneGuard-pinned lane during setup).
   template <typename F>
   void at(Time t, F&& f) {
-    schedule(t, cur_lane_, false, std::forward<F>(f));
+    schedule(t, cur_lane_, std::forward<F>(f));
   }
 
   // Schedule into another lane: the cross-node frame hop. The stamp comes
@@ -111,7 +105,7 @@ class Engine {
   template <typename F>
   void atLane(uint32_t lane, Time t, F&& f) {
     // Unconfigured engines (nlanes_ == 1) fold every lane into lane 0.
-    schedule(t, lane < nlanes_ ? lane : 0, false, std::forward<F>(f));
+    schedule(t, lane < nlanes_ ? lane : 0, std::forward<F>(f));
   }
 
   // Arm a timer: `owner.onTimer(arg)` runs `dt` after the engine's current
@@ -125,68 +119,54 @@ class Engine {
     Line& l = lines_[id];
     const Timer timer{now_ + dt, nextStamp(cur_lane_), arg};
     l.fifo.push_back(timer);
-    ++real_pending_;
+    ++pending_;
     if (!l.armed) {
       l.armed = true;
       push(Entry{timer.t, timer.stamp, cur_lane_, cur_lane_, kNone, id});
     }
   }
 
-  // Schedule an auxiliary (observer-only) event: it draws from a separate
-  // stamp space, never delays engine termination, and trailing aux events
-  // past the last real event are discarded. Aux callbacks must not mutate
-  // simulated state or schedule real events.
-  template <typename F>
-  void auxAt(Time t, F&& f) {
-    schedule(t, cur_lane_, true, std::forward<F>(f));
-  }
-  template <typename F>
-  void auxAfter(Time dt, F&& f) {
-    auxAt(now() + dt, std::forward<F>(f));
-  }
-
   Time now() const { return now_; }
 
-  // Run one real event (processing any earlier aux events transparently).
-  // Returns false if no real event remains or stop() was called.
+  // Run the next event. Returns false if none remains.
   bool step() {
-    while (true) {
-      const int r = stepImpl();
-      if (r == 0) return false;
-      if (r == 1) return true;
+    if (heap_.empty()) return false;
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const Entry ev = heap_.back();
+    heap_.pop_back();
+    VODSM_DCHECK(ev.t >= now_);
+    now_ = ev.t;
+    cur_lane_ = ev.lane;
+    seqs_[ev.lane] = std::max(seqs_[ev.lane], ev.stamp + 1);
+    --pending_;
+    if (ev.line != kNone) {
+      // The owner may arm timers on new lines, which moves lines_.
+      TimerOwner* owner = lines_[ev.line].owner;
+      owner->onTimer(popLine(ev.line));
+      return true;
     }
+    // The node stays taken while its callback runs (chunks never move), so
+    // the events it schedules cannot reuse it.
+    Node& n = node(ev.slot);
+    n.cb();
+    n.cb.reset();
+    n.next_free = free_head_;
+    free_head_ = ev.slot;
+    return true;
   }
 
-  // Run until every real event drained or stop() is called. Returns the
-  // number of real events processed.
+  // Run until every event drained. Returns the number of events processed.
   uint64_t run() {
     uint64_t n = 0;
     while (step()) ++n;
     return n;
   }
 
-  // Run at most `limit` further real events; returns true iff the run is
-  // fully drained (no real events left and not stopped). A stopped run
-  // always reports drained=false: stopping abandons the queue.
-  bool runBounded(uint64_t limit) {
-    for (uint64_t n = 0; n < limit; ++n)
-      if (!step()) break;
-    return pending() == 0 && !stopped();
-  }
-
-  // Stop processing before the next event.
-  void stop() { stopped_ = true; }
-  bool stopped() const { return stopped_; }
-
-  // Real events still pending (aux events are not counted: they never keep
-  // the engine alive).
-  size_t pending() const { return real_pending_; }
+  // Events and timers still pending.
+  size_t pending() const { return pending_; }
 
  private:
   static constexpr uint32_t kNone = UINT32_MAX;
-  // Marks stamps drawn from the aux counter; aux events sort after every
-  // real event at the same time (their stamps are astronomically larger).
-  static constexpr uint64_t kAuxBit = uint64_t{1} << 63;
 
   struct Node {
     Callback cb;
@@ -215,10 +195,6 @@ class Engine {
       return a.origin > b.origin;
     }
   };
-  struct LaneSeq {
-    uint64_t real = 0;
-    uint64_t aux = 0;
-  };
   // One armed timer. Its lane is its line's.
   struct Timer {
     Time t;
@@ -241,10 +217,7 @@ class Engine {
     uint32_t line;
   };
 
-  uint64_t nextStamp(uint32_t lane) { return seqs_[lane].real++; }
-  uint64_t nextAuxStamp(uint32_t lane) {
-    return seqs_[lane].aux++ | kAuxBit;
-  }
+  uint64_t nextStamp(uint32_t lane) { return seqs_[lane]++; }
 
   Node& node(uint32_t slot) {
     return chunks_[slot >> kChunkBits][slot & (kChunkNodes - 1)];
@@ -302,47 +275,12 @@ class Engine {
   }
 
   template <typename F>
-  void schedule(Time t, uint32_t lane, bool aux, F&& f) {
+  void schedule(Time t, uint32_t lane, F&& f) {
     VODSM_DCHECK(t >= now_);
     const uint32_t slot = alloc();
     node(slot).cb.emplace(std::forward<F>(f));
-    push(Entry{t, aux ? nextAuxStamp(cur_lane_) : nextStamp(cur_lane_),
-               cur_lane_, lane, slot, kNone});
-    if (!aux) ++real_pending_;
-  }
-
-  // 0 = nothing to do (drained of real events or stopped), 1 = executed a
-  // real event, 2 = executed an aux event.
-  int stepImpl() {
-    if (heap_.empty() || stopped_ || real_pending_ == 0) return 0;
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    const Entry ev = heap_.back();
-    heap_.pop_back();
-    VODSM_DCHECK(ev.t >= now_);
-    now_ = ev.t;
-    cur_lane_ = ev.lane;
-    const bool aux = (ev.stamp & kAuxBit) != 0;
-    LaneSeq& s = seqs_[ev.lane];
-    if (aux) {
-      s.aux = std::max(s.aux, (ev.stamp & ~kAuxBit) + 1);
-    } else {
-      s.real = std::max(s.real, ev.stamp + 1);
-      --real_pending_;
-    }
-    if (ev.line != kNone) {
-      // The owner may arm timers on new lines, which moves lines_.
-      TimerOwner* owner = lines_[ev.line].owner;
-      owner->onTimer(popLine(ev.line));
-      return 1;
-    }
-    // The node stays taken while its callback runs (chunks never move), so
-    // the events it schedules cannot reuse it.
-    Node& n = node(ev.slot);
-    n.cb();
-    n.cb.reset();
-    n.next_free = free_head_;
-    free_head_ = ev.slot;
-    return aux ? 2 : 1;
+    push(Entry{t, nextStamp(cur_lane_), cur_lane_, lane, slot, kNone});
+    ++pending_;
   }
 
   std::vector<Entry> heap_;
@@ -350,14 +288,13 @@ class Engine {
   uint32_t pool_size_ = 0;  // slots handed out so far
   uint32_t free_head_ = kNone;
   Time now_ = 0;
-  uint64_t real_pending_ = 0;
-  bool stopped_ = false;
+  uint64_t pending_ = 0;
   uint32_t cur_lane_ = 0;  // scheduling lane: the executing or pinned lane
 
   // Lane configuration (configureLanes) and per-lane stamp counters. With
-  // the default single lane, seqs_[0].real is the classic global sequence.
+  // the default single lane, seqs_[0] is the classic global sequence.
   uint32_t nlanes_ = 1;
-  std::vector<LaneSeq> seqs_ = std::vector<LaneSeq>(1);
+  std::vector<uint64_t> seqs_ = std::vector<uint64_t>(1);
 
   // Timer lines (see the header comment), created on first use of a
   // (lane, dt, owner); lane_lines_[lane] maps each (dt, owner) to its line.

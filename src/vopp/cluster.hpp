@@ -105,12 +105,13 @@ class Node {
 
   // --- shared memory access ---
   // Declare an access range; takes the simulated page faults (the analogue
-  // of the SIGSEGV handler running page by page).
+  // of the SIGSEGV handler running page by page). Each returns the
+  // runtime's task rather than awaiting it in a coroutine frame of its own.
   sim::Task<void> touchRead(size_t offset, size_t len) {
-    co_await rt_.touchRead(offset, len);
+    return rt_.touchRead(offset, len);
   }
   sim::Task<void> touchWrite(size_t offset, size_t len) {
-    co_await rt_.touchWrite(offset, len);
+    return rt_.touchWrite(offset, len);
   }
 
   // Raw access to this node's copy (valid only after the matching touch).
@@ -173,11 +174,11 @@ class SharedArray {
 
   sim::Task<void> touchRead(size_t first, size_t n) {
     VODSM_DCHECK(first + n <= count_);
-    co_await node_->touchRead(offset_ + first * sizeof(T), n * sizeof(T));
+    return node_->touchRead(offset_ + first * sizeof(T), n * sizeof(T));
   }
   sim::Task<void> touchWrite(size_t first, size_t n) {
     VODSM_DCHECK(first + n <= count_);
-    co_await node_->touchWrite(offset_ + first * sizeof(T), n * sizeof(T));
+    return node_->touchWrite(offset_ + first * sizeof(T), n * sizeof(T));
   }
 
   // Raw element access into this node's local copy; only valid after the

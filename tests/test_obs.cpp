@@ -11,6 +11,7 @@
 #include <cstring>
 #include <map>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "apps/gauss.hpp"
@@ -27,6 +28,7 @@
 #include "obs/metrics.hpp"
 #include "obs/page_heat.hpp"
 #include "obs/perfetto.hpp"
+#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 
 namespace vodsm {
@@ -287,6 +289,76 @@ TEST(Obs, CriticalPathOnHandCraftedStream) {
   EXPECT_EQ(cp.slices[0].nanos, us(65));
 }
 
+// The breakdown folds the spans the event graph paired. All times in
+// microseconds:
+//   node 0: program [0,100], fault [50,60], barrier_wait [70,95];
+//   node 1: program [0,85], acquire_wait [10,40], diff_create [41,45],
+//           barrier_wait [60,85].
+void recordTwoNodeSpans(obs::TraceRecorder& rec) {
+  auto us = [](int64_t n) { return sim::usec(n); };
+  rec.begin(0, obs::Cat::kProgram, us(0));
+  rec.begin(1, obs::Cat::kProgram, us(0));
+  rec.begin(1, obs::Cat::kAcquireWait, us(10), /*id=*/7);
+  rec.end(1, obs::Cat::kAcquireWait, us(40), 7);
+  rec.begin(1, obs::Cat::kDiffCreate, us(41));
+  rec.end(1, obs::Cat::kDiffCreate, us(45), /*pages=*/1, /*bytes=*/64);
+  rec.begin(0, obs::Cat::kFault, us(50), /*page=*/3);
+  rec.end(0, obs::Cat::kFault, us(60), 3);
+  rec.begin(1, obs::Cat::kBarrierWait, us(60), /*barrier=*/0);
+  rec.begin(0, obs::Cat::kBarrierWait, us(70), 0);
+  rec.end(1, obs::Cat::kBarrierWait, us(85), 0);
+  rec.end(1, obs::Cat::kProgram, us(85));
+  rec.end(0, obs::Cat::kBarrierWait, us(95), 0);
+  rec.end(0, obs::Cat::kProgram, us(100));
+}
+
+TEST(Obs, BreakdownFoldsTheEventGraph) {
+  auto us = [](int64_t n) { return sim::usec(n); };
+  obs::TraceRecorder rec;
+  recordTwoNodeSpans(rec);
+  const obs::Breakdown b = obs::foldRun(rec, 2, us(100)).breakdown;
+  ASSERT_EQ(b.nodes.size(), 2u);
+  EXPECT_EQ(b.nodes[0].compute, us(65));
+  EXPECT_EQ(b.nodes[0].barrier_wait, us(25));
+  EXPECT_EQ(b.nodes[0].acquire_wait, 0);
+  EXPECT_EQ(b.nodes[0].fault_diff, us(10));
+  EXPECT_EQ(b.nodes[0].idle, 0);
+  EXPECT_EQ(b.nodes[1].compute, us(26));
+  EXPECT_EQ(b.nodes[1].barrier_wait, us(25));
+  EXPECT_EQ(b.nodes[1].acquire_wait, us(30));
+  EXPECT_EQ(b.nodes[1].fault_diff, us(4));
+  EXPECT_EQ(b.nodes[1].idle, us(15));
+  EXPECT_EQ(b.aggregate.total(), us(200));
+  const obs::Breakdown direct = obs::foldBreakdown(rec, 2, us(100));
+  EXPECT_EQ(direct.aggregate.compute, b.aggregate.compute);
+  EXPECT_EQ(direct.aggregate.idle, b.aggregate.idle);
+}
+
+// A span without its end, an end without its begin, or a span that ends
+// before it begins is a broken trace, and folding it throws.
+TEST(Obs, FoldRunRejectsBrokenSpans) {
+  auto us = [](int64_t n) { return sim::usec(n); };
+  {
+    obs::TraceRecorder rec;
+    recordTwoNodeSpans(rec);
+    rec.begin(1, obs::Cat::kAcquireWait, us(90), 7);  // never ends
+    EXPECT_THROW(obs::foldRun(rec, 2, us(100)), Error);
+  }
+  {
+    obs::TraceRecorder rec;
+    recordTwoNodeSpans(rec);
+    rec.end(0, obs::Cat::kFault, us(99), 3);  // no begin
+    EXPECT_THROW(obs::foldRun(rec, 2, us(100)), Error);
+  }
+  {
+    obs::TraceRecorder rec;
+    recordTwoNodeSpans(rec);
+    rec.begin(0, obs::Cat::kFault, us(99), 4);
+    rec.end(0, obs::Cat::kFault, us(98), 4);  // ends before it begins
+    EXPECT_THROW(obs::foldRun(rec, 2, us(100)), Error);
+  }
+}
+
 TEST(Obs, PageHeatFoldsKnownCounts) {
   obs::TraceRecorder rec;
   auto us = [](int64_t n) { return sim::usec(n); };
@@ -527,6 +599,73 @@ TEST(Metrics, RegistryAccountsPeaksFinalsAndMeans) {
   EXPECT_TRUE(reg.samples().empty());
 }
 
+using Row = std::tuple<sim::Time, uint32_t, M, int64_t>;
+
+std::vector<Row> rowsOf(const obs::MetricsRegistry& reg) {
+  std::vector<Row> rows;
+  for (const obs::MetricSample& s : reg.samples())
+    rows.emplace_back(s.ts, s.node, s.metric, s.value);
+  return rows;
+}
+
+// The sampler's ticks fall at start + k * interval. The tick at T sees
+// every event at a time <= T, records only series that changed since their
+// last row (or never had one), and is taken only if some event runs after
+// it. closeRun then records every live series at the finish time.
+TEST(Metrics, SamplerTicksFollowTheEngine) {
+  auto change = [](sim::Engine& e, obs::MetricsRegistry& reg, sim::Time t,
+                   uint32_t node, M m, int64_t delta) {
+    e.at(t, [&e, &reg, node, m, delta] { reg.add(node, m, delta, e.now()); });
+  };
+  {
+    sim::Engine e;
+    obs::MetricsRegistry reg{10};
+    change(e, reg, 2, 0, M::kTwinBytes, 3);
+    ASSERT_TRUE(e.step());  // the sampler starts at 2: ticks at 12, 22, ...
+    reg.startSampling(e);
+    change(e, reg, 12, 0, M::kTwinBytes, 1);  // the tick at 12 sees it
+    change(e, reg, 17, 1, M::kHeldViews, 1);
+    change(e, reg, 17, 1, M::kHeldLocks, 0);  // never sampled: a row at 22
+    change(e, reg, 49, 0, M::kTwinBytes, -4);
+    change(e, reg, 57, 1, M::kHeldViews, 1);
+    change(e, reg, 72, 0, M::kTwinBytes, 7);
+    e.at(95, [] {});  // changes nothing, but the tick at 72 is taken
+    EXPECT_EQ(e.run(), 7u);
+    reg.closeRun(/*nprocs=*/2, /*finish=*/90);
+    EXPECT_EQ(rowsOf(reg),
+              (std::vector<Row>{{12, 0, M::kTwinBytes, 4},
+                                {22, 1, M::kHeldViews, 1},
+                                {22, 1, M::kHeldLocks, 0},
+                                {52, 0, M::kTwinBytes, 0},
+                                {62, 1, M::kHeldViews, 2},
+                                {72, 0, M::kTwinBytes, 7},
+                                {90, 0, M::kTwinBytes, 7},
+                                {90, 1, M::kHeldViews, 2},
+                                {90, 1, M::kHeldLocks, 0}}));
+  }
+  {
+    // The last event falls on the tick at 30: no event runs after that
+    // tick, so it is not taken, and only the closing row records 6.
+    sim::Engine e;
+    obs::MetricsRegistry reg{10};
+    reg.startSampling(e);
+    change(e, reg, 4, 0, M::kTwinBytes, 5);
+    change(e, reg, 30, 0, M::kTwinBytes, 1);
+    EXPECT_EQ(e.run(), 2u);
+    reg.closeRun(/*nprocs=*/1, /*finish=*/30);
+    EXPECT_EQ(rowsOf(reg), (std::vector<Row>{{10, 0, M::kTwinBytes, 5},
+                                             {30, 0, M::kTwinBytes, 6}}));
+  }
+}
+
+const obs::Event& engineRunEnd(const std::vector<obs::Event>& events) {
+  for (const obs::Event& e : events)
+    if (e.node == obs::kEngineNode && e.cat == obs::Cat::kEngineRun &&
+        e.phase == obs::Phase::kEnd)
+      return e;
+  throw Error("trace has no engine_run end");
+}
+
 TEST(Metrics, MeteredRunMatchesUnmeteredRun) {
   // The tentpole invariant: metering — including the engine-driven sampler
   // — must leave every simulated figure bit-identical.
@@ -548,6 +687,14 @@ TEST(Metrics, MeteredRunMatchesUnmeteredRun) {
     RunResult both = runMeteredIs(c2, &reg2);
     expectSameSimResult(plain, both, "traced+metered vs plain");
     EXPECT_FALSE(rec.events().empty());
+    // The sampler adds no engine events: the engine_run span closes at the
+    // same time with the same event count as in a traced, unsampled run.
+    const TracedRun traced = runTracedIs(c);
+    const obs::Event& sampled = engineRunEnd(rec.events());
+    const obs::Event& unsampled = engineRunEnd(traced.events);
+    EXPECT_EQ(sampled.ts, unsampled.ts);
+    EXPECT_EQ(sampled.a0, unsampled.a0);
+    EXPECT_GT(sampled.a0, 0u);
   }
 }
 

@@ -47,60 +47,6 @@ TEST(Engine, CallbacksCanScheduleMore) {
   EXPECT_EQ(e.now(), 40);
 }
 
-TEST(Engine, StopHaltsProcessing) {
-  Engine e;
-  int fired = 0;
-  e.at(1, [&] {
-    fired++;
-    e.stop();
-  });
-  e.at(2, [&] { fired++; });
-  e.run();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(Engine, RunBoundedReportsDrainState) {
-  Engine e;
-  for (int i = 0; i < 10; ++i) e.at(i, [] {});
-  EXPECT_FALSE(e.runBounded(5));
-  EXPECT_TRUE(e.runBounded(100));
-}
-
-// A stopped run abandons its queue: runBounded must never report it as
-// drained, even when every scheduled event happened to execute first.
-TEST(Engine, RunBoundedAfterStopReportsNotDrained) {
-  Engine e;
-  e.at(1, [&] { e.stop(); });
-  e.at(2, [] {});
-  EXPECT_FALSE(e.runBounded(100));
-  EXPECT_TRUE(e.stopped());
-  EXPECT_EQ(e.pending(), 1u);
-
-  Engine e2;
-  e2.at(1, [&] { e2.stop(); });  // stop on the very last event
-  EXPECT_FALSE(e2.runBounded(100));
-  EXPECT_EQ(e2.pending(), 0u);
-}
-
-// Aux (observer-only) events interleave at their times but never keep the
-// engine alive; run() counts real events only.
-TEST(Engine, AuxEventsDoNotKeepEngineAlive) {
-  Engine e;
-  int aux_fired = 0;
-  int real_fired = 0;
-  std::function<void()> tick = [&] {
-    ++aux_fired;
-    e.auxAfter(5, [&tick] { tick(); });
-  };
-  e.auxAt(0, [&tick] { tick(); });
-  e.at(12, [&] { ++real_fired; });
-  const uint64_t n = e.run();
-  EXPECT_EQ(n, 1u);
-  EXPECT_EQ(real_fired, 1);
-  EXPECT_EQ(aux_fired, 3);  // t = 0, 5, 10; the trailing tick is discarded
-  EXPECT_EQ(e.now(), 12);
-}
-
 // The (time, stamp, origin-lane) keys fix the tie order, and through it
 // every random draw, of the committed baselines. Each event below logs its
 // key as "origin:stamp"; within a case all logged events share one time.
@@ -210,11 +156,10 @@ TEST(Engine, TimerLinesTieBreakLikeEvents) {
 }
 
 // A seeded random program on 4 lanes. Its events schedule more events with
-// two timer delays, `at`, `atLane` and `auxAt`; the timers are armed on
-// timer lines (two owners per lane, so four lines) or scheduled with
-// `at(now() + dt)` on the heap. Every real event logs (id, now(), lane),
-// where ids count scheduling calls and lane is the lane the event was
-// scheduled to run in.
+// two timer delays, `at` and `atLane`; the timers are armed on timer lines
+// (two owners per lane, so four lines) or scheduled with `at(now() + dt)`
+// on the heap. Every event logs (id, now(), lane), where ids count
+// scheduling calls and lane is the lane the event was scheduled to run in.
 struct RandomProgram {
   explicit RandomProgram(bool timer_lines) : timer_lines(timer_lines) {
     e.configureLanes(4);
@@ -245,7 +190,7 @@ struct RandomProgram {
   void run(int id, uint32_t lane) {
     log.emplace_back(id, e.now(), lane);
     for (uint64_t n = 1 + rng.below(2); n > 0 && budget > 0; --n, --budget) {
-      switch (rng.below(5)) {
+      switch (rng.below(4)) {
         case 0:
           timer(kShort, lane);
           break;
@@ -255,15 +200,11 @@ struct RandomProgram {
         case 2:  // small offsets make equal-time ties common
           e.at(e.now() + static_cast<Time>(rng.below(4)), event(lane));
           break;
-        case 3: {
+        default: {
           const auto dst = static_cast<uint32_t>(rng.below(4));
           e.atLane(dst, e.now() + static_cast<Time>(rng.below(10)),
                    event(dst));
-          break;
         }
-        default:
-          e.auxAt(e.now() + static_cast<Time>(rng.below(10)),
-                  [this] { aux_log.push_back(e.now()); });
       }
     }
   }
@@ -285,7 +226,6 @@ struct RandomProgram {
   int next_id = 0;
   int budget = 4000;  // further events the callbacks may schedule
   std::vector<std::tuple<int, Time, uint32_t>> log;
-  std::vector<Time> aux_log;
 };
 
 // Timer lines change where timers wait, never their keys: the same program
@@ -295,8 +235,10 @@ TEST(Engine, TimerLinesMatchAt) {
   RandomProgram lines(/*timer_lines=*/true);
   RandomProgram heap(/*timer_lines=*/false);
   for (int i = 0; i < 20; ++i) {
-    EXPECT_FALSE(lines.e.runBounded(97));
-    EXPECT_FALSE(heap.e.runBounded(97));
+    for (int n = 0; n < 97; ++n) {
+      ASSERT_TRUE(lines.e.step());
+      ASSERT_TRUE(heap.e.step());
+    }
     EXPECT_EQ(lines.e.pending(), heap.e.pending()) << "after step " << i;
   }
   const uint64_t rest = lines.e.run();
@@ -304,9 +246,7 @@ TEST(Engine, TimerLinesMatchAt) {
   EXPECT_GT(rest, 0u);
   EXPECT_EQ(lines.log.size(), static_cast<size_t>(lines.next_id));
   EXPECT_EQ(lines.log, heap.log);
-  EXPECT_EQ(lines.aux_log, heap.aux_log);
   EXPECT_EQ(lines.e.now(), heap.e.now());
-  EXPECT_FALSE(lines.aux_log.empty());
 }
 
 // A callback runs in its pool node, and the node is freed only after the
@@ -344,10 +284,13 @@ TEST(Engine, PoolGrowsAcrossChunksInOrder) {
       });
     }
   };
+  auto steps = [&e](int count) {
+    for (int i = 0; i < count; ++i) ASSERT_TRUE(e.step());
+  };
   schedule(10000);
-  EXPECT_FALSE(e.runBounded(3000));
+  steps(3000);
   schedule(6000);
-  EXPECT_FALSE(e.runBounded(9000));
+  steps(9000);
   schedule(5000);
   e.run();
   ASSERT_EQ(ran.size(), 21000u);

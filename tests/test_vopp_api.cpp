@@ -2,10 +2,38 @@
 // concurrency, determinism, merge_views, per-protocol invariants.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
 #include <regex>
 #include <string>
 
 #include "vopp/cluster.hpp"
+
+// Global operator new, replaced to count calls while `g_count_news` is set
+// (ClusterApi.WarmTouchMakesOneAllocation). The replacements stay out of
+// line: inlined into a caller, GCC pairs the builtin `new` with the `free`
+// below and warns about a mismatch.
+namespace {
+bool g_count_news = false;
+size_t g_news = 0;
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  if (g_count_news) ++g_news;
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new[](std::size_t n) {
+  return ::operator new(n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace vodsm {
 namespace {
@@ -293,6 +321,37 @@ TEST(ClusterApi, VcSdNeverIssuesDiffRequests) {
     });
     EXPECT_EQ(cluster.dsmStats().diff_requests, 0u) << procs << " procs";
   }
+}
+
+// A touch of pages the node already maps faults nothing, and costs one
+// heap allocation: the runtime's coroutine frame. Node::touchRead and
+// SharedArray::touchRead hand back the runtime's task rather than awaiting
+// it in frames of their own.
+TEST(ClusterApi, WarmTouchMakesOneAllocation) {
+  vopp::Cluster cluster(opts(Protocol::kVcSd, 2));
+  constexpr size_t kBytes = 3 * 4096;
+  const dsm::ViewId v = cluster.defineView(kBytes);
+  size_t node_news = 0, array_news = 0;
+  cluster.run([&](vopp::Node& node) -> sim::Task<void> {
+    if (node.id() != 0) co_return;
+    co_await node.acquireView(v);
+    const size_t off = node.cluster().viewOffset(v);
+    co_await node.touchRead(off, kBytes);  // maps the pages
+    vopp::SharedArray<int32_t> a(node, off, kBytes / sizeof(int32_t));
+    g_news = 0;
+    g_count_news = true;
+    co_await node.touchRead(off, kBytes);
+    g_count_news = false;
+    node_news = g_news;
+    g_news = 0;
+    g_count_news = true;
+    co_await a.touchRead(0, a.size());
+    g_count_news = false;
+    array_news = g_news;
+    co_await node.releaseView(v);
+  });
+  EXPECT_EQ(node_news, 1u);
+  EXPECT_EQ(array_news, 1u);
 }
 
 TEST(ClusterApi, DeterministicAcrossIdenticalRuns) {
