@@ -231,7 +231,9 @@ int main(int argc, char** argv) {
   }
   const bool want_profile = !profile_path.empty() || !compare_path.empty();
   // Every report below reads the trace; a traced run carries all of them.
-  obs::TraceRecorder recorder;
+  // Only --trace needs the stored write notices.
+  obs::TraceRecorder recorder(trace_path.empty() ? obs::TraceMode::kFold
+                                                 : obs::TraceMode::kExport);
   if (!trace_path.empty() || want_breakdown || want_critpath || want_pageheat ||
       !pageheat_csv.empty() || want_diagnose || want_profile)
     cfg.trace = &recorder;

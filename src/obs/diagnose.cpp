@@ -23,7 +23,7 @@ FlowFold foldFlows(const TraceRecorder& trace) {
   // Sorting (corr, event index) pairs makes each flow one run of its
   // events in recording order, and keeps the flow order deterministic.
   std::vector<std::pair<uint64_t, size_t>> wire;
-  const std::vector<Event>& ev = trace.events();
+  const EventLog& ev = trace.events();
   for (size_t i = 0; i < ev.size(); ++i) {
     const Event& e = ev[i];
     if (e.node == kEngineNode || e.corr == kNoCorr) continue;

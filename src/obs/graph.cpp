@@ -16,7 +16,7 @@ using IdNode = std::pair<uint64_t, uint32_t>;
 EventGraph buildEventGraph(const TraceRecorder& trace, int nprocs) {
   EventGraph g;
   g.nodes.resize(static_cast<size_t>(nprocs));
-  const std::vector<Event>& ev = trace.events();
+  const EventLog& ev = trace.events();
 
   // Pass 1: per-node timelines (waits + local spans) and the raw
   // producer-side instants (grants, folds) for pass 2's edge matching.

@@ -1,82 +1,25 @@
 #include "obs/page_heat.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
 #include <sstream>
 
+#include "obs/trace.hpp"
 #include "support/table.hpp"
 
 namespace vodsm::obs {
 
-namespace {
-
-struct Acc {
-  PageHeatRow row;
-  std::set<uint32_t> sharers;
-  std::set<uint32_t> writers;
-};
-
-}  // namespace
-
-PageHeat foldPageHeat(const TraceRecorder& trace) {
-  // Keyed by page id; std::map keeps the output order deterministic.
-  std::map<uint64_t, Acc> pages;
-  // Different nodes can fault on the same page concurrently, so open fault
-  // spans are matched per (page, node); a node faults one page at a time.
-  std::map<std::pair<uint64_t, uint32_t>, sim::Time> open_faults;
-  auto touch = [&](uint64_t page, uint32_t node) -> Acc& {
-    Acc& a = pages[page];
-    a.row.page = page;
-    a.sharers.insert(node);
-    return a;
-  };
-
-  for (const Event& e : trace.events()) {
-    if (e.node == kEngineNode) continue;
-    switch (e.cat) {
-      case Cat::kFault: {
-        Acc& a = touch(e.a0, e.node);
-        if (e.phase == Phase::kBegin) {
-          open_faults[{e.a0, e.node}] = e.ts;
-          break;
-        }
-        if (e.phase != Phase::kEnd) break;
-        auto it = open_faults.find({e.a0, e.node});
-        if (it == open_faults.end()) break;
-        a.row.faults++;
-        a.row.fault_time += e.ts - it->second;
-        open_faults.erase(it);
-        break;
-      }
-      case Cat::kTwin:
-        touch(e.a0, e.node).row.twins++;
-        break;
-      case Cat::kDiffApply: {
-        Acc& a = touch(e.a0, e.node);
-        a.row.diff_applies++;
-        a.row.diff_bytes += e.a1;
-        break;
-      }
-      case Cat::kNotice: {
-        Acc& a = touch(e.a0, e.node);
-        a.row.notices++;
-        a.writers.insert(static_cast<uint32_t>(e.a1));
-        break;
-      }
-      default:
-        break;
-    }
-  }
-
+PageHeat PageHeatFold::rows() const {
   PageHeat out;
-  out.rows.reserve(pages.size());
-  for (auto& [page, a] : pages) {
-    a.row.sharers = static_cast<uint32_t>(a.sharers.size());
-    a.row.writers = static_cast<uint32_t>(a.writers.size());
-    out.rows.push_back(a.row);
+  for (size_t page = 0; page < rows_.size(); ++page) {
+    if (rows_[page].sharers == 0) continue;
+    out.rows.push_back(rows_[page]);
+    out.rows.back().page = page;
   }
   return out;
+}
+
+PageHeat foldPageHeat(const TraceRecorder& trace) {
+  return trace.pageHeat().rows();
 }
 
 void printPageHeat(std::ostream& os, const PageHeat& heat,

@@ -32,6 +32,9 @@ char phaseChar(Phase p) {
 
 void writeChromeTrace(std::ostream& os, const TraceRecorder& trace,
                       const MetricsRegistry* metrics) {
+  // Only an export recorder stores every event; a fold-only one has
+  // dropped its write notices.
+  VODSM_CHECK(trace.mode() == TraceMode::kExport);
   const auto& events = trace.events();
 
   // One process per node plus one for the engine pseudo-node; pids are the

@@ -15,7 +15,8 @@
 
 namespace vodsm::obs {
 
-// Writes the whole trace as {"traceEvents": [...]}. Events are emitted in
+// Writes the whole trace as {"traceEvents": [...]}; `trace` must be built
+// with TraceMode::kExport (checked). Events are emitted in
 // (timestamp, recording order) so viewers need no resorting; the output is
 // a pure function of the event list, hence deterministic across runs.
 // When a sampled metrics registry is supplied, its time series is appended

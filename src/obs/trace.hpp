@@ -16,21 +16,28 @@
 //    and phase enums, two opaque argument words, and a wire correlation id;
 //    names and argument labels are resolved from static tables only at
 //    export time.
+//  * Store only what a report reads. A recorder folds page heat as events
+//    are recorded (obs/page_heat.hpp), so the kNotice instants, which no
+//    other fold reads, are stored only by a recorder built for export
+//    (TraceMode::kExport); every other event is stored in both modes. The
+//    event log grows in chunks that never move (EventLog).
 //
-// Consumers: obs/perfetto.hpp renders the event list as Chrome trace-event
-// JSON (one process per node, one thread per track); obs/graph.hpp
-// reconstructs the run DAG (per-node spans, grant/fold wakeup edges), from
-// which obs/breakdown.hpp folds per-node time buckets and
+// Consumers: obs/perfetto.hpp renders an export recorder's event list as
+// Chrome trace-event JSON (one process per node, one thread per track);
+// obs/graph.hpp reconstructs the run DAG (per-node spans, grant/fold wakeup
+// edges), from which obs/breakdown.hpp folds per-node time buckets and
 // obs/critical_path.hpp walks the critical path; obs::foldFlows
 // (obs/diagnose.hpp) gathers each frame's send, retransmissions, drops and
-// delivery by correlation id; obs/page_heat.hpp folds page-indexed instants
-// into a contention table.
+// delivery by correlation id; obs::foldPageHeat returns the page heat the
+// recorder folded.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
+#include "obs/page_heat.hpp"
 #include "sim/time.hpp"
 #include "support/check.hpp"
 
@@ -155,30 +162,121 @@ inline const CatInfo& catInfo(Cat c) {
   return kCatInfo[static_cast<size_t>(c)];
 }
 
+// The recorded events, in recording order. The log grows in chunks of
+// kChunkEvents that are never moved or initialised ahead of use: an event
+// keeps its address while the log grows, and no growth step copies the
+// log or holds two copies of it. A chunk (40 MiB) is larger than glibc's
+// 32 MiB mmap ceiling, so each is a mapping of its own: only the pages
+// events were written to are resident, and a freed log goes back to the
+// OS.
+class EventLog {
+ public:
+  static constexpr int kChunkShift = 20;
+  static constexpr size_t kChunkEvents = size_t{1} << kChunkShift;
+
+  class Iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Event;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const Event*;
+    using reference = const Event&;
+
+    Iterator() = default;
+    Iterator(const EventLog* log, size_t i) : log_(log), i_(i) {}
+    reference operator*() const { return (*log_)[i_]; }
+    pointer operator->() const { return &(*log_)[i_]; }
+    Iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator old = *this;
+      ++i_;
+      return old;
+    }
+    bool operator==(const Iterator& o) const { return i_ == o.i_; }
+
+   private:
+    const EventLog* log_ = nullptr;
+    size_t i_ = 0;
+  };
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const Event& operator[](size_t i) const {
+    return chunks_[i >> kChunkShift][i & (kChunkEvents - 1)];
+  }
+  Iterator begin() const { return {this, 0}; }
+  Iterator end() const { return {this, size_}; }
+
+  void push(const Event& e) {
+    if (chunks_.empty() || chunks_.back().size() == kChunkEvents)
+      chunks_.emplace_back().reserve(kChunkEvents);
+    chunks_.back().push_back(e);
+    ++size_;
+  }
+
+ private:
+  // Each chunk is reserved once at full size, so its buffer never moves,
+  // also when the outer vector grows.
+  std::vector<std::vector<Event>> chunks_;
+  size_t size_ = 0;
+};
+
+// What a recorder stores besides the page heat it folds.
+enum class TraceMode : uint8_t {
+  kFold,    // every event but the kNotice instants
+  kExport,  // every event: the recorder writeChromeTrace takes
+};
+
 class TraceRecorder {
  public:
+  explicit TraceRecorder(TraceMode mode = TraceMode::kFold) : mode_(mode) {}
+
   void begin(uint32_t node, Cat c, sim::Time ts, uint64_t a0 = 0,
              uint64_t a1 = 0) {
-    events_.push_back(
-        {ts, a0, a1, kNoCorr, node, c, Phase::kBegin, catInfo(c).track});
+    if (c == Cat::kFault && node != kEngineNode)
+      heat_.faultBegin(node, a0, ts);
+    log_.push({ts, a0, a1, kNoCorr, node, c, Phase::kBegin, catInfo(c).track});
   }
   void end(uint32_t node, Cat c, sim::Time ts, uint64_t a0 = 0,
            uint64_t a1 = 0) {
-    events_.push_back(
-        {ts, a0, a1, kNoCorr, node, c, Phase::kEnd, catInfo(c).track});
+    if (c == Cat::kFault && node != kEngineNode) heat_.faultEnd(node, a0, ts);
+    log_.push({ts, a0, a1, kNoCorr, node, c, Phase::kEnd, catInfo(c).track});
   }
   void instant(uint32_t node, Cat c, sim::Time ts, uint64_t a0 = 0,
                uint64_t a1 = 0, uint64_t corr = kNoCorr) {
-    events_.push_back(
-        {ts, a0, a1, corr, node, c, Phase::kInstant, catInfo(c).track});
+    if (node != kEngineNode) foldInstant(node, c, a0, a1);
+    if (c == Cat::kNotice && mode_ != TraceMode::kExport) return;
+    log_.push({ts, a0, a1, corr, node, c, Phase::kInstant, catInfo(c).track});
   }
 
-  const std::vector<Event>& events() const { return events_; }
-  size_t size() const { return events_.size(); }
-  void clear() { events_.clear(); }
+  TraceMode mode() const { return mode_; }
+  const EventLog& events() const { return log_; }
+  size_t size() const { return log_.size(); }
+  const PageHeatFold& pageHeat() const { return heat_; }
 
  private:
-  std::vector<Event> events_;
+  void foldInstant(uint32_t node, Cat c, uint64_t a0, uint64_t a1) {
+    switch (c) {
+      case Cat::kTwin:
+        heat_.twin(node, a0);
+        break;
+      case Cat::kDiffApply:
+        heat_.diffApply(node, a0, a1);
+        break;
+      case Cat::kNotice:
+        heat_.notice(node, a0, static_cast<uint32_t>(a1));
+        break;
+      default:
+        break;
+    }
+  }
+
+  TraceMode mode_;
+  EventLog log_;
+  PageHeatFold heat_;
 };
 
 }  // namespace vodsm::obs

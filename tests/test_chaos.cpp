@@ -180,7 +180,7 @@ class ChaosSweep : public testing::TestWithParam<ChaosParam> {
           << dsm::barrierAlgName(GetParam().barrier) << " barrier)\n";
   }
 
-  obs::TraceRecorder trace_;
+  obs::TraceRecorder trace_{obs::TraceMode::kExport};  // written on failure
   obs::Diagnosis diagnosis_;
   std::string spec_;
 };

@@ -385,11 +385,11 @@ TracedRun runTracedIs(const FaultPlan* plan) {
   c.protocol = dsm::Protocol::kVcSd;
   c.nprocs = 4;
   c.faults = plan;
-  obs::TraceRecorder rec;
+  obs::TraceRecorder rec(obs::TraceMode::kExport);  // every event
   c.trace = &rec;
   harness::RunResult r =
       apps::runIs(c, tinyIs(), apps::IsVariant::kVopp).result;
-  return {r, rec.events()};
+  return {r, {rec.events().begin(), rec.events().end()}};
 }
 
 void expectIdentical(const TracedRun& a, const TracedRun& b,

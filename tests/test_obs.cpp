@@ -8,8 +8,10 @@
 //  * Per-kind network counters sum to the global counters exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
+#include <set>
 #include <sstream>
 #include <tuple>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "apps/sor.hpp"
 #include "harness/parallel_runner.hpp"
 #include "harness/run.hpp"
+#include "net/faults.hpp"
 #include "net/network.hpp"
 #include "obs/breakdown.hpp"
 #include "obs/critical_path.hpp"
@@ -62,11 +65,12 @@ struct TracedRun {
   std::vector<obs::Event> events;
 };
 
+// An export recorder: the stream `--trace` writes, write notices included.
 TracedRun runTracedIs(RunConfig c) {
-  obs::TraceRecorder rec;
+  obs::TraceRecorder rec(obs::TraceMode::kExport);
   c.trace = &rec;
   RunResult r = apps::runIs(c, smallIs(), variantFor(c.protocol)).result;
-  return {r, rec.events()};
+  return {r, {rec.events().begin(), rec.events().end()}};
 }
 
 void expectSameSimResult(const RunResult& a, const RunResult& b,
@@ -112,6 +116,14 @@ TEST(Obs, TraceIsBitIdenticalAcrossRuns) {
     TracedRun second = runTracedIs(smallConfig(proto));
     expectSameSimResult(first.result, second.result, "repeat");
     EXPECT_TRUE(sameEvents(first.events, second.events));
+    // The compared streams carry every write notice the runtimes recorded.
+    const auto notices =
+        std::count_if(first.events.begin(), first.events.end(),
+                      [](const obs::Event& e) {
+                        return e.cat == obs::Cat::kNotice;
+                      });
+    EXPECT_EQ(static_cast<uint64_t>(notices),
+              first.result.dsm.notices_recorded);
   }
 }
 
@@ -399,6 +411,230 @@ TEST(Obs, PageHeatFoldsKnownCounts) {
             "notices,sharers,writers");
 }
 
+// The page-heat fold as a walk over the stored events, as it was before
+// recorders folded page heat online: the reference the online fold must
+// match. It needs an export recorder, the one that stores write notices.
+obs::PageHeat walkPageHeat(const obs::TraceRecorder& trace) {
+  struct Acc {
+    obs::PageHeatRow row;
+    std::set<uint32_t> sharers;
+    std::set<uint32_t> writers;
+  };
+  std::map<uint64_t, Acc> pages;
+  std::map<std::pair<uint64_t, uint32_t>, sim::Time> open_faults;
+  auto touch = [&](uint64_t page, uint32_t node) -> Acc& {
+    Acc& a = pages[page];
+    a.row.page = page;
+    a.sharers.insert(node);
+    return a;
+  };
+  for (const obs::Event& e : trace.events()) {
+    if (e.node == obs::kEngineNode) continue;
+    switch (e.cat) {
+      case obs::Cat::kFault: {
+        Acc& a = touch(e.a0, e.node);
+        if (e.phase == obs::Phase::kBegin) {
+          open_faults[{e.a0, e.node}] = e.ts;
+          break;
+        }
+        if (e.phase != obs::Phase::kEnd) break;
+        auto it = open_faults.find({e.a0, e.node});
+        if (it == open_faults.end()) break;
+        a.row.faults++;
+        a.row.fault_time += e.ts - it->second;
+        open_faults.erase(it);
+        break;
+      }
+      case obs::Cat::kTwin:
+        touch(e.a0, e.node).row.twins++;
+        break;
+      case obs::Cat::kDiffApply: {
+        Acc& a = touch(e.a0, e.node);
+        a.row.diff_applies++;
+        a.row.diff_bytes += e.a1;
+        break;
+      }
+      case obs::Cat::kNotice: {
+        Acc& a = touch(e.a0, e.node);
+        a.row.notices++;
+        a.writers.insert(static_cast<uint32_t>(e.a1));
+        break;
+      }
+      default:
+        break;
+    }
+  }
+  obs::PageHeat out;
+  for (auto& [page, a] : pages) {
+    a.row.sharers = static_cast<uint32_t>(a.sharers.size());
+    a.row.writers = static_cast<uint32_t>(a.writers.size());
+    out.rows.push_back(a.row);
+  }
+  return out;
+}
+
+void expectSameRows(const obs::PageHeat& got, const obs::PageHeat& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.rows.size(), want.rows.size()) << what;
+  for (size_t i = 0; i < got.rows.size(); ++i) {
+    const obs::PageHeatRow& g = got.rows[i];
+    const obs::PageHeatRow& w = want.rows[i];
+    EXPECT_EQ(g.page, w.page) << what;
+    EXPECT_EQ(g.faults, w.faults) << what << " page " << w.page;
+    EXPECT_EQ(g.fault_time, w.fault_time) << what << " page " << w.page;
+    EXPECT_EQ(g.twins, w.twins) << what << " page " << w.page;
+    EXPECT_EQ(g.diff_applies, w.diff_applies) << what << " page " << w.page;
+    EXPECT_EQ(g.diff_bytes, w.diff_bytes) << what << " page " << w.page;
+    EXPECT_EQ(g.notices, w.notices) << what << " page " << w.page;
+    EXPECT_EQ(g.sharers, w.sharers) << what << " page " << w.page;
+    EXPECT_EQ(g.writers, w.writers) << what << " page " << w.page;
+  }
+}
+
+uint64_t countOf(const obs::TraceRecorder& rec, obs::Cat cat) {
+  uint64_t n = 0;
+  for (const obs::Event& e : rec.events()) n += e.cat == cat;
+  return n;
+}
+
+// Runs `app` on `c` at test sizes; LRC_d runs the traditional variant.
+RunResult runApp(const std::string& app, const RunConfig& c) {
+  const bool traditional = c.protocol == dsm::Protocol::kLrcDiff;
+  if (app == "is") {
+    apps::IsParams p;
+    p.n_keys = 1 << 10;
+    p.max_key = (1 << 7) - 1;
+    p.iterations = 2;
+    return apps::runIs(c, p, variantFor(c.protocol)).result;
+  }
+  if (app == "gauss") {
+    apps::GaussParams p;
+    p.n = 32;
+    const auto v = traditional ? apps::GaussVariant::kTraditional
+                               : apps::GaussVariant::kVopp;
+    return apps::runGauss(c, p, v).result;
+  }
+  if (app == "sor") {
+    apps::SorParams p;
+    p.rows = 32;
+    p.cols = 32;
+    p.iterations = 2;
+    const auto v = traditional ? apps::SorVariant::kTraditional
+                               : apps::SorVariant::kVopp;
+    return apps::runSor(c, p, v).result;
+  }
+  apps::NnParams p;
+  p.samples = 16;
+  p.epochs = 2;
+  p.hidden = 8;
+  const auto v =
+      traditional ? apps::NnVariant::kTraditional : apps::NnVariant::kVopp;
+  return apps::runNn(c, p, v).result;
+}
+
+// Runs `app` on `c` under an export recorder and under a fold-only one,
+// and checks both recorders' page heat against the walk over the export
+// recorder's events. Returns the write notices the run recorded.
+uint64_t expectOnlineFoldMatchesWalk(const std::string& app, RunConfig c) {
+  std::ostringstream os;
+  os << app << " proto " << static_cast<int>(c.protocol) << " "
+     << dsm::barrierAlgName(c.barrier) << (c.faults ? " lossy" : "");
+  const std::string what = os.str();
+  obs::TraceRecorder exported(obs::TraceMode::kExport);
+  obs::TraceRecorder folded;
+  c.trace = &exported;
+  const RunResult r = runApp(app, c);
+  c.trace = &folded;
+  (void)runApp(app, c);
+
+  const obs::PageHeat walk = walkPageHeat(exported);
+  EXPECT_FALSE(walk.rows.empty()) << what;
+  expectSameRows(obs::foldPageHeat(exported), walk, what);
+  expectSameRows(obs::foldPageHeat(folded), walk, what);
+  expectSameRows(r.pageheat, walk, what);
+  const uint64_t notices = r.dsm.notices_recorded;
+  EXPECT_EQ(countOf(folded, obs::Cat::kNotice), 0u) << what;
+  EXPECT_EQ(countOf(exported, obs::Cat::kNotice), notices) << what;
+  EXPECT_EQ(exported.size(), folded.size() + notices) << what;
+  return notices;
+}
+
+// The recorder folds page heat as it records. On every app, protocol and
+// barrier, fault-free and lossy, the online rows equal the walk over an
+// export recorder's events; a fold-only recorder yields the same rows
+// without storing a single write notice, and an export recorder stores
+// one per notice the runtimes recorded.
+TEST(Obs, OnlinePageHeatMatchesTheTraceWalk) {
+  using B = dsm::BarrierAlg;
+  const net::FaultPlan lossy = net::parseFaultPlan("profile:lossy");
+  uint64_t notices = 0;
+  for (const char* app : {"is", "gauss", "sor", "nn"})
+    for (auto proto : kAllProtocols)
+      for (B barrier : {B::kCentral, B::kTree, B::kButterfly})
+        for (bool faulted : {false, true}) {
+          RunConfig c;
+          c.protocol = proto;
+          c.nprocs = 8;
+          c.barrier = barrier;
+          if (faulted) c.faults = &lossy;
+          notices += expectOnlineFoldMatchesWalk(app, c);
+        }
+  EXPECT_GT(notices, 0u);
+}
+
+// The event log grows in chunks that never move: across a chunk boundary
+// the events keep their order and indices, and an event's address does
+// not change as the log grows.
+TEST(Obs, EventLogKeepsOrderAndAddressesAcrossChunks) {
+  constexpr size_t kChunk = obs::EventLog::kChunkEvents;
+  obs::TraceRecorder rec;
+  auto record = [&](size_t i) {
+    rec.instant(static_cast<uint32_t>(i % 8), obs::Cat::kSend,
+                static_cast<sim::Time>(i), /*type=*/i);
+  };
+  for (size_t i = 0; i < kChunk; ++i) record(i);
+  const obs::Event* first = &rec.events()[0];
+  const obs::Event* last = &rec.events()[kChunk - 1];
+  for (size_t i = kChunk; i < kChunk + 3; ++i) record(i);
+
+  ASSERT_EQ(rec.size(), kChunk + 3);
+  EXPECT_EQ(&rec.events()[0], first);
+  EXPECT_EQ(&rec.events()[kChunk - 1], last);
+  EXPECT_EQ(rec.events()[kChunk - 1].a0, kChunk - 1);
+  EXPECT_EQ(rec.events()[kChunk].a0, kChunk);
+  EXPECT_EQ(rec.events()[kChunk + 2].ts, static_cast<sim::Time>(kChunk + 2));
+  size_t i = 0, misplaced = 0;
+  for (const obs::Event& e : rec.events()) {
+    misplaced += e.a0 != i || e.node != i % 8 || &e != &rec.events()[i];
+    ++i;
+  }
+  EXPECT_EQ(i, kChunk + 3);
+  EXPECT_EQ(misplaced, 0u);
+  const std::vector<obs::Event> copy(rec.events().begin(),
+                                     rec.events().end());
+  ASSERT_EQ(copy.size(), kChunk + 3);
+  EXPECT_EQ(copy[kChunk].a0, kChunk);
+}
+
+// Only an export recorder stores write notices, so only it can be written
+// as a Chrome trace.
+TEST(Obs, OnlyAnExportRecorderWritesAChromeTrace) {
+  obs::TraceRecorder folded;
+  obs::TraceRecorder exported(obs::TraceMode::kExport);
+  for (obs::TraceRecorder* rec : {&folded, &exported}) {
+    recordTwoNodeSpans(*rec);
+    rec->instant(0, obs::Cat::kNotice, sim::usec(40), /*page=*/5,
+                 /*writer=*/1);
+  }
+  EXPECT_EQ(exported.size(), folded.size() + 1);
+  EXPECT_EQ(countOf(folded, obs::Cat::kNotice), 0u);
+  EXPECT_EQ(obs::foldPageHeat(folded).rows.back().notices, 1u);
+  std::ostringstream os;
+  EXPECT_THROW(obs::writeChromeTrace(os, folded), Error);
+  obs::writeChromeTrace(os, exported);
+  EXPECT_NE(os.str().find("\"write_notice\""), std::string::npos);
+}
+
 TEST(Obs, EventGraphIsCompleteOnRealRuns) {
   for (auto proto : kAllProtocols) {
     for (bool lossy : {false, true}) {
@@ -541,7 +777,7 @@ TEST(Obs, DropAttributionSumsToFrameCounters) {
 
 TEST(Obs, ChromeTraceExportIsDeterministic) {
   RunConfig c = smallConfig(dsm::Protocol::kVcSd);
-  obs::TraceRecorder live;
+  obs::TraceRecorder live(obs::TraceMode::kExport);
   c.trace = &live;
   (void)apps::runIs(c, smallIs(), apps::IsVariant::kVopp);
 
@@ -690,7 +926,9 @@ TEST(Metrics, MeteredRunMatchesUnmeteredRun) {
     // The sampler adds no engine events: the engine_run span closes at the
     // same time with the same event count as in a traced, unsampled run.
     const TracedRun traced = runTracedIs(c);
-    const obs::Event& sampled = engineRunEnd(rec.events());
+    const std::vector<obs::Event> events(rec.events().begin(),
+                                         rec.events().end());
+    const obs::Event& sampled = engineRunEnd(events);
     const obs::Event& unsampled = engineRunEnd(traced.events);
     EXPECT_EQ(sampled.ts, unsampled.ts);
     EXPECT_EQ(sampled.a0, unsampled.a0);
@@ -824,7 +1062,7 @@ TEST(Metrics, CsvAndMemstatsDeterministicAcrossHostThreads) {
 
 TEST(Metrics, ChromeTraceGainsCounterTracks) {
   RunConfig c = smallConfig(dsm::Protocol::kVcSd);
-  obs::TraceRecorder rec;
+  obs::TraceRecorder rec(obs::TraceMode::kExport);
   obs::MetricsRegistry reg{sim::usec(200)};
   c.trace = &rec;
   c.metrics = &reg;
